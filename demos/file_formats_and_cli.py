@@ -14,7 +14,8 @@ from pathlib import Path
 import hrlq
 from hrlq.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="hrlq-demo-"))
+scratch = tempfile.TemporaryDirectory(prefix="hrlq-demo-")
+workdir = Path(scratch.name)
 print("working in", workdir)
 
 print("\n--- an instance file (.hrlq) ---")
@@ -72,3 +73,5 @@ bad = workdir / "bad.hrlq"
 bad.write_text("hospital h [2,1]: r\n")
 code = main(["solve", "--alg", "da", "--in", str(bad)])
 print("exit code:", code)
+
+scratch.cleanup()

@@ -13,16 +13,9 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Collection, Iterator
 
-from .core import (
-    Instance,
-    Matching,
-    Pair,
-    envy_pairs,
-    envy_residents,
-    without_edges,
-)
+from .core import Instance, Matching, Pair, envy_pairs
 
 
 class Infeasible(Exception):
@@ -57,13 +50,18 @@ class ObjectiveKind(Enum):
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Search statistics: guesses/matchings examined, final level, node count, winning guess."""
+    """Search statistics.
+
+    guesses_examined  min_ep_exact: edge sets deleted and tried; 0 elsewhere
+    level             min_ep_exact: size of the winning guess; 0 elsewhere
+    nodes             brute_*: backtracking states visited; 0 elsewhere
+    guess             min_ep_exact: the winning deleted pairs; () elsewhere
+    """
 
     guesses_examined: int = 0
     level: int = 0
     nodes: int = 0
     guess: tuple[Pair, ...] = ()
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -74,6 +72,72 @@ class SolveResult:
     stats: SolveStats
 
 
+class _View:
+    """Integer-indexed tables of one instance, built once per solver call.
+
+    Preference lists (`acc` per resident, `acc_h` per hospital) and hospital
+    rank tables hold declaration indices; `edges` is `instance.edges` as
+    index pairs.
+    """
+
+    def __init__(self, instance: Instance):
+        ridx, hidx = instance.resident_index, instance.hospital_index
+        self.residents, self.hospitals = instance.residents, instance.hospitals
+        self.acc = [tuple(hidx[h] for h in instance.resident_prefs[r]) for r in self.residents]
+        self.acc_h = [tuple(ridx[r] for r in instance.hospital_prefs[h]) for h in self.hospitals]
+        self.rank_h = [{r: k for k, r in enumerate(prefs)} for prefs in self.acc_h]
+        self.low = [instance.quotas[h][0] for h in self.hospitals]
+        self.up = [instance.quotas[h][1] for h in self.hospitals]
+        self.edges = [(ridx[r], hidx[h]) for r, h in instance.edges]
+
+    def matching(self, choice: list[int]) -> Matching:
+        """The Matching for a hospital index per resident (-1 for unmatched)."""
+        residents, hospitals = self.residents, self.hospitals
+        return Matching({residents[r]: hospitals[h] for r, h in enumerate(choice) if h >= 0})
+
+
+def _deferred_acceptance(
+    view: _View, caps: list[int], dropped: Collection[tuple[int, int]] = ()
+) -> list[int]:
+    """Resident-proposing DA on the view: each resident's hospital index, or -1.
+
+    Pairs in `dropped` count as deleted from both preference lists.
+    """
+    acc, rank_h = view.acc, view.rank_h
+    nxt = [0] * len(acc)
+    choice = [-1] * len(acc)
+    held: list[list[int]] = [[] for _ in caps]
+    free = deque(range(len(acc)))
+    while free:
+        r = free.popleft()
+        prefs = acc[r]
+        while nxt[r] < len(prefs):
+            h = prefs[nxt[r]]
+            nxt[r] += 1
+            if caps[h] == 0 or (dropped and (r, h) in dropped):
+                continue
+            occupants = held[h]
+            if len(occupants) < caps[h]:
+                occupants.append(r)
+                choice[r] = h
+                break
+            worst = max(occupants, key=rank_h[h].__getitem__)
+            if rank_h[h][r] < rank_h[h][worst]:
+                occupants.remove(worst)
+                occupants.append(r)
+                choice[worst], choice[r] = -1, h
+                free.append(worst)
+                break
+        # falling through the list leaves r unmatched
+    return choice
+
+
+def _envy_free(view: _View, dropped: Collection[tuple[int, int]] = ()) -> list[int] | None:
+    """Yokoi's test: DA capped at the lower quotas must fill every one of them."""
+    choice = _deferred_acceptance(view, view.low, dropped)
+    return choice if sum(h >= 0 for h in choice) == sum(view.low) else None
+
+
 def deferred_acceptance(instance: Instance) -> Matching:
     """Resident-proposing deferred acceptance against the upper quotas.
 
@@ -81,36 +145,8 @@ def deferred_acceptance(instance: Instance) -> Matching:
     reject by preference only; the result is the unique resident-optimal
     stable matching for the capacities, so it has no blocking pairs.
     """
-    caps = {h: instance.quotas[h][1] for h in instance.hospitals}
-    hrank = instance.hospital_rank
-    nxt = {r: 0 for r in instance.residents}
-    held: dict[str, list[str]] = {h: [] for h in instance.hospitals}
-    free = deque(instance.residents)
-    while free:
-        r = free.popleft()
-        prefs = instance.resident_prefs[r]
-        while nxt[r] < len(prefs):
-            h = prefs[nxt[r]]
-            nxt[r] += 1
-            if caps[h] == 0:
-                continue
-            occupants = held[h]
-            if len(occupants) < caps[h]:
-                occupants.append(r)
-                break
-            worst = max(occupants, key=hrank[h].__getitem__)
-            if hrank[h][r] < hrank[h][worst]:
-                occupants.remove(worst)
-                occupants.append(r)
-                free.append(worst)
-                break
-        # falling through the list leaves r unmatched
-    assignment = {}
-    placed = {r: h for h, occ in held.items() for r in occ}
-    for r in instance.residents:
-        if r in placed:
-            assignment[r] = placed[r]
-    return Matching(assignment)
+    view = _View(instance)
+    return view.matching(_deferred_acceptance(view, view.up))
 
 
 def reduced_capacity_instance(instance: Instance) -> Instance:
@@ -131,19 +167,15 @@ def reduced_capacity_instance(instance: Instance) -> Instance:
 def yokoi_envy_free(instance: Instance) -> Matching | None:
     """Decide whether a feasible envy-free matching exists, returning one if so.
 
-    Runs deferred acceptance on the reduced-capacity instance (Yokoi's
+    Runs deferred acceptance with every capacity lowered to the hospital's
+    lower quota, as on the reduced-capacity instance (Yokoi's
     characterization): an envy-free matching filling all lower quotas exists
     iff that run fills every hospital to exactly its lower quota.  Returns
     None otherwise; that is a regular outcome, not a failure.
     """
-    matching = deferred_acceptance(reduced_capacity_instance(instance))
-    counts: dict[str, int] = {}
-    for h in matching.assignment.values():
-        counts[h] = counts.get(h, 0) + 1
-    for h, (low, _) in instance.quotas.items():
-        if counts.get(h, 0) != low:
-            return None
-    return matching
+    view = _View(instance)
+    choice = _envy_free(view)
+    return None if choice is None else view.matching(choice)
 
 
 class _FeasibleSearch:
@@ -157,22 +189,13 @@ class _FeasibleSearch:
     node where they die.
     """
 
-    def __init__(self, instance: Instance, node_budget: int):
-        self.instance = instance
+    def __init__(self, view: _View, node_budget: int):
+        self.view = view
         self.node_budget = node_budget
         self.nodes = 0
-        hidx = instance.hospital_index
-        self.acc = [
-            tuple(hidx[h] for h in instance.resident_prefs[r]) for r in instance.residents
-        ]
-        self.acc_h = [
-            tuple(instance.resident_index[r] for r in instance.hospital_prefs[h])
-            for h in instance.hospitals
-        ]
-        self.low = [instance.quotas[h][0] for h in instance.hospitals]
-        self.up = [instance.quotas[h][1] for h in instance.hospitals]
-        self.n_res = len(instance.residents)
-        self.n_hosp = len(instance.hospitals)
+        self.acc, self.acc_h, self.low, self.up = view.acc, view.acc_h, view.low, view.up
+        self.n_res = len(view.acc)
+        self.n_hosp = len(view.acc_h)
         self.occ = [0] * self.n_hosp
         self.choice = [-1] * self.n_res
 
@@ -218,15 +241,7 @@ class _FeasibleSearch:
         if self.nodes > self.node_budget:
             raise BudgetExceeded(self.node_budget)
         if i == self.n_res:
-            residents = self.instance.residents
-            hospitals = self.instance.hospitals
-            yield Matching(
-                {
-                    residents[r]: hospitals[self.choice[r]]
-                    for r in range(self.n_res)
-                    if self.choice[r] >= 0
-                }
-            )
+            yield self.view.matching(self.choice)
             return
         for j in self.acc[i]:
             if self.occ[j] >= self.up[j]:
@@ -251,7 +266,7 @@ def exists_feasible(instance: Instance) -> bool:
     quota; surplus residents may stay unmatched, so saturating the demand
     slots is both necessary and sufficient.
     """
-    return _FeasibleSearch(instance, 0).initial_cover() is not None
+    return _FeasibleSearch(_View(instance), 0).initial_cover() is not None
 
 
 def enumerate_feasible(instance: Instance, node_budget: int = 10**7) -> Iterator[Matching]:
@@ -261,64 +276,51 @@ def enumerate_feasible(instance: Instance, node_budget: int = 10**7) -> Iterator
     node_budget states; that signals the instance is too large for
     exhaustive treatment.
     """
-    search = _FeasibleSearch(instance, node_budget)
+    search = _FeasibleSearch(_View(instance), node_budget)
     cover = search.initial_cover()
     if cover is None:
         return
     yield from search.run(0, cover)
 
 
-def _brute_minimize(
-    instance: Instance, node_budget: int, kind: ObjectiveKind
-) -> SolveResult:
-    count_fn = envy_pairs if kind is ObjectiveKind.MIN_EP else envy_residents
-    search = _FeasibleSearch(instance, node_budget)
+def _brute_optima(instance: Instance, node_budget: int) -> tuple[SolveResult, SolveResult]:
+    """Minimum-envy-pair and minimum-envy-resident matchings from one enumeration.
+
+    Each objective keeps the first strict minimum in enumeration order.
+    """
+    search = _FeasibleSearch(_View(instance), node_budget)
     cover = search.initial_cover()
     if cover is None:
         raise Infeasible("no feasible matching exists")
-    best: Matching | None = None
-    best_obj = 0
-    examined = 0
+    best_ep = best_er = None
+    ep_obj = er_obj = 0
     for matching in search.run(0, cover):
-        examined += 1
-        obj = len(count_fn(instance, matching))
-        if best is None or obj < best_obj:
-            best, best_obj = matching, obj
-    if best is None:
+        pairs = envy_pairs(instance, matching)
+        if best_ep is None or len(pairs) < ep_obj:
+            best_ep, ep_obj = matching, len(pairs)
+        n_residents = len({r for r, _ in pairs})
+        if best_er is None or n_residents < er_obj:
+            best_er, er_obj = matching, n_residents
+    if best_ep is None:
         raise Infeasible("no feasible matching exists")
-    return SolveResult(
-        matching=best,
-        objective=best_obj,
-        objective_kind=kind,
-        stats=SolveStats(guesses_examined=examined, level=0, nodes=search.nodes),
+    stats = SolveStats(nodes=search.nodes)
+    return (
+        SolveResult(best_ep, ep_obj, ObjectiveKind.MIN_EP, stats),
+        SolveResult(best_er, er_obj, ObjectiveKind.MIN_ER, stats),
     )
 
 
 def brute_min_ep(instance: Instance, node_budget: int = 10**7) -> SolveResult:
     """Exhaustive minimum-envy-pair oracle; ties broken by enumeration order."""
-    return _brute_minimize(instance, node_budget, ObjectiveKind.MIN_EP)
+    return _brute_optima(instance, node_budget)[0]
 
 
 def brute_min_er(instance: Instance, node_budget: int = 10**7) -> SolveResult:
     """Exhaustive minimum-envy-resident oracle; ties broken by enumeration order."""
-    return _brute_minimize(instance, node_budget, ObjectiveKind.MIN_ER)
+    return _brute_optima(instance, node_budget)[1]
 
 
-def _mutual_top_edges(instance: Instance) -> frozenset[int]:
-    out = set()
-    for idx, (r, h) in enumerate(instance.edges):
-        rp = instance.resident_prefs[r]
-        hp = instance.hospital_prefs[h]
-        if rp and hp and rp[0] == h and hp[0] == r:
-            out.add(idx)
-    return frozenset(out)
-
-
-def min_ep_exact(
-    instance: Instance,
-    level_cap: int | None = None,
-    prune_mutual_top: bool = False,
-) -> SolveResult:
+def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResult:
     """Feasible matching with the minimum number of envy-pairs.
 
     Level k enumerates every k-subset of the acceptable pairs in
@@ -326,37 +328,24 @@ def min_ep_exact(
     decision procedure on the trimmed instance.  The first success is
     reported; its guess set is therefore the lexicographically smallest
     winner at the optimal level.  Levels start at 0, so the reported
-    objective is tight.
+    objective is tight.  A guess is passed to deferred acceptance as a set
+    of dropped pairs; no trimmed instance is built.
 
     Raises Infeasible when no feasible matching exists at all, and
-    LevelCapExceeded when level_cap is given and exhausted.  With
-    prune_mutual_top, guesses containing a pair that tops both of its own
-    preference lists are skipped (a heuristic: such a pair rarely needs
-    deleting); the skip count and justification are recorded in stats.note.
+    LevelCapExceeded when level_cap is given and exhausted.
     """
-    if not exists_feasible(instance):
+    view = _View(instance)
+    if _FeasibleSearch(view, 0).initial_cover() is None:
         raise Infeasible("no feasible matching exists")
-    edges = instance.edges
-    n_edges = len(edges)
-    skip = _mutual_top_edges(instance) if prune_mutual_top else frozenset()
+    n_edges = len(view.edges)
     max_level = n_edges if level_cap is None else min(level_cap, n_edges)
     guesses = 0
-    skipped = 0
     for k in range(max_level + 1):
         for combo in itertools.combinations(range(n_edges), k):
-            if skip and not skip.isdisjoint(combo):
-                skipped += 1
-                continue
             guesses += 1
-            trimmed = without_edges(instance, [edges[e] for e in combo])
-            matching = yokoi_envy_free(trimmed)
-            if matching is not None:
-                note = ""
-                if prune_mutual_top:
-                    note = (
-                        f"skipped {skipped} guesses containing mutual-top pairs "
-                        "(heuristic; may miss the optimum)"
-                    )
+            choice = _envy_free(view, {view.edges[e] for e in combo})
+            if choice is not None:
+                matching = view.matching(choice)
                 return SolveResult(
                     matching=matching,
                     objective=len(envy_pairs(instance, matching)),
@@ -364,11 +353,9 @@ def min_ep_exact(
                     stats=SolveStats(
                         guesses_examined=guesses,
                         level=k,
-                        nodes=0,
-                        guess=tuple(edges[e] for e in combo),
-                        note=note,
+                        guess=tuple(instance.edges[e] for e in combo),
                     ),
                 )
-    # Unreachable without a level cap or pruning: a feasible instance always
-    # succeeds once the guess covers an optimal matching's envy-pairs.
+    # Unreachable without a level cap: a feasible instance always succeeds
+    # once the guess covers an optimal matching's envy-pairs.
     raise LevelCapExceeded(max_level, guesses)

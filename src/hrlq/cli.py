@@ -34,6 +34,17 @@ EXIT_CAP_EXCEEDED = 3
 DEFAULT_NODE_BUDGET = 10**7
 
 
+def _count(text: str) -> int:
+    """argparse type for caps: a non-negative integer; anything else exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hrlq",
@@ -47,9 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--in", dest="infile", required=True, help="instance file (.hrlq)")
     solve.add_argument("--out", help="also write the matching here (.match format)")
     solve.add_argument("--json", action="store_true")
-    solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    solve.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET,
                        help="search-node budget for brute-force algorithms")
-    solve.add_argument("--level-cap", type=int, default=None,
+    solve.add_argument("--level-cap", type=_count, default=None,
                        help="largest guess level min-ep may try")
 
     verify = sub.add_parser("verify", help="report envy/feasibility of a matching")
@@ -77,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="brute-force both objectives")
     oracle.add_argument("--in", dest="infile", required=True, help="instance file (.hrlq)")
     oracle.add_argument("--json", action="store_true")
-    oracle.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    oracle.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     return parser
 
@@ -116,7 +127,6 @@ def _emit_solution(args, instance, matching, objective, objective_kind, stats) -
             "blocking_pairs": len(report.blocking_pairs),
             "matching": [list(p) for p in matching.pairs()],
             "stats": _stats_dict(stats) if stats else None,
-            "warnings": [],
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -136,8 +146,6 @@ def _emit_solution(args, instance, matching, objective, objective_kind, stats) -
             rows.append(("nodes", str(stats.nodes)))
             if stats.guess:
                 rows.append(("guess", " ".join(f"({r},{h})" for r, h in stats.guess)))
-            if stats.note:
-                rows.append(("note", stats.note))
         print("\n".join(_report_lines(rows)))
         listing = formats.serialize_matching(instance, matching)
         if listing:
@@ -278,8 +286,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = _load_instance(args.infile)
-    ep = algorithms.brute_min_ep(instance, node_budget=args.budget)
-    er = algorithms.brute_min_er(instance, node_budget=args.budget)
+    ep, er = algorithms._brute_optima(instance, args.budget)
     if args.json:
         doc = {
             "command": "oracle",

@@ -227,16 +227,25 @@ class TestMinEpExact:
             assert first == second
             assert repr(first) == repr(second)
 
-    def test_pruning_notes_justification(self):
-        result = hrlq.min_ep_exact(IB, prune_mutual_top=True)
-        assert result.objective == 0
-        assert "mutual-top" in result.stats.note
+    def test_winning_guess_matches_rebuilt_instance(self):
+        # The guess is tried as a dropped-pair mask; rebuilding the trimmed
+        # instance and deciding it from scratch must give the same matching.
+        for inst in random_feasible_instances(17, 120):
+            result = hrlq.min_ep_exact(inst)
+            trimmed = hrlq.without_edges(inst, result.stats.guess)
+            assert hrlq.yokoi_envy_free(trimmed) == result.matching
 
 
 class TestBruteOracles:
     def test_instance_a(self):
         assert hrlq.brute_min_ep(IA).objective == 1
         assert hrlq.brute_min_er(IA).objective == 1
+
+    def test_stats_count_nodes_not_guesses(self):
+        for solve in (hrlq.brute_min_ep, hrlq.brute_min_er):
+            stats = solve(IA).stats
+            assert stats.guesses_examined == 0
+            assert stats.nodes == 3
 
     def test_instance_b(self):
         assert hrlq.brute_min_ep(IB).objective == 0

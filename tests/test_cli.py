@@ -7,7 +7,7 @@ import pytest
 
 import hrlq
 from hrlq.cli import main
-from helpers import instance_a, instance_b
+from helpers import instance_a, instance_b, random_feasible_instances
 
 IA_TEXT = hrlq.serialize_instance(instance_a())
 IB_TEXT = hrlq.serialize_instance(instance_b())
@@ -50,6 +50,8 @@ class TestSolve:
         assert doc["objective_kind"] == "min-ep"
         assert doc["matching"] == [["r1", "h2"], ["r2", "h1"]]
         assert doc["stats"]["guess"] == [["r1", "h1"]]
+        assert "warnings" not in doc
+        assert "note" not in doc["stats"]
 
     def test_yokoi_no_solution(self, capsys, ia_file):
         code, out, _ = run(capsys, "solve", "--alg", "yokoi", "--in", ia_file)
@@ -84,6 +86,24 @@ class TestSolve:
                            "--level-cap", "0")
         assert code == 3
         assert "guess level" in err
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--alg", "min-ep", "--level-cap", "-3"],
+        ["solve", "--alg", "brute-ep", "--budget", "-1"],
+        ["oracle", "--budget", "-1"],
+    ])
+    def test_negative_cap_is_input_error(self, capsys, ia_file, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--in", str(ia_file)])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+    def test_zero_caps_are_accepted(self, capsys, ia_file):
+        code, _, err = run(capsys, "solve", "--alg", "min-ep", "--in", ia_file,
+                           "--level-cap", "0")
+        assert code == 3 and "guess level 0" in err
+        code, _, err = run(capsys, "oracle", "--in", ia_file, "--budget", "0")
+        assert code == 3 and "node budget of 0" in err
 
     def test_budget_exceeded(self, capsys, tmp_path):
         path = tmp_path / "wide.hrlq"
@@ -223,6 +243,20 @@ class TestOracle:
         doc = json.loads(out)
         assert doc["min_ep"]["objective"] == 1
         assert doc["min_er"]["objective"] == 1
+
+    def test_json_equals_separate_oracles(self, capsys, tmp_path):
+        # One enumeration scores both objectives; each must match its own oracle.
+        for n, inst in enumerate([instance_a(), *random_feasible_instances(23, 25)]):
+            path = tmp_path / f"i{n}.hrlq"
+            path.write_text(hrlq.serialize_instance(inst))
+            code, out, _ = run(capsys, "oracle", "--in", path, "--json")
+            assert code == 0
+            doc = json.loads(out)
+            for key, solve in (("min_ep", hrlq.brute_min_ep), ("min_er", hrlq.brute_min_er)):
+                want = solve(inst)
+                assert doc[key]["objective"] == want.objective
+                assert doc[key]["matching"] == [list(p) for p in want.matching.pairs()]
+                assert doc[key]["stats"]["guesses_examined"] == 0
 
     def test_text_mode(self, capsys, ia_file):
         code, out, _ = run(capsys, "oracle", "--in", ia_file)
