@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterator
 
-from .core import Instance, Matching, Pair, envy_pairs
+from .core import Instance, Matching, Pair, _envy
 
 
 class Infeasible(Exception):
@@ -72,38 +72,20 @@ class SolveResult:
     stats: SolveStats
 
 
-class _View:
-    """Integer-indexed tables of one instance, built once per solver call.
-
-    Preference lists (`acc` per resident, `acc_h` per hospital) and hospital
-    rank tables hold declaration indices; `edges` is `instance.edges` as
-    index pairs.
-    """
-
-    def __init__(self, instance: Instance):
-        ridx, hidx = instance.resident_index, instance.hospital_index
-        self.residents, self.hospitals = instance.residents, instance.hospitals
-        self.acc = [tuple(hidx[h] for h in instance.resident_prefs[r]) for r in self.residents]
-        self.acc_h = [tuple(ridx[r] for r in instance.hospital_prefs[h]) for h in self.hospitals]
-        self.rank_h = [{r: k for k, r in enumerate(prefs)} for prefs in self.acc_h]
-        self.low = [instance.quotas[h][0] for h in self.hospitals]
-        self.up = [instance.quotas[h][1] for h in self.hospitals]
-        self.edges = [(ridx[r], hidx[h]) for r, h in instance.edges]
-
-    def matching(self, choice: list[int]) -> Matching:
-        """The Matching for a hospital index per resident (-1 for unmatched)."""
-        residents, hospitals = self.residents, self.hospitals
-        return Matching({residents[r]: hospitals[h] for r, h in enumerate(choice) if h >= 0})
+def _matching(instance: Instance, choice: list[int]) -> Matching:
+    """The Matching for a hospital index per resident (-1 for unmatched)."""
+    residents, hospitals = instance.residents, instance.hospitals
+    return Matching({residents[r]: hospitals[h] for r, h in enumerate(choice) if h >= 0})
 
 
 def _deferred_acceptance(
-    view: _View, caps: list[int], dropped: Collection[tuple[int, int]] = ()
+    instance: Instance, caps: tuple[int, ...], dropped: Collection[tuple[int, int]] = ()
 ) -> list[int]:
-    """Resident-proposing DA on the view: each resident's hospital index, or -1.
+    """Resident-proposing DA on the index tables: each resident's hospital index, or -1.
 
     Pairs in `dropped` count as deleted from both preference lists.
     """
-    acc, rank_h = view.acc, view.rank_h
+    acc, rank_h = instance._acc, instance._rank_h
     nxt = [0] * len(acc)
     choice = [-1] * len(acc)
     held: list[list[int]] = [[] for _ in caps]
@@ -132,10 +114,10 @@ def _deferred_acceptance(
     return choice
 
 
-def _envy_free(view: _View, dropped: Collection[tuple[int, int]] = ()) -> list[int] | None:
+def _envy_free(instance: Instance, dropped: Collection[tuple[int, int]] = ()) -> list[int] | None:
     """Yokoi's test: DA capped at the lower quotas must fill every one of them."""
-    choice = _deferred_acceptance(view, view.low, dropped)
-    return choice if sum(h >= 0 for h in choice) == sum(view.low) else None
+    choice = _deferred_acceptance(instance, instance._low, dropped)
+    return choice if sum(h >= 0 for h in choice) == sum(instance._low) else None
 
 
 def deferred_acceptance(instance: Instance) -> Matching:
@@ -145,8 +127,7 @@ def deferred_acceptance(instance: Instance) -> Matching:
     reject by preference only; the result is the unique resident-optimal
     stable matching for the capacities, so it has no blocking pairs.
     """
-    view = _View(instance)
-    return view.matching(_deferred_acceptance(view, view.up))
+    return _matching(instance, _deferred_acceptance(instance, instance._up))
 
 
 def reduced_capacity_instance(instance: Instance) -> Instance:
@@ -173,9 +154,8 @@ def yokoi_envy_free(instance: Instance) -> Matching | None:
     iff that run fills every hospital to exactly its lower quota.  Returns
     None otherwise; that is a regular outcome, not a failure.
     """
-    view = _View(instance)
-    choice = _envy_free(view)
-    return None if choice is None else view.matching(choice)
+    choice = _envy_free(instance)
+    return None if choice is None else _matching(instance, choice)
 
 
 class _FeasibleSearch:
@@ -189,13 +169,13 @@ class _FeasibleSearch:
     node where they die.
     """
 
-    def __init__(self, view: _View, node_budget: int):
-        self.view = view
+    def __init__(self, instance: Instance, node_budget: int):
         self.node_budget = node_budget
         self.nodes = 0
-        self.acc, self.acc_h, self.low, self.up = view.acc, view.acc_h, view.low, view.up
-        self.n_res = len(view.acc)
-        self.n_hosp = len(view.acc_h)
+        self.acc, self.acc_h = instance._acc, instance._acc_h
+        self.low, self.up = instance._low, instance._up
+        self.n_res = len(self.acc)
+        self.n_hosp = len(self.acc_h)
         self.occ = [0] * self.n_hosp
         self.choice = [-1] * self.n_res
 
@@ -236,12 +216,13 @@ class _FeasibleSearch:
             return None
         return child
 
-    def run(self, i: int, cover: list[int]) -> Iterator[Matching]:
+    def run(self, i: int, cover: list[int]) -> Iterator[list[int]]:
+        """Yield the live choice vector at each feasible leaf; copy it to keep it."""
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise BudgetExceeded(self.node_budget)
         if i == self.n_res:
-            yield self.view.matching(self.choice)
+            yield self.choice
             return
         for j in self.acc[i]:
             if self.occ[j] >= self.up[j]:
@@ -266,7 +247,7 @@ def exists_feasible(instance: Instance) -> bool:
     quota; surplus residents may stay unmatched, so saturating the demand
     slots is both necessary and sufficient.
     """
-    return _FeasibleSearch(_View(instance), 0).initial_cover() is not None
+    return _FeasibleSearch(instance, 0).initial_cover() is not None
 
 
 def enumerate_feasible(instance: Instance, node_budget: int = 10**7) -> Iterator[Matching]:
@@ -276,11 +257,12 @@ def enumerate_feasible(instance: Instance, node_budget: int = 10**7) -> Iterator
     node_budget states; that signals the instance is too large for
     exhaustive treatment.
     """
-    search = _FeasibleSearch(_View(instance), node_budget)
+    search = _FeasibleSearch(instance, node_budget)
     cover = search.initial_cover()
     if cover is None:
         return
-    yield from search.run(0, cover)
+    for choice in search.run(0, cover):
+        yield _matching(instance, choice)
 
 
 def _brute_optima(instance: Instance, node_budget: int) -> tuple[SolveResult, SolveResult]:
@@ -288,19 +270,19 @@ def _brute_optima(instance: Instance, node_budget: int) -> tuple[SolveResult, So
 
     Each objective keeps the first strict minimum in enumeration order.
     """
-    search = _FeasibleSearch(_View(instance), node_budget)
+    search = _FeasibleSearch(instance, node_budget)
     cover = search.initial_cover()
     if cover is None:
         raise Infeasible("no feasible matching exists")
     best_ep = best_er = None
     ep_obj = er_obj = 0
-    for matching in search.run(0, cover):
-        pairs = envy_pairs(instance, matching)
+    for choice in search.run(0, cover):
+        pairs = _envy(instance, choice)
         if best_ep is None or len(pairs) < ep_obj:
-            best_ep, ep_obj = matching, len(pairs)
+            best_ep, ep_obj = _matching(instance, choice), len(pairs)
         n_residents = len({r for r, _ in pairs})
         if best_er is None or n_residents < er_obj:
-            best_er, er_obj = matching, n_residents
+            best_er, er_obj = _matching(instance, choice), n_residents
     if best_ep is None:
         raise Infeasible("no feasible matching exists")
     stats = SolveStats(nodes=search.nodes)
@@ -334,21 +316,19 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     Raises Infeasible when no feasible matching exists at all, and
     LevelCapExceeded when level_cap is given and exhausted.
     """
-    view = _View(instance)
-    if _FeasibleSearch(view, 0).initial_cover() is None:
+    if _FeasibleSearch(instance, 0).initial_cover() is None:
         raise Infeasible("no feasible matching exists")
-    n_edges = len(view.edges)
+    n_edges = len(instance._edges)
     max_level = n_edges if level_cap is None else min(level_cap, n_edges)
     guesses = 0
     for k in range(max_level + 1):
         for combo in itertools.combinations(range(n_edges), k):
             guesses += 1
-            choice = _envy_free(view, {view.edges[e] for e in combo})
+            choice = _envy_free(instance, {instance._edges[e] for e in combo})
             if choice is not None:
-                matching = view.matching(choice)
                 return SolveResult(
-                    matching=matching,
-                    objective=len(envy_pairs(instance, matching)),
+                    matching=_matching(instance, choice),
+                    objective=len(_envy(instance, choice)),
                     objective_kind=ObjectiveKind.MIN_EP,
                     stats=SolveStats(
                         guesses_examined=guesses,

@@ -10,6 +10,7 @@ identically ordered results.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -31,6 +32,19 @@ class InvalidMatchingError(ValueError):
     """A matching names unknown vertices, unacceptable pairs, or reuses a resident."""
 
 
+def _quota(value) -> tuple[int, int] | None:
+    """`value` as a (lower, upper) pair of plain ints, or None if it is not one."""
+    try:
+        low, up = value
+    except (TypeError, ValueError):
+        return None
+    return (low, up) if type(low) is int and type(up) is int else None
+
+
+# A name the .hrlq grammar reads back: one token holding neither ':' nor '#'.
+_NAME_RE = re.compile(r"[^\s:#]+")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A validated hospitals/residents instance with quota intervals.
@@ -49,14 +63,17 @@ class Instance:
     hospital_prefs: Mapping[str, tuple[str, ...]]
     quotas: Mapping[str, tuple[int, int]]
 
-    # Derived lookup tables (set in __post_init__, excluded from eq/repr):
+    # Derived tables (set in __post_init__, excluded from eq/repr):
     #   resident_index, hospital_index  name -> dense index
-    #   resident_rank[r][h], hospital_rank[h][r]  position in preference list
     #   edges  all acceptable pairs sorted by (resident index, hospital index)
+    # and, by dense index, the only compiled form the solvers and predicates read:
+    #   _acc[r], _acc_h[h]  preference lists; _rank_h[h][r]  r's position in h's list
+    #   _low, _up  quota vectors; _edges  `edges` as index pairs
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "residents", tuple(self.residents))
         object.__setattr__(self, "hospitals", tuple(self.hospitals))
+        listed = (tuple(self.resident_prefs), tuple(self.hospital_prefs))
         object.__setattr__(
             self,
             "resident_prefs",
@@ -67,39 +84,34 @@ class Instance:
             "hospital_prefs",
             {h: tuple(self.hospital_prefs.get(h, ())) for h in self.hospitals},
         )
-        quotas = {}
-        for h in self.hospitals:
-            try:
-                low, up = self.quotas[h]
-                quotas[h] = (int(low), int(up))
-            except (KeyError, TypeError, ValueError):
-                quotas[h] = None
-        violations = self._violations(quotas)
+        quotas = {h: _quota(self.quotas.get(h)) for h in self.hospitals}
+        violations = self._violations(quotas, *listed)
         if violations:
             raise InvalidInstanceError(violations)
         object.__setattr__(self, "quotas", quotas)
 
-        object.__setattr__(self, "resident_index", {r: i for i, r in enumerate(self.residents)})
-        object.__setattr__(self, "hospital_index", {h: i for i, h in enumerate(self.hospitals)})
+        ridx = {r: i for i, r in enumerate(self.residents)}
+        hidx = {h: j for j, h in enumerate(self.hospitals)}
+        acc = tuple(tuple(map(hidx.__getitem__, p)) for p in self.resident_prefs.values())
+        acc_h = tuple(tuple(map(ridx.__getitem__, p)) for p in self.hospital_prefs.values())
+        edges = tuple((i, j) for i, prefs in enumerate(acc) for j in sorted(prefs))
+        object.__setattr__(self, "resident_index", ridx)
+        object.__setattr__(self, "hospital_index", hidx)
         object.__setattr__(
-            self,
-            "resident_rank",
-            {r: {h: k for k, h in enumerate(prefs)} for r, prefs in self.resident_prefs.items()},
+            self, "edges", tuple((self.residents[i], self.hospitals[j]) for i, j in edges)
         )
-        object.__setattr__(
-            self,
-            "hospital_rank",
-            {h: {r: k for k, r in enumerate(prefs)} for h, prefs in self.hospital_prefs.items()},
-        )
-        hidx = self.hospital_index
-        edges = []
-        for r in self.residents:
-            for h in sorted(self.resident_prefs[r], key=hidx.__getitem__):
-                edges.append((r, h))
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "_acc", acc)
+        object.__setattr__(self, "_acc_h", acc_h)
+        object.__setattr__(self, "_rank_h", tuple({r: k for k, r in enumerate(p)} for p in acc_h))
+        object.__setattr__(self, "_low", tuple(quotas[h][0] for h in self.hospitals))
+        object.__setattr__(self, "_up", tuple(quotas[h][1] for h in self.hospitals))
+        object.__setattr__(self, "_edges", edges)
 
-    def _violations(self, quotas: dict) -> list[str]:
+    def _violations(self, quotas: dict, listed_residents: tuple, listed_hospitals: tuple) -> list[str]:
         out: list[str] = []
+        for name in self.residents + self.hospitals:
+            if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+                out.append(f"malformed name {name!r}: empty, or contains whitespace, ':' or '#'")
         seen: set[str] = set()
         for r in self.residents:
             if r in seen:
@@ -113,10 +125,10 @@ class Instance:
         for name in sorted(seen & hseen):
             out.append(f"name {name} used for both a resident and a hospital")
 
-        for r in self.resident_prefs:
+        for r in listed_residents:
             if r not in seen:
                 out.append(f"preference list for unknown resident {r}")
-        for h in self.hospital_prefs:
+        for h in listed_hospitals:
             if h not in hseen:
                 out.append(f"preference list for unknown hospital {h}")
         for h in self.quotas:
@@ -172,10 +184,10 @@ class Instance:
 
         `over` may be None (unmatched); every acceptable hospital beats it.
         """
-        rank = self.resident_rank[resident]
+        prefs = self.resident_prefs[resident]
         if over is None:
-            return hospital in rank
-        return rank[hospital] < rank[over]
+            return hospital in prefs
+        return prefs.index(hospital) < prefs.index(over)
 
 
 @dataclass(frozen=True)
@@ -257,7 +269,7 @@ def make_matching(instance: Instance, pairs: Iterable[Pair]) -> Matching:
         if h not in instance.hospital_index:
             errors.append(f"unknown hospital {h}")
             continue
-        if h not in instance.resident_rank[r]:
+        if h not in instance.resident_prefs[r]:
             errors.append(f"unacceptable pair ({r},{h})")
             continue
         if r in assignment:
@@ -277,14 +289,47 @@ def _occupancy_counts(matching: Matching) -> dict[str, int]:
     return counts
 
 
-def _worst_occupant_rank(instance: Instance, matching: Matching) -> dict[str, int]:
-    # Per occupied hospital, the rank of its least-preferred current occupant.
-    worst: dict[str, int] = {}
+def _choice(instance: Instance, matching: Matching) -> list[int]:
+    """The matching as a hospital index per resident index, -1 for unmatched."""
+    ridx, hidx = instance.resident_index, instance.hospital_index
+    choice = [-1] * len(instance.residents)
     for r, h in matching.assignment.items():
-        rank = instance.hospital_rank[h][r]
-        if h not in worst or rank > worst[h]:
-            worst[h] = rank
-    return worst
+        choice[ridx[r]] = hidx[h]
+    return choice
+
+
+def _envy(instance: Instance, choice: list[int], wasteful: bool = False) -> list[tuple[int, int]]:
+    """Envy pairs of a choice vector as (resident, hospital) index pairs, in index order.
+
+    (r, h) is an envy pair when r prefers h to its own hospital (any
+    acceptable h beats being unmatched) and h holds a resident it ranks
+    below r.  With `wasteful`, pairs whose hospital has a free seat under
+    its upper quota count too, which gives the classical blocking pairs.
+    """
+    rank_h = instance._rank_h
+    cut = [-1] * len(rank_h)  # h takes r exactly when r's rank at h is below cut[h]
+    seats = list(instance._up)
+    for r, h in enumerate(choice):
+        if h >= 0:
+            seats[h] -= 1
+            if rank_h[h][r] > cut[h]:
+                cut[h] = rank_h[h][r]
+    if wasteful:
+        cut = [len(ranks) if free > 0 else c for ranks, free, c in zip(rank_h, seats, cut)]
+    out: list[tuple[int, int]] = []
+    for r, (prefs, own) in enumerate(zip(instance._acc, choice)):
+        for h in prefs:
+            if h == own:
+                break
+            if rank_h[h][r] < cut[h]:
+                out.append((r, h))
+    out.sort()  # preference order within a resident -> hospital index order
+    return out
+
+
+def _named(instance: Instance, pairs: list[tuple[int, int]]) -> tuple[Pair, ...]:
+    residents, hospitals = instance.residents, instance.hospitals
+    return tuple((residents[r], hospitals[h]) for r, h in pairs)
 
 
 def is_feasible(instance: Instance, matching: Matching) -> bool:
@@ -302,14 +347,7 @@ def envy_pairs(instance: Instance, matching: Matching) -> tuple[Pair, ...]:
     Unmatched residents prefer every acceptable hospital to staying
     unmatched.  Output is sorted by (resident index, hospital index).
     """
-    worst = _worst_occupant_rank(instance, matching)
-    out: list[Pair] = []
-    for r, h in instance.edges:
-        if not instance.prefers(r, h, matching.assignment.get(r)):
-            continue
-        if h in worst and instance.hospital_rank[h][r] < worst[h]:
-            out.append((r, h))
-    return tuple(out)
+    return _named(instance, _envy(instance, _choice(instance, matching)))
 
 
 def envy_residents(instance: Instance, matching: Matching) -> tuple[str, ...]:
@@ -319,17 +357,7 @@ def envy_residents(instance: Instance, matching: Matching) -> tuple[str, ...]:
 
 def blocking_pairs(instance: Instance, matching: Matching) -> tuple[Pair, ...]:
     """Classical blocking pairs: envy-pairs plus wasteful pairs at under-subscribed hospitals."""
-    counts = _occupancy_counts(matching)
-    worst = _worst_occupant_rank(instance, matching)
-    out: list[Pair] = []
-    for r, h in instance.edges:
-        if not instance.prefers(r, h, matching.assignment.get(r)):
-            continue
-        if counts.get(h, 0) < instance.quotas[h][1]:
-            out.append((r, h))
-        elif h in worst and instance.hospital_rank[h][r] < worst[h]:
-            out.append((r, h))
-    return tuple(out)
+    return _named(instance, _envy(instance, _choice(instance, matching), wasteful=True))
 
 
 def is_envy_free(instance: Instance, matching: Matching) -> bool:
@@ -341,11 +369,12 @@ def analyze(instance: Instance, matching: Matching) -> EnvyReport:
     counts = _occupancy_counts(matching)
     deficient = tuple(h for h in instance.hospitals if counts.get(h, 0) < instance.quotas[h][0])
     over = tuple(h for h in instance.hospitals if counts.get(h, 0) > instance.quotas[h][1])
-    eps = envy_pairs(instance, matching)
+    choice = _choice(instance, matching)
+    eps = _named(instance, _envy(instance, choice))
     return EnvyReport(
         envy_pairs=eps,
         envy_residents=tuple(dict.fromkeys(r for r, _ in eps)),
-        blocking_pairs=blocking_pairs(instance, matching),
+        blocking_pairs=_named(instance, _envy(instance, choice, wasteful=True)),
         deficient_hospitals=deficient,
         over_subscribed_hospitals=over,
         feasible=not deficient and not over,

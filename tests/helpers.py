@@ -1,4 +1,5 @@
-"""Shared fixtures: the two worked micro-instances and seeded random families."""
+"""Shared fixtures: the two worked micro-instances, seeded random families and a
+reference recount of envy and blocking pairs."""
 
 from __future__ import annotations
 
@@ -112,3 +113,47 @@ def has_envy_free_feasible(instance: hrlq.Instance, node_budget: int = 10**6) ->
         not hrlq.envy_pairs(instance, m)
         for m in hrlq.enumerate_feasible(instance, node_budget)
     )
+
+
+def _occupants(matching: hrlq.Matching) -> dict[str, list[str]]:
+    occupants: dict[str, list[str]] = {}
+    for r, h in matching.assignment.items():
+        occupants.setdefault(h, []).append(r)
+    return occupants
+
+
+def _better_hospitals(instance: hrlq.Instance, matching: hrlq.Matching, r: str):
+    """The hospitals r lists above its own one (all of them when unmatched), in index order."""
+    prefs = instance.resident_prefs[r]
+    own = matching.assignment.get(r)
+    better = prefs if own is None else prefs[: prefs.index(own)]
+    return [h for h in instance.hospitals if h in better]
+
+
+def naive_envy_pairs(instance: hrlq.Instance, matching: hrlq.Matching) -> tuple:
+    """Envy pairs straight from the definition, by (resident, hospital) declaration order.
+
+    (r, h) is an envy pair when r prefers h to its own hospital and h holds
+    some resident it likes less than r.  Shares no code with `hrlq.core`.
+    """
+    occupants = _occupants(matching)
+    out = []
+    for r in instance.residents:
+        for h in _better_hospitals(instance, matching, r):
+            hp = instance.hospital_prefs[h]
+            if any(hp.index(r) < hp.index(o) for o in occupants.get(h, ())):
+                out.append((r, h))
+    return tuple(out)
+
+
+def naive_blocking_pairs(instance: hrlq.Instance, matching: hrlq.Matching) -> tuple:
+    """Blocking pairs from the definition: envy pairs plus pairs whose hospital has a free seat."""
+    occupants = _occupants(matching)
+    out = []
+    for r in instance.residents:
+        for h in _better_hospitals(instance, matching, r):
+            held = occupants.get(h, ())
+            hp = instance.hospital_prefs[h]
+            if len(held) < instance.quotas[h][1] or any(hp.index(r) < hp.index(o) for o in held):
+                out.append((r, h))
+    return tuple(out)

@@ -5,7 +5,15 @@ import random
 import pytest
 
 import hrlq
-from helpers import instance_a, instance_b, random_instance
+from helpers import (
+    exhaustive_two_by_two,
+    instance_a,
+    instance_b,
+    naive_blocking_pairs,
+    naive_envy_pairs,
+    random_feasible_instances,
+    random_instance,
+)
 
 IA = instance_a()
 IB = instance_b()
@@ -46,6 +54,36 @@ class TestValidation:
                 ["r"], ["h"], {"r": ["h", "ghost"]}, {"h": ["r"]}, {"h": (0, 1)}
             )
         assert any("unknown hospital ghost" in v for v in exc.value.violations)
+
+    def test_preference_list_for_unknown_resident(self):
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(
+                ["r1"], ["h1"], {"r1": ["h1"], "rX": ["h1"]}, {"h1": ["r1"]}, {"h1": (0, 1)}
+            )
+        assert exc.value.violations == ("preference list for unknown resident rX",)
+
+    def test_preference_list_for_unknown_hospital(self):
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(
+                ["r1"], ["h1"], {"r1": ["h1"]}, {"h1": ["r1"], "hX": ["r1"]}, {"h1": (0, 1)}
+            )
+        assert exc.value.violations == ("preference list for unknown hospital hX",)
+
+    @pytest.mark.parametrize("quota", [(True, 2), (0, 2.7), ("1", "2"), "12"])
+    def test_quota_bounds_must_be_plain_ints(self, quota):
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(["r"], ["h"], {"r": ["h"]}, {"h": ["r"]}, {"h": quota})
+        assert exc.value.violations == ("missing or malformed quota for h",)
+
+    def test_names_the_instance_format_cannot_read_back(self):
+        for bad in ("", "a b", "a:b", "a#b"):
+            for residents, hospitals in (([bad], ["h"]), (["r"], [bad])):
+                r, h = residents[0], hospitals[0]
+                with pytest.raises(hrlq.InvalidInstanceError) as exc:
+                    hrlq.validate_instance(residents, hospitals, {r: [h]}, {h: [r]}, {h: (0, 1)})
+                assert exc.value.violations == (
+                    f"malformed name {bad!r}: empty, or contains whitespace, ':' or '#'",
+                )
 
     def test_all_violations_reported_at_once(self):
         with pytest.raises(hrlq.InvalidInstanceError) as exc:
@@ -192,6 +230,33 @@ class TestRandomizedProperties:
                 assert hrlq.envy_pairs(inst, m) == hrlq.envy_pairs(inst, m)
                 assert hrlq.blocking_pairs(inst, m) == hrlq.blocking_pairs(inst, m)
                 assert hrlq.analyze(inst, m) == hrlq.analyze(inst, m)
+
+
+class TestReferenceRecount:
+    """The predicates against a recount from the definition that shares no code with core."""
+
+    @staticmethod
+    def _check(inst, m):
+        envy, blocking = naive_envy_pairs(inst, m), naive_blocking_pairs(inst, m)
+        assert hrlq.envy_pairs(inst, m) == envy
+        assert hrlq.blocking_pairs(inst, m) == blocking
+        report = hrlq.analyze(inst, m)
+        assert report.envy_pairs == envy
+        assert report.envy_residents == tuple(dict.fromkeys(r for r, _ in envy))
+        assert report.blocking_pairs == blocking
+
+    def test_seeded_family(self):
+        checked = 0
+        for inst in random_feasible_instances(11, 60, max_residents=6, max_upper=3):
+            for m in hrlq.enumerate_feasible(inst):
+                self._check(inst, m)
+                checked += 1
+        assert checked > 1000
+
+    def test_exhaustive_two_by_two(self):
+        for inst in exhaustive_two_by_two():
+            for m in hrlq.enumerate_feasible(inst):
+                self._check(inst, m)
 
 
 def _sample_matchings(inst, rng):
