@@ -9,10 +9,10 @@ the independent cross-check for the exact route.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Collection, Iterator
 
 from .core import Instance, Matching, Pair, _envy
@@ -52,10 +52,20 @@ class ObjectiveKind(Enum):
 class SolveStats:
     """Search statistics.
 
-    guesses_examined  min_ep_exact: edge sets deleted and tried; 0 elsewhere
+    guesses_examined  min_ep_exact: edge sets up to and including the winner
+                      in the paper's order (by size, then lexicographic over
+                      all acceptable pairs), whether or not deferred
+                      acceptance ran on them; 0 elsewhere
     level             min_ep_exact: size of the winning guess; 0 elsewhere
     nodes             brute_*: backtracking states visited; 0 elsewhere
     guess             min_ep_exact: the winning deleted pairs; () elsewhere
+
+    min_ep_exact decides most guesses without deferred acceptance.  It
+    deletes only candidate pairs (r, h), where h has a positive lower quota
+    and ranks someone below r, because an optimal guess is exactly the envy
+    pairs of the matching it yields.  It reuses the run of a guess's prefix
+    when r never reached h in it, because deleting an unreached pair
+    repeats that run step for step.
     """
 
     guesses_examined: int = 0
@@ -80,10 +90,14 @@ def _matching(instance: Instance, choice: list[int]) -> Matching:
 
 def _deferred_acceptance(
     instance: Instance, caps: tuple[int, ...], dropped: Collection[tuple[int, int]] = ()
-) -> list[int]:
-    """Resident-proposing DA on the index tables: each resident's hospital index, or -1.
+) -> tuple[list[int], list[int]]:
+    """Resident-proposing DA on the index tables.
 
-    Pairs in `dropped` count as deleted from both preference lists.
+    Returns each resident's hospital index (or -1) and its proposal pointer:
+    the position in its list of the hospital it holds, or the list's length
+    when it ends unmatched.  A resident considered exactly the hospitals at
+    or before its pointer.  Pairs in `dropped` count as deleted from both
+    preference lists.
     """
     acc, rank_h = instance._acc, instance._rank_h
     nxt = [0] * len(acc)
@@ -95,29 +109,28 @@ def _deferred_acceptance(
         prefs = acc[r]
         while nxt[r] < len(prefs):
             h = prefs[nxt[r]]
+            if caps[h] and not (dropped and (r, h) in dropped):
+                occupants = held[h]
+                if len(occupants) < caps[h]:
+                    occupants.append(r)
+                    choice[r] = h
+                    break
+                worst = max(occupants, key=rank_h[h].__getitem__)
+                if rank_h[h][r] < rank_h[h][worst]:
+                    occupants.remove(worst)
+                    occupants.append(r)
+                    choice[worst], choice[r] = -1, h
+                    nxt[worst] += 1
+                    free.append(worst)
+                    break
             nxt[r] += 1
-            if caps[h] == 0 or (dropped and (r, h) in dropped):
-                continue
-            occupants = held[h]
-            if len(occupants) < caps[h]:
-                occupants.append(r)
-                choice[r] = h
-                break
-            worst = max(occupants, key=rank_h[h].__getitem__)
-            if rank_h[h][r] < rank_h[h][worst]:
-                occupants.remove(worst)
-                occupants.append(r)
-                choice[worst], choice[r] = -1, h
-                free.append(worst)
-                break
         # falling through the list leaves r unmatched
-    return choice
+    return choice, nxt
 
 
-def _envy_free(instance: Instance, dropped: Collection[tuple[int, int]] = ()) -> list[int] | None:
-    """Yokoi's test: DA capped at the lower quotas must fill every one of them."""
-    choice = _deferred_acceptance(instance, instance._low, dropped)
-    return choice if sum(h >= 0 for h in choice) == sum(instance._low) else None
+def _filled(instance: Instance, choice: list[int]) -> bool:
+    """Yokoi's test on a DA run capped at the lower quotas: every one of them is filled."""
+    return sum(h >= 0 for h in choice) == sum(instance._low)
 
 
 def deferred_acceptance(instance: Instance) -> Matching:
@@ -127,7 +140,7 @@ def deferred_acceptance(instance: Instance) -> Matching:
     reject by preference only; the result is the unique resident-optimal
     stable matching for the capacities, so it has no blocking pairs.
     """
-    return _matching(instance, _deferred_acceptance(instance, instance._up))
+    return _matching(instance, _deferred_acceptance(instance, instance._up)[0])
 
 
 def reduced_capacity_instance(instance: Instance) -> Instance:
@@ -154,8 +167,8 @@ def yokoi_envy_free(instance: Instance) -> Matching | None:
     iff that run fills every hospital to exactly its lower quota.  Returns
     None otherwise; that is a regular outcome, not a failure.
     """
-    choice = _envy_free(instance)
-    return None if choice is None else _matching(instance, choice)
+    choice = _deferred_acceptance(instance, instance._low)[0]
+    return _matching(instance, choice) if _filled(instance, choice) else None
 
 
 class _FeasibleSearch:
@@ -302,40 +315,117 @@ def brute_min_er(instance: Instance, node_budget: int = 10**7) -> SolveResult:
     return _brute_optima(instance, node_budget)[1]
 
 
+def _paper_position(n_edges: int, guess: list[int]) -> int:
+    """1-based position of an edge-index set among all of them, by size, then lexicographic."""
+    k = len(guess)
+    position = sum(comb(n_edges, j) for j in range(k)) + 1
+    prev = -1
+    for i, e in enumerate(guess):
+        # the k-subsets that agree with `guess` before slot i and hold prev < v < e there
+        position += comb(n_edges - prev - 1, k - i) - comb(n_edges - e, k - i)
+        prev = e
+    return position
+
+
+def _extend_guess(
+    instance: Instance,
+    candidates: list[tuple[int, int, int, int]],
+    guess: list[int],
+    dropped: set[tuple[int, int]],
+    run: tuple[list[int], list[int]],
+    start: int,
+    need: int,
+) -> list[int] | None:
+    """Extend `guess` by the first `need` candidates from `start` on that pass Yokoi's test.
+
+    Candidates are (edge, resident, hospital, position of the hospital in
+    the resident's list), and sets of them are tried in lexicographic
+    order.  `dropped` holds the pairs of `guess`, and `run` is the DA run
+    with them deleted, which failed.  Returns the winning run's choice
+    vector, with `guess` and `dropped` left holding the winner, or None
+    with both restored.
+    """
+    nxt = run[1]
+    for i in range(start, len(candidates) - need + 1):
+        e, r, h, at = candidates[i]
+        # If r never reached h, the run with (r, h) deleted too repeats `run`
+        # step for step; at the last level that is a failure already seen.
+        unreached = nxt[r] < at
+        if unreached and need == 1:
+            continue
+        dropped.add((r, h))
+        guess.append(e)
+        child = run if unreached else _deferred_acceptance(instance, instance._low, dropped)
+        if need == 1:
+            if _filled(instance, child[0]):
+                return child[0]
+        else:
+            found = _extend_guess(instance, candidates, guess, dropped, child, i + 1, need - 1)
+            if found is not None:
+                return found
+        guess.pop()
+        dropped.discard((r, h))
+    return None
+
+
 def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResult:
     """Feasible matching with the minimum number of envy-pairs.
 
-    Level k enumerates every k-subset of the acceptable pairs in
-    lexicographic order by edge index, deletes it, and runs the envy-free
-    decision procedure on the trimmed instance.  The first success is
-    reported; its guess set is therefore the lexicographically smallest
-    winner at the optimal level.  Levels start at 0, so the reported
-    objective is tight.  A guess is passed to deferred acceptance as a set
-    of dropped pairs; no trimmed instance is built.
+    Level k deletes every k-subset of the acceptable pairs, in
+    lexicographic order by edge index, and runs the envy-free decision
+    procedure on the trimmed instance.  The first success is reported; its
+    guess set is therefore the lexicographically smallest winner at the
+    optimal level.  Levels start at 0, so the reported objective is tight.
+    A guess is passed to deferred acceptance as a set of dropped pairs; no
+    trimmed instance is built.  Two rules settle most guesses without
+    running deferred acceptance, and neither changes the order or the
+    result:
+
+    * Candidate pairs.  A winning guess at the optimal level is exactly the
+      set of envy pairs of the matching it yields (a smaller set would win a
+      level earlier), so it holds only pairs (r, h) where h has a positive
+      lower quota and ranks some resident below r.  Only subsets of these
+      candidates are tried.
+    * Unreached pairs.  Guesses are extended one pair at a time, each prefix
+      keeping its run's proposal pointers.  If r never reached h in the
+      prefix's run, deleting (r, h) as well repeats that run step for step,
+      so it is reused; at the last level it is a failure already seen.
+
+    `guesses_examined` counts guesses in the paper's order, by size and
+    then lexicographically over all acceptable pairs, up to and including
+    the winner, whether or not deferred acceptance ran on them.
 
     Raises Infeasible when no feasible matching exists at all, and
     LevelCapExceeded when level_cap is given and exhausted.
     """
     if _FeasibleSearch(instance, 0).initial_cover() is None:
         raise Infeasible("no feasible matching exists")
+    acc, rank_h, low = instance._acc, instance._rank_h, instance._low
     n_edges = len(instance._edges)
     max_level = n_edges if level_cap is None else min(level_cap, n_edges)
-    guesses = 0
-    for k in range(max_level + 1):
-        for combo in itertools.combinations(range(n_edges), k):
-            guesses += 1
-            choice = _envy_free(instance, {instance._edges[e] for e in combo})
-            if choice is not None:
-                return SolveResult(
-                    matching=_matching(instance, choice),
-                    objective=len(_envy(instance, choice)),
-                    objective_kind=ObjectiveKind.MIN_EP,
-                    stats=SolveStats(
-                        guesses_examined=guesses,
-                        level=k,
-                        guess=tuple(instance.edges[e] for e in combo),
-                    ),
-                )
-    # Unreachable without a level cap: a feasible instance always succeeds
-    # once the guess covers an optimal matching's envy-pairs.
-    raise LevelCapExceeded(max_level, guesses)
+    candidates = [
+        (e, r, h, acc[r].index(h))
+        for e, (r, h) in enumerate(instance._edges)
+        if low[h] and rank_h[h][r] < len(rank_h[h]) - 1
+    ]
+    guess: list[int] = []
+    root = _deferred_acceptance(instance, low)
+    choice = root[0] if _filled(instance, root[0]) else None
+    level = 0
+    while choice is None and level < min(max_level, len(candidates)):
+        level += 1
+        choice = _extend_guess(instance, candidates, guess, set(), root, 0, level)
+    if choice is None:
+        # Unreachable without a level cap: a feasible instance always succeeds
+        # once the guess covers an optimal matching's envy-pairs.
+        raise LevelCapExceeded(max_level, sum(comb(n_edges, j) for j in range(max_level + 1)))
+    return SolveResult(
+        matching=_matching(instance, choice),
+        objective=len(_envy(instance, choice)),
+        objective_kind=ObjectiveKind.MIN_EP,
+        stats=SolveStats(
+            guesses_examined=_paper_position(n_edges, guess),
+            level=level,
+            guess=tuple(instance.edges[e] for e in guess),
+        ),
+    )

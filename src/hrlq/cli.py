@@ -94,7 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise formats.ParseError(f"{path}: not UTF-8 text") from None
 
 
 def _load_instance(path: str) -> core.Instance:

@@ -1,5 +1,5 @@
-"""Shared fixtures: the two worked micro-instances, seeded random families and a
-reference recount of envy and blocking pairs."""
+"""Shared fixtures: the two worked micro-instances, seeded random families, a
+reference recount of envy and blocking pairs and a paper-order Min-EP search."""
 
 from __future__ import annotations
 
@@ -157,3 +157,29 @@ def naive_blocking_pairs(instance: hrlq.Instance, matching: hrlq.Matching) -> tu
             if len(held) < instance.quotas[h][1] or any(hp.index(r) < hp.index(o) for o in held):
                 out.append((r, h))
     return tuple(out)
+
+
+def paper_min_ep(instance: hrlq.Instance, level_cap: int | None = None) -> hrlq.SolveResult:
+    """Min-EP by the paper's simple exponential-time algorithm, as the reference for `min_ep_exact`.
+
+    For k = 0, 1, ... every k-subset of the acceptable pairs, in
+    lexicographic edge order, is deleted and the trimmed instance is rebuilt
+    and handed to Yokoi's test; the first success wins.  Every guess is
+    counted.  Raises hrlq.LevelCapExceeded, with the number of guesses
+    made, once level_cap (or the number of pairs) is exhausted.
+    """
+    edges = instance.edges
+    max_level = len(edges) if level_cap is None else min(level_cap, len(edges))
+    guesses = 0
+    for k in range(max_level + 1):
+        for guess in itertools.combinations(edges, k):
+            guesses += 1
+            matching = hrlq.yokoi_envy_free(hrlq.without_edges(instance, guess))
+            if matching is not None:
+                return hrlq.SolveResult(
+                    matching,
+                    len(hrlq.envy_pairs(instance, matching)),
+                    hrlq.ObjectiveKind.MIN_EP,
+                    hrlq.SolveStats(guesses_examined=guesses, level=k, guess=guess),
+                )
+    raise hrlq.LevelCapExceeded(max_level, guesses)

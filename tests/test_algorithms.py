@@ -10,6 +10,7 @@ from helpers import (
     has_envy_free_feasible,
     instance_a,
     instance_b,
+    paper_min_ep,
     random_feasible_instances,
     random_instance,
 )
@@ -234,6 +235,25 @@ class TestMinEpExact:
             result = hrlq.min_ep_exact(inst)
             trimmed = hrlq.without_edges(inst, result.stats.guess)
             assert hrlq.yokoi_envy_free(trimmed) == result.matching
+            # The winner is exactly its matching's envy pairs: the fact the
+            # candidate-pair pruning rests on.
+            assert result.stats.guess == hrlq.envy_pairs(inst, result.matching)
+
+    def test_matches_paper_order_reference(self):
+        # Results, guess counts and level-cap payloads must not depend on which
+        # guesses the search settles without running deferred acceptance.
+        family = [IA, IB, *random_feasible_instances(16, 40),
+                  *random_feasible_instances(17, 120), *random_feasible_instances(18, 30)]
+        for inst in family:
+            result = hrlq.min_ep_exact(inst)
+            assert result == paper_min_ep(inst)
+            for cap in range(result.stats.level):
+                with pytest.raises(hrlq.LevelCapExceeded) as fast:
+                    hrlq.min_ep_exact(inst, level_cap=cap)
+                with pytest.raises(hrlq.LevelCapExceeded) as slow:
+                    paper_min_ep(inst, level_cap=cap)
+                assert (fast.value.level_cap, fast.value.guesses_examined) == (
+                    slow.value.level_cap, slow.value.guesses_examined)
 
 
 class TestBruteOracles:

@@ -127,6 +127,14 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--alg", "da", "--in", "nope.hrlq")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["solve", "--alg", "da"], ["oracle"]])
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.hrlq"
+        path.write_bytes(b"\xff\xfe bad")
+        code, _, err = run(capsys, *command, "--in", path)
+        assert code == 2
+        assert err == f"error: {path}: not UTF-8 text\n"
+
     def test_out_writes_matching_file(self, capsys, ia_file, tmp_path):
         out_path = tmp_path / "ia.match"
         code, _, _ = run(capsys, "solve", "--alg", "min-ep", "--in", ia_file,
