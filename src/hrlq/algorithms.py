@@ -15,7 +15,7 @@ from enum import Enum
 from math import comb
 from typing import Collection, Iterator
 
-from .core import Instance, Matching, Pair, _envy
+from .core import Instance, Matching, Pair, _envy, _envy_counts
 
 
 class Infeasible(Exception):
@@ -57,7 +57,9 @@ class SolveStats:
                       all acceptable pairs), whether or not deferred
                       acceptance ran on them; 0 elsewhere
     level             min_ep_exact: size of the winning guess; 0 elsewhere
-    nodes             brute_*: backtracking states visited; 0 elsewhere
+    nodes             brute_*: search states entered, the root and each
+                      partial assignment that some feasible matching
+                      extends; 0 elsewhere
     guess             min_ep_exact: the winning deleted pairs; () elsewhere
 
     min_ep_exact decides most guesses without deferred acceptance.  It
@@ -172,14 +174,19 @@ def yokoi_envy_free(instance: Instance) -> Matching | None:
 
 
 class _FeasibleSearch:
-    """Backtracking enumeration of feasible matchings.
+    """Depth-first enumeration of feasible matchings, without recursion.
 
-    Residents are assigned in index order, each to an acceptable hospital
-    with remaining capacity (preference order) or left unmatched.  A branch
-    survives only while the remaining residents can still cover the
-    remaining lower-quota demand; that cover is maintained incrementally and
-    repaired with single augmenting paths, so dead branches are cut at the
-    node where they die.
+    Residents are decided in index order.  Resident i's options are its
+    acceptable hospitals with a seat left under the upper quota, in
+    preference order, then staying unmatched.  A branch survives only while
+    the undecided residents can still meet the remaining lower-quota
+    demand, so dead branches are cut at the node where they die.  Two tests
+    decide that.  A count comes first, in O(1): the demand left may not
+    exceed the residents left.  Then a cover, which gives every demand slot
+    its own undecided resident.  Each level of the explicit stack holds its
+    cover: the parent's, or a copy of it when the decision frees or removes
+    a slot, repaired with one augmenting path.  Any path gives the same
+    decision, because the cover only has to exist.
     """
 
     def __init__(self, instance: Instance, node_budget: int):
@@ -189,68 +196,115 @@ class _FeasibleSearch:
         self.low, self.up = instance._low, instance._up
         self.n_res = len(self.acc)
         self.n_hosp = len(self.acc_h)
-        self.occ = [0] * self.n_hosp
-        self.choice = [-1] * self.n_res
 
     def initial_cover(self) -> list[int] | None:
         """Cover every lower-quota slot with a distinct resident, or report impossibility."""
         cover = [-1] * self.n_res
         for j in range(self.n_hosp):
             for _ in range(self.low[j]):
-                if not self._augment(j, 0, cover, set()):
+                if not self._augment(j, 0, cover):
                     return None
         return cover
 
-    def _augment(self, hospital: int, start: int, cover: list[int], visited: set[int]) -> bool:
-        for r in self.acc_h[hospital]:
-            if r < start or r in visited:
-                continue
-            visited.add(r)
-            if cover[r] == -1 or self._augment(cover[r], start, cover, visited):
+    def _augment(self, hospital: int, start: int, cover: list[int]) -> bool:
+        """Cover one more slot of `hospital` with residents from `start` on, if possible.
+
+        A free resident on the hospital's list takes the slot directly;
+        otherwise a breadth-first search over alternating paths finds a
+        free resident and shifts every resident on the path by one slot.
+        """
+        listed = self.acc_h[hospital]
+        for r in listed:
+            if r >= start and cover[r] < 0:
                 cover[r] = hospital
                 return True
+        # via[r]: the resident whose covered hospital r was reached from
+        # (-1 for `hospital` itself).
+        via = {r: -1 for r in listed if r >= start}
+        expanded = {hospital}
+        queue = list(via)
+        for q in queue:
+            h = cover[q]
+            if h in expanded:
+                continue
+            expanded.add(h)
+            for r in self.acc_h[h]:
+                if r < start or r in via:
+                    continue
+                via[r] = q
+                if cover[r] < 0:
+                    while r >= 0:
+                        q = via[r]
+                        cover[r] = hospital if q < 0 else cover[q]
+                        r = q
+                    return True
+                queue.append(r)
         return False
 
-    def _child_cover(self, i: int, j: int, cover: list[int]) -> list[int] | None:
-        """Cover for the state after assigning resident i to hospital j (or -1)."""
-        freed = cover[i]
-        child = cover.copy()
-        child[i] = -1
-        if j >= 0 and self.occ[j] < self.low[j]:
-            # One demand slot of j disappears with this assignment.
-            if freed == j:
-                freed = -1
-            else:
-                for r in range(i + 1, self.n_res):
-                    if child[r] == j:
-                        child[r] = -1
-                        break
-        if freed >= 0 and not self._augment(freed, i + 1, child, set()):
-            return None
-        return child
+    def leaves(self, cover: list[int]) -> Iterator[list[int]]:
+        """Yield the live choice vector at each feasible leaf; copy it to keep it.
 
-    def run(self, i: int, cover: list[int]) -> Iterator[list[int]]:
-        """Yield the live choice vector at each feasible leaf; copy it to keep it."""
+        `cover` is initial_cover()'s.  Every state entered counts as a node,
+        and entering one past the budget raises BudgetExceeded.
+        """
+        low, up, budget, n = self.low, self.up, self.node_budget, self.n_res
+        occ = [0] * self.n_hosp
+        choice = [-1] * n
+        options = [prefs + (-1,) for prefs in self.acc]  # -1: stay unmatched
+        covers = [cover] * n  # covers[i]: the cover while resident i is decided
+        # slack[i]: undecided residents minus unmet lower-quota demand at level i
+        slack = [n - sum(low)] * n
+        pending = [None] * n  # pending[i]: the options resident i has not tried yet
         self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise BudgetExceeded(self.node_budget)
-        if i == self.n_res:
-            yield self.choice
+        if self.nodes > budget:
+            raise BudgetExceeded(budget)
+        if not n:
+            yield choice
             return
-        for j in self.acc[i]:
-            if self.occ[j] >= self.up[j]:
-                continue
-            child = self._child_cover(i, j, cover)
-            if child is None:
-                continue
-            self.choice[i] = j
-            self.occ[j] += 1
-            yield from self.run(i + 1, child)
-            self.occ[j] -= 1
-            self.choice[i] = -1
-        child = self._child_cover(i, -1, cover)
-        if child is not None:
-            yield from self.run(i + 1, child)
+        i = 0
+        it = iter(options[0])
+        while True:
+            for j in it:
+                if j >= 0 and occ[j] >= up[j]:
+                    continue
+                fills = j >= 0 and occ[j] < low[j]
+                if not (fills or slack[i]):
+                    continue  # the count check: the rest could not meet the demand
+                # Entries of residents before i are stale and never read again.
+                cover = covers[i]
+                freed = cover[i]
+                if freed != j and (fills or freed >= 0):
+                    cover = cover.copy()
+                    if fills:  # a slot of j that i did not cover disappears
+                        cover[cover.index(j, i + 1)] = -1
+                    if freed >= 0 and not self._augment(freed, i + 1, cover):
+                        continue
+                self.nodes += 1
+                if self.nodes > budget:
+                    raise BudgetExceeded(budget)
+                if i + 1 == n:  # a leaf
+                    choice[i] = j
+                    yield choice
+                    choice[i] = -1
+                    continue
+                if j >= 0:
+                    choice[i] = j
+                    occ[j] += 1
+                pending[i] = it
+                i += 1
+                covers[i] = cover
+                slack[i] = slack[i - 1] - (not fills)
+                it = iter(options[i])
+                break
+            else:  # back to the previous resident's next option
+                if i == 0:
+                    return
+                i -= 1
+                j = choice[i]
+                if j >= 0:
+                    occ[j] -= 1
+                    choice[i] = -1
+                it = pending[i]
 
 
 def exists_feasible(instance: Instance) -> bool:
@@ -274,27 +328,27 @@ def enumerate_feasible(instance: Instance, node_budget: int = 10**7) -> Iterator
     cover = search.initial_cover()
     if cover is None:
         return
-    for choice in search.run(0, cover):
+    for choice in search.leaves(cover):
         yield _matching(instance, choice)
 
 
 def _brute_optima(instance: Instance, node_budget: int) -> tuple[SolveResult, SolveResult]:
     """Minimum-envy-pair and minimum-envy-resident matchings from one enumeration.
 
-    Each objective keeps the first strict minimum in enumeration order.
+    Each objective keeps the first strict minimum in enumeration order, so a
+    leaf's envy count stops as soon as it can beat neither best so far.
     """
     search = _FeasibleSearch(instance, node_budget)
     cover = search.initial_cover()
     if cover is None:
         raise Infeasible("no feasible matching exists")
     best_ep = best_er = None
-    ep_obj = er_obj = 0
-    for choice in search.run(0, cover):
-        pairs = _envy(instance, choice)
-        if best_ep is None or len(pairs) < ep_obj:
-            best_ep, ep_obj = _matching(instance, choice), len(pairs)
-        n_residents = len({r for r, _ in pairs})
-        if best_er is None or n_residents < er_obj:
+    ep_obj = er_obj = len(instance._edges) + 1  # above any count
+    for choice in search.leaves(cover):
+        n_pairs, n_residents = _envy_counts(instance, choice, ep_obj, er_obj)
+        if n_pairs < ep_obj:
+            best_ep, ep_obj = _matching(instance, choice), n_pairs
+        if n_residents < er_obj:
             best_er, er_obj = _matching(instance, choice), n_residents
     if best_ep is None:
         raise Infeasible("no feasible matching exists")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .core import Instance, Matching, Pair, make_matching, validate_instance
+from .core import Instance, Matching, Pair, validate_instance
 
 
 class ReductionError(ValueError):
@@ -121,6 +121,16 @@ def _e(i: int, j: int, k: int) -> str:
     return f"e{i}_{j}_{k}"
 
 
+def _check_gadget_length(length: int) -> None:
+    if length < 2:
+        raise ReductionError(f"gadget_length must be >= 2, got {length}")
+
+
+def _check_copies(copies: int) -> None:
+    if copies < 1:
+        raise ReductionError(f"copies must be >= 1, got {copies}")
+
+
 def _require_k(graph: SourceGraph) -> int:
     if graph.k < 1:
         raise ReductionError("target parameter k must be set (1 <= k <= n)")
@@ -208,8 +218,7 @@ def vc_to_min_ep(graph: SourceGraph, params: VCReductionParams = VCReductionPara
     """
     _require_k(graph)
     length = params.resolve(graph.n)
-    if length < 2:
-        raise ReductionError(f"gadget_length must be >= 2, got {length}")
+    _check_gadget_length(length)
     if length < graph.n * graph.n + 1:
         warnings.warn(
             f"gadget_length {length} < n^2 + 1 = {graph.n * graph.n + 1}: "
@@ -234,8 +243,7 @@ def gadget_matchings(
     i, j = edge
     if not 1 <= i < j:
         raise ReductionError(f"edge must satisfy i < j, got ({i},{j})")
-    if length < 2:
-        raise ReductionError(f"gadget_length must be >= 2, got {length}")
+    _check_gadget_length(length)
     m0: list[Pair] = []
     m1: list[Pair] = []
     for a in range(1, length + 1):
@@ -259,8 +267,7 @@ def gadget_instance(edge: tuple[int, int], length: int) -> Instance:
     i, j = edge
     if not 1 <= i < j:
         raise ReductionError(f"edge must satisfy i < j, got ({i},{j})")
-    if length < 2:
-        raise ReductionError(f"gadget_length must be >= 2, got {length}")
+    _check_gadget_length(length)
     vi, vj = _v(i), _v(j)
     rp = {
         r: tuple(h for h in prefs if h not in (vi, vj))
@@ -300,20 +307,22 @@ def matching_from_cover(
         if len(cover_set) == k:
             break
         cover_set.add(v)
+    _check_gadget_length(length)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SeparationBoundWarning)
-        instance = vc_to_min_ep(graph, VCReductionParams(length))
-
+    # Pairs in the instance's resident order: cover, filler, then each
+    # edge's gadget side 0 and side 1, so no instance is built to order them.
     covered = sorted(cover_set)
     rest = [v for v in range(1, graph.n + 1) if v not in cover_set]
-    pairs: list[Pair] = []
-    pairs.extend((_c(idx + 1), _v(v)) for idx, v in enumerate(covered))
-    pairs.extend((_f(idx + 1), _v(v)) for idx, v in enumerate(rest))
+    assignment = {_c(idx + 1): _v(v) for idx, v in enumerate(covered)}
+    assignment.update((_f(idx + 1), _v(v)) for idx, v in enumerate(rest))
     for i, j in graph.edges:
         m0, m1 = gadget_matchings((i, j), length)
-        pairs.extend(m1 if i in cover_set else m0)
-    return make_matching(instance, pairs)
+        gadget = dict(m1 if i in cover_set else m0)
+        for side in (0, 1):
+            for a in range(1, length + 1):
+                resident = _s(i, j, side, a)
+                assignment[resident] = gadget[resident]
+    return Matching(assignment)
 
 
 def clique_to_min_er(
@@ -328,8 +337,7 @@ def clique_to_min_er(
     """
     k = _require_k(graph)
     copies = params.resolve(graph.n)
-    if copies < 1:
-        raise ReductionError(f"copies must be >= 1, got {copies}")
+    _check_copies(copies)
     if copies <= graph.n:
         warnings.warn(
             f"copies {copies} <= n = {graph.n}: "
@@ -397,16 +405,13 @@ def matching_from_clique(
     ]
     if missing:
         raise NotAClique(f"pairs not adjacent: {missing}")
+    _check_copies(copies)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SeparationBoundWarning)
-        instance = clique_to_min_er(graph, CliqueReductionParams(copies))
-
+    # Pairs in the instance's resident order: cover, filler, then edge copies.
     rest = [v for v in range(1, graph.n + 1) if v not in clique_set]
-    pairs: list[Pair] = []
-    pairs.extend((_c(idx + 1), _v(v)) for idx, v in enumerate(members))
-    pairs.extend((_f(idx + 1), _v(v)) for idx, v in enumerate(rest))
-    pairs.extend(
+    assignment = {_c(idx + 1): _v(v) for idx, v in enumerate(members)}
+    assignment.update((_f(idx + 1), _v(v)) for idx, v in enumerate(rest))
+    assignment.update(
         (_e(i, j, c), "x") for i, j in graph.edges for c in range(1, copies + 1)
     )
-    return make_matching(instance, pairs)
+    return Matching(assignment)

@@ -1,5 +1,6 @@
-"""Shared fixtures: the two worked micro-instances, seeded random families, a
-reference recount of envy and blocking pairs and a paper-order Min-EP search."""
+"""Shared fixtures: the two worked micro-instances, seeded random families, long
+chains, a reference recount of envy and blocking pairs, a product-space
+enumeration of feasible matchings and a paper-order Min-EP search."""
 
 from __future__ import annotations
 
@@ -77,6 +78,26 @@ def random_feasible_instances(seed: int, count: int, **kwargs) -> list[hrlq.Inst
     return out
 
 
+def chain_instance(links: int, open_end: int = -1) -> hrlq.Instance:
+    """A chain of `links` residents whose only feasible matching is forced link by link.
+
+    Resident ri lists h(i+1), then hi; each hospital lists its
+    lower-numbered resident first.  Every hospital has quota [1,1] except
+    the one at `open_end` (-1: the last, h<links>; 0: the first, h0), which
+    has [0,1].  With the last open, ri takes hi and every resident but the
+    last envies: min-EP and min-ER are both links - 1.  With the first open,
+    ri takes h(i+1) and the matching is envy-free.
+    """
+    residents = [f"r{i}" for i in range(links)]
+    hospitals = [f"h{i}" for i in range(links + 1)]
+    resident_prefs = {f"r{i}": (f"h{i + 1}", f"h{i}") for i in range(links)}
+    hospital_prefs = {f"h{i}": tuple(f"r{k}" for k in (i - 1, i) if 0 <= k < links)
+                      for i in range(links + 1)}
+    quotas = {h: (1, 1) for h in hospitals}
+    quotas[hospitals[open_end]] = (0, 1)
+    return hrlq.validate_instance(residents, hospitals, resident_prefs, hospital_prefs, quotas)
+
+
 def _preference_options(items: tuple[str, ...]):
     """Every strict preference list over any subset of items, empty included."""
     for size in range(len(items) + 1):
@@ -113,6 +134,30 @@ def has_envy_free_feasible(instance: hrlq.Instance, node_budget: int = 10**6) ->
         not hrlq.envy_pairs(instance, m)
         for m in hrlq.enumerate_feasible(instance, node_budget)
     )
+
+
+def product_space_choices(instance: hrlq.Instance) -> list[tuple]:
+    """Every feasible matching as a hospital (or None) per resident, in the search's order.
+
+    `itertools.product` over each resident's list followed by None
+    (unmatched), the first resident varying slowest, filtered by the quota
+    intervals.  Shares no code with `hrlq`'s search.
+    """
+    options = [instance.resident_prefs[r] + (None,) for r in instance.residents]
+    out = []
+    for combo in itertools.product(*options):
+        counts = {h: 0 for h in instance.hospitals}
+        for h in combo:
+            if h is not None:
+                counts[h] += 1
+        if all(low <= counts[h] <= up for h, (low, up) in instance.quotas.items()):
+            out.append(combo)
+    return out
+
+
+def choice_pairs(instance: hrlq.Instance, combo: tuple) -> tuple:
+    """A product-space choice as (resident, hospital) pairs in resident order."""
+    return tuple((r, h) for r, h in zip(instance.residents, combo) if h is not None)
 
 
 def _occupants(matching: hrlq.Matching) -> dict[str, list[str]]:

@@ -7,10 +7,14 @@ import pytest
 
 import hrlq
 from helpers import (
+    chain_instance,
+    choice_pairs,
+    exhaustive_two_by_two,
     has_envy_free_feasible,
     instance_a,
     instance_b,
     paper_min_ep,
+    product_space_choices,
     random_feasible_instances,
     random_instance,
 )
@@ -176,6 +180,87 @@ class TestEnumerateFeasible:
                 for m in hrlq.enumerate_feasible(inst, 10**6)
             }
             assert fast == naive
+
+
+class TestEngineAgainstProductSpace:
+    """The search against `itertools.product` over each resident's options, in order."""
+
+    @staticmethod
+    def _family():
+        return [*random_feasible_instances(23, 62), *exhaustive_two_by_two()]
+
+    def test_enumeration_yields_product_space_in_order(self):
+        for inst in self._family():
+            want = [choice_pairs(inst, c) for c in product_space_choices(inst)]
+            assert [m.pairs() for m in hrlq.enumerate_feasible(inst)] == want
+
+    def test_brute_nodes_are_distinct_prefixes(self):
+        # The search enters a state exactly when some feasible leaf lies
+        # below it, so its nodes are the distinct prefixes of the leaves.
+        for inst in self._family():
+            choices = product_space_choices(inst)
+            if not choices:
+                continue
+            prefixes = {c[:k] for c in choices for k in range(len(inst.residents) + 1)}
+            for solve in (hrlq.brute_min_ep, hrlq.brute_min_er):
+                assert solve(inst).stats.nodes == len(prefixes)
+
+
+class TestBudgetSemantics:
+    # 6 residents, 3 hospitals, everyone acceptable: 2,041 nodes, 1,140 leaves.
+    INSTANCE = hrlq.validate_instance(
+        [f"r{i}" for i in range(1, 7)], ["h1", "h2", "h3"],
+        {f"r{i + 1}": tuple(f"h{(i + k) % 3 + 1}" for k in range(3)) for i in range(6)},
+        {f"h{j + 1}": tuple(f"r{(2 * j + k) % 6 + 1}" for k in range(6)) for j in range(3)},
+        {"h1": (1, 2), "h2": (0, 2), "h3": (2, 3)},
+    )
+
+    @pytest.mark.parametrize("budget, leaves", [(1, 0), (5, 0), (100, 51), (1000, 545)])
+    def test_leaves_before_budget_exceeded(self, budget, leaves):
+        inst = self.INSTANCE
+        want = [choice_pairs(inst, c) for c in product_space_choices(inst)]
+        search = hrlq.algorithms._FeasibleSearch(inst, budget)
+        got = []
+        with pytest.raises(hrlq.BudgetExceeded):
+            for choice in search.leaves(search.initial_cover()):
+                got.append(hrlq.algorithms._matching(inst, choice).pairs())
+        assert got == want[:leaves]
+        assert search.nodes == budget + 1
+        yielded = []
+        with pytest.raises(hrlq.BudgetExceeded):
+            for m in hrlq.enumerate_feasible(inst, budget):
+                yielded.append(m.pairs())
+        assert yielded == got
+
+
+class TestLongChains:
+    """Recursion depth does not limit instance size."""
+
+    @pytest.mark.parametrize("links", [1200, 3000])
+    def test_exists_feasible(self, links):
+        assert hrlq.exists_feasible(chain_instance(links))
+        assert hrlq.exists_feasible(chain_instance(links, open_end=0))
+
+    @pytest.mark.parametrize("links", [1200, 3000])
+    def test_min_ep_exact(self, links):
+        # With the last hospital open the optimum is links - 1, far beyond
+        # the guess levels reachable, so the search is capped after level 0.
+        with pytest.raises(hrlq.LevelCapExceeded):
+            hrlq.min_ep_exact(chain_instance(links), level_cap=0)
+        inst = chain_instance(links, open_end=0)
+        result = hrlq.min_ep_exact(inst)
+        assert result.objective == 0
+        assert result.matching.pairs() == tuple((f"r{i}", f"h{i + 1}") for i in range(links))
+
+    def test_enumeration_and_brute_oracles(self):
+        inst = chain_instance(1200)
+        forced = tuple((f"r{i}", f"h{i}") for i in range(1200))
+        assert [m.pairs() for m in hrlq.enumerate_feasible(inst)] == [forced]
+        for solve in (hrlq.brute_min_ep, hrlq.brute_min_er):
+            result = solve(inst)
+            assert result.objective == 1199
+            assert result.matching.pairs() == forced
+            assert result.stats.nodes == 1201
 
 
 class TestMinEpExact:

@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import hrlq
 from hrlq.cli import main
-from helpers import instance_a, instance_b, random_feasible_instances
+from helpers import chain_instance, instance_a, instance_b, random_feasible_instances
 
 IA_TEXT = hrlq.serialize_instance(instance_a())
 IB_TEXT = hrlq.serialize_instance(instance_b())
@@ -271,6 +275,35 @@ class TestOracle:
         assert code == 0
         assert "min-ep objective  1" in out
         assert "min-er objective  1" in out
+
+
+class TestLongChains:
+    """A 2,000-link chain through a fresh interpreter: no depth limit, no traceback."""
+
+    @staticmethod
+    def _hrlq(tmp_path, inst, *argv):
+        path = tmp_path / "chain.hrlq"
+        path.write_text(hrlq.serialize_instance(inst))
+        env = {**os.environ, "PYTHONPATH": str(Path(hrlq.__file__).resolve().parent.parent)}
+        return subprocess.run([sys.executable, "-m", "hrlq", *argv, "--in", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_oracle(self, tmp_path):
+        proc = self._hrlq(tmp_path, chain_instance(2000), "oracle")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "min-ep objective  1999" in proc.stdout
+        assert "min-er objective  1999" in proc.stdout
+
+    def test_solve_min_ep(self, tmp_path):
+        proc = self._hrlq(tmp_path, chain_instance(2000, open_end=0), "solve", "--alg", "min-ep")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert re.search(r"^objective\s+0$", proc.stdout, re.M)
+
+    def test_solve_min_ep_capped(self, tmp_path):
+        proc = self._hrlq(tmp_path, chain_instance(2000), "solve", "--alg", "min-ep",
+                          "--level-cap", "0")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: no solution within guess level 0")
 
 
 class TestDeterminism:

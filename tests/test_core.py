@@ -244,6 +244,19 @@ class TestReferenceRecount:
         assert report.envy_pairs == envy
         assert report.envy_residents == tuple(dict.fromkeys(r for r, _ in envy))
         assert report.blocking_pairs == blocking
+        # The brute oracles' leaf counter, unbounded and with every pair of
+        # stop values up to one past the exact counts.
+        choice = hrlq.core._choice(inst, m)
+        exact = (len(envy), len({r for r, _ in envy}))
+        assert hrlq.core._envy_counts(inst, choice, 10**9, 10**9) == exact
+        for stop_pairs in range(exact[0] + 2):
+            for stop_residents in range(exact[1] + 2):
+                got = hrlq.core._envy_counts(inst, choice, stop_pairs, stop_residents)
+                if got[0] < stop_pairs or got[1] < stop_residents:
+                    assert got == exact
+                else:
+                    assert exact[0] >= got[0] >= stop_pairs
+                    assert exact[1] >= got[1] >= stop_residents
 
     def test_seeded_family(self):
         checked = 0

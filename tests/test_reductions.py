@@ -1,5 +1,6 @@
 """Reduction generators, gadget structure, and certificate matchings."""
 
+import itertools
 import math
 import warnings
 
@@ -11,6 +12,18 @@ TRIANGLE = hrlq.SourceGraph(3, [(1, 2), (1, 3), (2, 3)], k=2)
 SINGLE_EDGE = hrlq.SourceGraph(2, [(1, 2)], k=1)
 FOUR_CYCLE = hrlq.SourceGraph(4, [(1, 2), (1, 4), (2, 3), (3, 4)], k=3)
 PENDANT_TRIANGLE = hrlq.SourceGraph(4, [(1, 2), (1, 3), (2, 3), (3, 4)], k=3)
+# Every source graph these tests reduce, the inline ones included.
+GRAPHS = [
+    TRIANGLE, SINGLE_EDGE, FOUR_CYCLE, PENDANT_TRIANGLE,
+    hrlq.SourceGraph(2, [(1, 2)], k=2),
+    hrlq.SourceGraph(3, [(1, 2)], k=2),
+    hrlq.SourceGraph(3, [(1, 2), (2, 3)], k=1),
+    hrlq.SourceGraph(3, [(1, 2), (2, 3)], k=2),
+]
+
+
+def vertex_sets(graph, sizes):
+    return [set(s) for size in sizes for s in itertools.combinations(range(1, graph.n + 1), size)]
 
 
 def quiet(fn, *args, **kwargs):
@@ -173,6 +186,43 @@ class TestMatchingFromCover:
         items = set(m.assignment.items())
         assert set(m0_12) <= items  # v2 covers (1,2) as second endpoint
         assert set(m1_23) <= items  # v2 covers (2,3) as first endpoint
+
+
+class TestCertificatesAgainstInstances:
+    """Certificates are built without the instance; validated against it they must not change."""
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    @pytest.mark.parametrize("length", [2, 3, None])
+    def test_cover_certificate(self, graph, length):
+        params = hrlq.VCReductionParams(length)
+        inst = quiet(hrlq.vc_to_min_ep, graph, params)
+        covers = [s for s in vertex_sets(graph, range(graph.k + 1))
+                  if all(i in s or j in s for i, j in graph.edges)]
+        assert covers
+        for cover in covers:
+            m = hrlq.matching_from_cover(graph, params, cover)
+            want = hrlq.make_matching(inst, m.pairs())
+            assert m == want
+            assert m.pairs() == want.pairs()  # resident declaration order
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    @pytest.mark.parametrize("copies", [1, 2, None])
+    def test_clique_certificate(self, graph, copies):
+        params = hrlq.CliqueReductionParams(copies)
+        inst = quiet(hrlq.clique_to_min_er, graph, params)
+        edges = set(graph.edges)
+        for clique in vertex_sets(graph, [graph.k]):
+            if all((a, b) in edges for a, b in itertools.combinations(sorted(clique), 2)):
+                m = hrlq.matching_from_clique(graph, params, clique)
+                want = hrlq.make_matching(inst, m.pairs())
+                assert m == want
+                assert m.pairs() == want.pairs()
+
+    def test_bad_parameters_still_rejected(self):
+        with pytest.raises(hrlq.ReductionError, match="gadget_length"):
+            hrlq.matching_from_cover(hrlq.SourceGraph(2, [], k=1), hrlq.VCReductionParams(1), {1})
+        with pytest.raises(hrlq.ReductionError, match="copies"):
+            hrlq.matching_from_clique(hrlq.SourceGraph(2, [], k=1), hrlq.CliqueReductionParams(0), {1})
 
 
 class TestCliqueGenerator:
