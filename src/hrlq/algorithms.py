@@ -17,6 +17,8 @@ from typing import Collection, Iterator
 
 from .core import Instance, Matching, Pair, _envy, _envy_counts
 
+DEFAULT_NODE_BUDGET = 10**7
+
 
 class Infeasible(Exception):
     """No matching can satisfy every hospital's quota interval."""
@@ -241,12 +243,16 @@ class _FeasibleSearch:
                 queue.append(r)
         return False
 
-    def leaves(self, cover: list[int]) -> Iterator[list[int]]:
+    def leaves(self) -> Iterator[list[int]]:
         """Yield the live choice vector at each feasible leaf; copy it to keep it.
 
-        `cover` is initial_cover()'s.  Every state entered counts as a node,
-        and entering one past the budget raises BudgetExceeded.
+        An instance without a feasible matching yields nothing and enters no
+        state.  Otherwise every state entered counts as a node, and entering
+        one past the budget raises BudgetExceeded.
         """
+        cover = self.initial_cover()
+        if cover is None:
+            return
         low, up, budget, n = self.low, self.up, self.node_budget, self.n_res
         occ = [0] * self.n_hosp
         choice = [-1] * n
@@ -317,18 +323,16 @@ def exists_feasible(instance: Instance) -> bool:
     return _FeasibleSearch(instance, 0).initial_cover() is not None
 
 
-def enumerate_feasible(instance: Instance, node_budget: int = 10**7) -> Iterator[Matching]:
+def enumerate_feasible(
+    instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET
+) -> Iterator[Matching]:
     """Yield every feasible matching exactly once, in deterministic order.
 
     Raises BudgetExceeded once the backtracking search has visited
     node_budget states; that signals the instance is too large for
     exhaustive treatment.
     """
-    search = _FeasibleSearch(instance, node_budget)
-    cover = search.initial_cover()
-    if cover is None:
-        return
-    for choice in search.leaves(cover):
+    for choice in _FeasibleSearch(instance, node_budget).leaves():
         yield _matching(instance, choice)
 
 
@@ -339,12 +343,9 @@ def _brute_optima(instance: Instance, node_budget: int) -> tuple[SolveResult, So
     leaf's envy count stops as soon as it can beat neither best so far.
     """
     search = _FeasibleSearch(instance, node_budget)
-    cover = search.initial_cover()
-    if cover is None:
-        raise Infeasible("no feasible matching exists")
     best_ep = best_er = None
     ep_obj = er_obj = len(instance._edges) + 1  # above any count
-    for choice in search.leaves(cover):
+    for choice in search.leaves():
         n_pairs, n_residents = _envy_counts(instance, choice, ep_obj, er_obj)
         if n_pairs < ep_obj:
             best_ep, ep_obj = _matching(instance, choice), n_pairs
@@ -359,12 +360,12 @@ def _brute_optima(instance: Instance, node_budget: int) -> tuple[SolveResult, So
     )
 
 
-def brute_min_ep(instance: Instance, node_budget: int = 10**7) -> SolveResult:
+def brute_min_ep(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Exhaustive minimum-envy-pair oracle; ties broken by enumeration order."""
     return _brute_optima(instance, node_budget)[0]
 
 
-def brute_min_er(instance: Instance, node_budget: int = 10**7) -> SolveResult:
+def brute_min_er(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Exhaustive minimum-envy-resident oracle; ties broken by enumeration order."""
     return _brute_optima(instance, node_budget)[1]
 
@@ -452,7 +453,7 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     Raises Infeasible when no feasible matching exists at all, and
     LevelCapExceeded when level_cap is given and exhausted.
     """
-    if _FeasibleSearch(instance, 0).initial_cover() is None:
+    if not exists_feasible(instance):
         raise Infeasible("no feasible matching exists")
     acc, rank_h, low = instance._acc, instance._rank_h, instance._low
     n_edges = len(instance._edges)

@@ -31,8 +31,6 @@ EXIT_NO_SOLUTION = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
 
-DEFAULT_NODE_BUDGET = 10**7
-
 
 def _count(text: str) -> int:
     """argparse type for caps: a non-negative integer; anything else exits 2."""
@@ -58,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--in", dest="infile", required=True, help="instance file (.hrlq)")
     solve.add_argument("--out", help="also write the matching here (.match format)")
     solve.add_argument("--json", action="store_true")
-    solve.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET,
+    solve.add_argument("--budget", type=_count, default=algorithms.DEFAULT_NODE_BUDGET,
                        help="search-node budget for brute-force algorithms")
     solve.add_argument("--level-cap", type=_count, default=None,
                        help="largest guess level min-ep may try")
@@ -88,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="brute-force both objectives")
     oracle.add_argument("--in", dest="infile", required=True, help="instance file (.hrlq)")
     oracle.add_argument("--json", action="store_true")
-    oracle.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
+    oracle.add_argument("--budget", type=_count, default=algorithms.DEFAULT_NODE_BUDGET)
 
     return parser
 
@@ -175,7 +173,7 @@ def _cmd_solve(args) -> int:
             else:
                 print("no envy-free matching")
             return EXIT_NO_SOLUTION
-        _emit_solution(args, instance, matching, 0, "envy-free",
+        _emit_solution(args, instance, matching, 0, algorithms.ObjectiveKind.ENVY_FREE.value,
                        algorithms.SolveStats())
         return EXIT_OK
 
@@ -238,7 +236,7 @@ def _parse_cert(spec: str, expected_kind: str) -> set[int]:
         if not token:
             continue
         digits = token[1:] if token.startswith("v") else token
-        if not digits.isdigit():
+        if not (digits.isascii() and digits.isdigit()):
             raise formats.ParseError(f"bad certificate vertex {token!r}")
         vertices.add(int(digits))
     if not vertices:

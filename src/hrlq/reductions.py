@@ -16,11 +16,18 @@ The separation between the two bounds needs the full-strength defaults
 (gadget_length = n^2 + 1, copies = n + 1); smaller values keep the instances
 tiny for exhaustive tests but void the separation, so the generators emit a
 SeparationBoundWarning in that regime.
+
+Each part of a construction is written once, as preference tables: the edge
+gadget in `_gadget_resident_prefs` and `_gadget_hospital_prefs`, and the
+vertex-selection layer both reductions share in `_with_vertex_layer`.  The
+stand-alone gadget, its two perfect matchings and the certificate matchings
+are read off those tables.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import Instance, Matching, Pair, validate_instance
@@ -131,33 +138,38 @@ def _check_copies(copies: int) -> None:
         raise ReductionError(f"copies must be >= 1, got {copies}")
 
 
+def _check_edge(edge: tuple[int, int]) -> tuple[int, int]:
+    i, j = edge
+    if not 1 <= i < j:
+        raise ReductionError(f"edge must satisfy i < j, got ({i},{j})")
+    return i, j
+
+
 def _require_k(graph: SourceGraph) -> int:
     if graph.k < 1:
         raise ReductionError("target parameter k must be set (1 <= k <= n)")
     return graph.k
 
 
-def _gadget_resident_prefs(i: int, j: int, length: int) -> dict[str, tuple[str, ...]]:
+def _gadget_resident_prefs(i: int, j: int, length: int) -> dict[str, tuple[str, str, str]]:
     """Preference lists of the 2*length gadget residents for edge (i, j).
 
-    Side 0 residents rank their own chain hospital first, the vertex
-    hospital v_i second, and the next chain hospital third (wrapping); the
-    first side-0 resident crosses over to the side-1 chain instead.  Side 1
-    is symmetric around v_j, with its first resident crossing to side 0.
+    Residents are listed in declaration order: side 0, then side 1, each by
+    position.  A side-0 resident ranks its own chain hospital first, the
+    vertex hospital v_i second and the next chain hospital third (wrapping);
+    the first side-0 resident crosses over to the side-1 chain instead.
+    Side 1 is symmetric around v_j, with its first resident crossing to
+    side 0 for its first choice.
     """
-    prefs: dict[str, tuple[str, ...]] = {}
-    vi, vj = _v(i), _v(j)
-    for a in range(1, length + 1):
-        nxt = a + 1 if a < length else 1
-        if a == 1:
-            third0 = _t(i, j, 1, 1)
-        else:
-            third0 = _t(i, j, 0, nxt)
-        prefs[_s(i, j, 0, a)] = (_t(i, j, 0, a), vi, third0)
-        if a == 1:
-            prefs[_s(i, j, 1, 1)] = (_t(i, j, 0, 2), vj, _t(i, j, 1, 2))
-        else:
-            prefs[_s(i, j, 1, a)] = (_t(i, j, 1, a), vj, _t(i, j, 1, nxt))
+    prefs: dict[str, tuple[str, str, str]] = {}
+    for side, vertex in ((0, _v(i)), (1, _v(j))):
+        for a in range(1, length + 1):
+            first, third = _t(i, j, side, a), _t(i, j, side, a % length + 1)
+            if a == 1 and side == 0:
+                third = _t(i, j, 1, 1)
+            elif a == 1:
+                first = _t(i, j, 0, 2)
+            prefs[_s(i, j, side, a)] = (first, vertex, third)
     return prefs
 
 
@@ -174,40 +186,62 @@ def _gadget_hospital_prefs(i: int, j: int, length: int) -> dict[str, tuple[str, 
     return prefs
 
 
-def _vc_instance(graph: SourceGraph, length: int) -> Instance:
-    n, k = graph.n, graph.k
-    cover_res = [_c(i) for i in range(1, k + 1)]
-    filler_res = [_f(i) for i in range(1, n - k + 1)]
-    vertex_hosps = [_v(i) for i in range(1, n + 1)]
+def _gadget_matching(i: int, j: int, length: int, shield_i: bool) -> list[Pair]:
+    """One of the gadget's two perfect matchings, in declaration order.
 
-    gadget_res: list[str] = []
-    gadget_hosps: list[str] = []
-    resident_prefs: dict[str, tuple[str, ...]] = {}
-    hospital_prefs: dict[str, tuple[str, ...]] = {}
+    m0 (shield_i false) gives every side-0 resident its first choice and
+    every side-1 resident its third; m1 (shield_i true) does the reverse.
+    A side-0 resident on its third choice prefers v_i, so m1 is the one to
+    install when a cover resident, whom v_i ranks above them, holds v_i.
+    """
+    pick = (2, 0) if shield_i else (0, 2)  # the list position taken, by side
+    prefs = _gadget_resident_prefs(i, j, length)
+    return [(r, listed[pick[n // length]]) for n, (r, listed) in enumerate(prefs.items())]
 
-    vlist = tuple(vertex_hosps)
-    for r in cover_res + filler_res:
-        resident_prefs[r] = vlist
 
-    # Gadget residents acceptable to each vertex hospital, in (edge index,
-    # side, position) order.
-    by_vertex: dict[int, list[str]] = {i: [] for i in range(1, n + 1)}
-    for i, j in graph.edges:
-        for side in (0, 1):
-            gadget_res.extend(_s(i, j, side, a) for a in range(1, length + 1))
-            gadget_hosps.extend(_t(i, j, side, a) for a in range(1, length + 1))
-        resident_prefs.update(_gadget_resident_prefs(i, j, length))
-        hospital_prefs.update(_gadget_hospital_prefs(i, j, length))
-        by_vertex[i].extend(_s(i, j, 0, a) for a in range(1, length + 1))
-        by_vertex[j].extend(_s(i, j, 1, a) for a in range(1, length + 1))
+def _with_vertex_layer(
+    graph: SourceGraph,
+    resident_prefs: dict[str, tuple[str, ...]],
+    hospital_prefs: dict[str, tuple[str, ...]],
+    quotas: dict[str, tuple[int, int]],
+) -> Instance:
+    """The given residents and hospitals behind the vertex-selection layer both reductions share.
 
-    for i in range(1, n + 1):
-        hospital_prefs[_v(i)] = tuple(cover_res) + tuple(by_vertex[i]) + tuple(filler_res)
+    The k cover and n - k filler residents come first and rank the vertex
+    hospitals v_1..v_n, which come first among the hospitals.  Vertex
+    hospital v_i ranks the cover residents, then the given residents that
+    list v_i, in their order, then the fillers.  Hospitals that `quotas`
+    does not name get quota [1,1].
+    """
+    vertices = tuple(_v(i) for i in range(1, graph.n + 1))
+    cover = tuple(_c(a) for a in range(1, graph.k + 1))
+    fillers = tuple(_f(a) for a in range(1, graph.n - graph.k + 1))
+    attached: dict[str, list[str]] = {v: [] for v in vertices}
+    for r, prefs in resident_prefs.items():
+        for h in prefs:
+            if h in attached:
+                attached[h].append(r)
+    rp = {**dict.fromkeys(cover + fillers, vertices), **resident_prefs}
+    hp = {**{v: cover + tuple(rs) + fillers for v, rs in attached.items()}, **hospital_prefs}
+    return validate_instance(list(rp), list(hp), rp, hp, {h: quotas.get(h, (1, 1)) for h in hp})
 
-    residents = cover_res + filler_res + gadget_res
-    hospitals = vertex_hosps + gadget_hosps
-    quotas = {h: (1, 1) for h in hospitals}
-    return validate_instance(residents, hospitals, resident_prefs, hospital_prefs, quotas)
+
+def _vertex_set(graph: SourceGraph, vertices: Iterable[int], what: str) -> set[int]:
+    """A certificate's vertices as a set, all of them in 1..n."""
+    chosen = {int(v) for v in vertices}
+    bad = [v for v in sorted(chosen) if not 1 <= v <= graph.n]
+    if bad:
+        raise ReductionError(f"{what} names unknown vertices: {bad}")
+    return chosen
+
+
+def _layer_assignment(graph: SourceGraph, chosen: set[int]) -> dict[str, str]:
+    """Cover residents take the chosen vertices and filler residents the rest,
+    both matched ascending-index to ascending-index."""
+    rest = [v for v in range(1, graph.n + 1) if v not in chosen]
+    assignment = {_c(a): _v(v) for a, v in enumerate(sorted(chosen), 1)}
+    assignment.update((_f(a), _v(v)) for a, v in enumerate(rest, 1))
+    return assignment
 
 
 def vc_to_min_ep(graph: SourceGraph, params: VCReductionParams = VCReductionParams()) -> Instance:
@@ -226,13 +260,19 @@ def vc_to_min_ep(graph: SourceGraph, params: VCReductionParams = VCReductionPara
             SeparationBoundWarning,
             stacklevel=2,
         )
-    return _vc_instance(graph, length)
+    resident_prefs: dict[str, tuple[str, ...]] = {}
+    hospital_prefs: dict[str, tuple[str, ...]] = {}
+    for i, j in graph.edges:
+        resident_prefs.update(_gadget_resident_prefs(i, j, length))
+        hospital_prefs.update(_gadget_hospital_prefs(i, j, length))
+    return _with_vertex_layer(graph, resident_prefs, hospital_prefs, {})
 
 
 def gadget_matchings(
     edge: tuple[int, int], length: int
 ) -> tuple[tuple[Pair, ...], tuple[Pair, ...]]:
-    """The only two perfect matchings of one edge gadget, as name-pair tuples.
+    """The only two perfect matchings of one edge gadget, as name-pair tuples
+    sorted by resident name.
 
     The first (m0) gives every side-0 resident its top chain hospital and
     rotates side 1; install it when only the second endpoint of the edge is
@@ -240,43 +280,21 @@ def gadget_matchings(
     endpoint is covered.  Within its gadget, m0's sole envy-pair is
     (s_1_1, t_0_2) and m1's is (s_0_1, t_0_1).
     """
-    i, j = edge
-    if not 1 <= i < j:
-        raise ReductionError(f"edge must satisfy i < j, got ({i},{j})")
+    i, j = _check_edge(edge)
     _check_gadget_length(length)
-    m0: list[Pair] = []
-    m1: list[Pair] = []
-    for a in range(1, length + 1):
-        nxt = a + 1 if a < length else 1
-        m0.append((_s(i, j, 0, a), _t(i, j, 0, a)))
-        m0.append((_s(i, j, 1, a), _t(i, j, 1, nxt)))
-        if a == 1:
-            m1.append((_s(i, j, 0, 1), _t(i, j, 1, 1)))
-            m1.append((_s(i, j, 1, 1), _t(i, j, 0, 2)))
-        else:
-            m1.append((_s(i, j, 0, a), _t(i, j, 0, nxt)))
-            m1.append((_s(i, j, 1, a), _t(i, j, 1, a)))
-    key = lambda pair: pair[0]  # noqa: E731 - stable resident-name order
-    return tuple(sorted(m0, key=key)), tuple(sorted(m1, key=key))
+    m0, m1 = (tuple(sorted(_gadget_matching(i, j, length, shield))) for shield in (False, True))
+    return m0, m1
 
 
 def gadget_instance(edge: tuple[int, int], length: int) -> Instance:
     """The stand-alone gadget for one edge: its residents, chain hospitals, and
     preference lists with the vertex hospitals removed.  The acceptability
     graph is a single cycle of length 4*gadget_length."""
-    i, j = edge
-    if not 1 <= i < j:
-        raise ReductionError(f"edge must satisfy i < j, got ({i},{j})")
+    i, j = _check_edge(edge)
     _check_gadget_length(length)
-    vi, vj = _v(i), _v(j)
-    rp = {
-        r: tuple(h for h in prefs if h not in (vi, vj))
-        for r, prefs in _gadget_resident_prefs(i, j, length).items()
-    }
+    rp = {r: (first, third) for r, (first, _, third) in _gadget_resident_prefs(i, j, length).items()}
     hp = _gadget_hospital_prefs(i, j, length)
-    residents = [_s(i, j, side, a) for side in (0, 1) for a in range(1, length + 1)]
-    hospitals = [_t(i, j, side, a) for side in (0, 1) for a in range(1, length + 1)]
-    return validate_instance(residents, hospitals, rp, hp, {h: (1, 1) for h in hospitals})
+    return validate_instance(list(rp), list(hp), rp, hp, dict.fromkeys(hp, (1, 1)))
 
 
 def matching_from_cover(
@@ -294,10 +312,7 @@ def matching_from_cover(
     """
     k = _require_k(graph)
     length = params.resolve(graph.n)
-    cover_set = {int(v) for v in cover}
-    bad = [v for v in sorted(cover_set) if not 1 <= v <= graph.n]
-    if bad:
-        raise ReductionError(f"cover names unknown vertices: {bad}")
+    cover_set = _vertex_set(graph, cover, "cover")
     if len(cover_set) > k:
         raise WrongSize(f"cover has {len(cover_set)} vertices but k = {k}")
     uncovered = [(i, j) for i, j in graph.edges if i not in cover_set and j not in cover_set]
@@ -309,19 +324,10 @@ def matching_from_cover(
         cover_set.add(v)
     _check_gadget_length(length)
 
-    # Pairs in the instance's resident order: cover, filler, then each
-    # edge's gadget side 0 and side 1, so no instance is built to order them.
-    covered = sorted(cover_set)
-    rest = [v for v in range(1, graph.n + 1) if v not in cover_set]
-    assignment = {_c(idx + 1): _v(v) for idx, v in enumerate(covered)}
-    assignment.update((_f(idx + 1), _v(v)) for idx, v in enumerate(rest))
+    # Pairs in the instance's resident order, so no instance is built to order them.
+    assignment = _layer_assignment(graph, cover_set)
     for i, j in graph.edges:
-        m0, m1 = gadget_matchings((i, j), length)
-        gadget = dict(m1 if i in cover_set else m0)
-        for side in (0, 1):
-            for a in range(1, length + 1):
-                resident = _s(i, j, side, a)
-                assignment[resident] = gadget[resident]
+        assignment.update(_gadget_matching(i, j, length, i in cover_set))
     return Matching(assignment)
 
 
@@ -335,7 +341,7 @@ def clique_to_min_er(
     residents, so every feasible matching sends all of them to x.  Total
     residents: m*copies + n.
     """
-    k = _require_k(graph)
+    _require_k(graph)
     copies = params.resolve(graph.n)
     _check_copies(copies)
     if copies <= graph.n:
@@ -345,34 +351,11 @@ def clique_to_min_er(
             SeparationBoundWarning,
             stacklevel=2,
         )
-    n = graph.n
-    cover_res = [_c(i) for i in range(1, k + 1)]
-    filler_res = [_f(i) for i in range(1, n - k + 1)]
-    edge_res = [_e(i, j, c) for i, j in graph.edges for c in range(1, copies + 1)]
-    vertex_hosps = [_v(i) for i in range(1, n + 1)]
-
-    resident_prefs: dict[str, tuple[str, ...]] = {}
-    vlist = tuple(vertex_hosps)
-    for r in cover_res + filler_res:
-        resident_prefs[r] = vlist
-    by_vertex: dict[int, list[str]] = {i: [] for i in range(1, n + 1)}
-    for i, j in graph.edges:
-        for c in range(1, copies + 1):
-            name = _e(i, j, c)
-            resident_prefs[name] = (_v(i), _v(j), "x")
-            by_vertex[i].append(name)
-            by_vertex[j].append(name)
-
-    hospital_prefs: dict[str, tuple[str, ...]] = {}
-    for i in range(1, n + 1):
-        hospital_prefs[_v(i)] = tuple(cover_res) + tuple(by_vertex[i]) + tuple(filler_res)
-    hospital_prefs["x"] = tuple(edge_res)
-
-    residents = cover_res + filler_res + edge_res
-    hospitals = vertex_hosps + ["x"]
-    quotas: dict[str, tuple[int, int]] = {h: (1, 1) for h in vertex_hosps}
-    quotas["x"] = (graph.m * copies, graph.m * copies)
-    return validate_instance(residents, hospitals, resident_prefs, hospital_prefs, quotas)
+    edge_prefs = {
+        _e(i, j, c): (_v(i), _v(j), "x") for i, j in graph.edges for c in range(1, copies + 1)
+    }
+    sink = graph.m * copies
+    return _with_vertex_layer(graph, edge_prefs, {"x": tuple(edge_prefs)}, {"x": (sink, sink)})
 
 
 def matching_from_clique(
@@ -389,10 +372,7 @@ def matching_from_clique(
     """
     k = _require_k(graph)
     copies = params.resolve(graph.n)
-    clique_set = {int(v) for v in clique}
-    bad = [v for v in sorted(clique_set) if not 1 <= v <= graph.n]
-    if bad:
-        raise ReductionError(f"clique names unknown vertices: {bad}")
+    clique_set = _vertex_set(graph, clique, "clique")
     if len(clique_set) != k:
         raise WrongSize(f"clique has {len(clique_set)} vertices but k = {k}")
     edge_set = set(graph.edges)
@@ -407,10 +387,8 @@ def matching_from_clique(
         raise NotAClique(f"pairs not adjacent: {missing}")
     _check_copies(copies)
 
-    # Pairs in the instance's resident order: cover, filler, then edge copies.
-    rest = [v for v in range(1, graph.n + 1) if v not in clique_set]
-    assignment = {_c(idx + 1): _v(v) for idx, v in enumerate(members)}
-    assignment.update((_f(idx + 1), _v(v)) for idx, v in enumerate(rest))
+    # Pairs in the instance's resident order: the vertex layer, then edge copies.
+    assignment = _layer_assignment(graph, clique_set)
     assignment.update(
         (_e(i, j, c), "x") for i, j in graph.edges for c in range(1, copies + 1)
     )

@@ -222,7 +222,7 @@ class TestBudgetSemantics:
         search = hrlq.algorithms._FeasibleSearch(inst, budget)
         got = []
         with pytest.raises(hrlq.BudgetExceeded):
-            for choice in search.leaves(search.initial_cover()):
+            for choice in search.leaves():
                 got.append(hrlq.algorithms._matching(inst, choice).pairs())
         assert got == want[:leaves]
         assert search.nodes == budget + 1
@@ -231,6 +231,38 @@ class TestBudgetSemantics:
             for m in hrlq.enumerate_feasible(inst, budget):
                 yielded.append(m.pairs())
         assert yielded == got
+
+    def test_infeasible_enters_no_state(self):
+        # The search settles feasibility before it counts the root, so an
+        # infeasible instance is Infeasible even with no budget at all.
+        inst = hrlq.validate_instance(["r"], ["h"], {"r": ["h"]}, {"h": ["r"]}, {"h": (2, 2)})
+        search = hrlq.algorithms._FeasibleSearch(inst, 0)
+        assert list(search.leaves()) == []
+        assert search.nodes == 0
+        assert list(hrlq.enumerate_feasible(inst, 0)) == []
+        for solve in (hrlq.brute_min_ep, hrlq.brute_min_er):
+            with pytest.raises(hrlq.Infeasible):
+                solve(inst, node_budget=0)
+
+
+class TestZeroResidents:
+    """No residents: one feasible matching, the empty one, when no hospital needs anyone."""
+
+    INSTANCES = [
+        hrlq.validate_instance([], [], {}, {}, {}),
+        hrlq.validate_instance([], ["h"], {}, {"h": []}, {"h": (0, 1)}),
+    ]
+
+    @pytest.mark.parametrize("inst", INSTANCES)
+    def test_every_solver_returns_the_empty_matching(self, inst):
+        assert [m.pairs() for m in hrlq.enumerate_feasible(inst)] == [()]
+        for solve in (hrlq.brute_min_ep, hrlq.brute_min_er):
+            result = solve(inst)
+            assert (result.objective, result.matching.pairs(), result.stats.nodes) == (0, (), 1)
+        result = hrlq.min_ep_exact(inst)
+        assert (result.objective, result.matching.pairs()) == (0, ())
+        assert result.stats.guesses_examined == 1
+        assert hrlq.yokoi_envy_free(inst).pairs() == ()
 
 
 class TestLongChains:

@@ -247,6 +247,24 @@ class TestGen:
         assert code == 2
         assert "not covered" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("cover:v\u00b2", "bad certificate vertex"),
+        ("cover:\u2462", "bad certificate vertex"),
+        ("cover:v1x", "bad certificate vertex"),
+        ("clique:v1,v2", "certificate must look like cover:"),
+        ("v1,v2", "certificate must look like cover:"),
+        ("cover:", "certificate names no vertices"),
+        ("cover: , ", "certificate names no vertices"),
+    ])
+    def test_malformed_certificate_is_parse_error(self, capsys, tmp_path, spec, message):
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        code, _, err = run(capsys, "gen", "vc2ep", "--graph", graph_path, "--k", "2",
+                           "--gadget-l", "2", "--out", tmp_path / "t.hrlq", "--cert", spec)
+        assert code == 2
+        assert err.splitlines()[-1].startswith("error: ")
+        assert message in err
+
 
 class TestOracle:
     def test_both_objectives(self, capsys, ia_file):
