@@ -63,13 +63,6 @@ class SolveStats:
                       partial assignment that some feasible matching
                       extends; 0 elsewhere
     guess             min_ep_exact: the winning deleted pairs; () elsewhere
-
-    min_ep_exact decides most guesses without deferred acceptance.  It
-    deletes only candidate pairs (r, h), where h has a positive lower quota
-    and ranks someone below r, because an optimal guess is exactly the envy
-    pairs of the matching it yields.  It reuses the run of a guess's prefix
-    when r never reached h in it, because deleting an unreached pair
-    repeats that run step for step.
     """
 
     guesses_examined: int = 0

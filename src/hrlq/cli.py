@@ -22,6 +22,7 @@ import dataclasses
 import json
 import sys
 import warnings
+from collections import namedtuple
 from pathlib import Path
 
 from . import algorithms, core, formats, reductions
@@ -43,17 +44,37 @@ def _count(text: str) -> int:
     return value
 
 
+# Per `hrlq gen` kind: subcommand help, certificate prefix (also the target's
+# name), the reduction's parameter option and its help, the parameter class,
+# the generator and the certificate builder.
+_Generator = namedtuple("_Generator", "help cert_prefix option option_help params build certify")
+_GENERATORS = {
+    "vc2ep": _Generator("vertex cover -> min envy-pairs instance", "cover", "--gadget-l",
+                        "gadget length (default n^2+1)", reductions.VCReductionParams,
+                        reductions.vc_to_min_ep, reductions.matching_from_cover),
+    "clique2er": _Generator("clique -> min envy-residents instance", "clique", "--copies",
+                            "residents per source edge (default n+1)",
+                            reductions.CliqueReductionParams, reductions.clique_to_min_er,
+                            reductions.matching_from_clique),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hrlq",
         description="Minimal-envy matching under hospital quota intervals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     solve = sub.add_parser("solve", help="run a solver on an instance file")
+    verify = sub.add_parser("verify", help="report envy/feasibility of a matching")
+    gen = sub.add_parser("gen", help="generate a hardness-reduction instance")
+    oracle = sub.add_parser("oracle", help="brute-force both objectives")
+
     solve.add_argument("--alg", required=True,
                        choices=["da", "yokoi", "min-ep", "brute-ep", "brute-er"])
-    solve.add_argument("--in", dest="infile", required=True, help="instance file (.hrlq)")
+    for p in (solve, verify, oracle):
+        p.add_argument("--in", dest="infile", required=True, help="instance file (.hrlq)")
+
     solve.add_argument("--out", help="also write the matching here (.match format)")
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--budget", type=_count, default=algorithms.DEFAULT_NODE_BUDGET,
@@ -61,30 +82,18 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--level-cap", type=_count, default=None,
                        help="largest guess level min-ep may try")
 
-    verify = sub.add_parser("verify", help="report envy/feasibility of a matching")
-    verify.add_argument("--in", dest="infile", required=True, help="instance file (.hrlq)")
     verify.add_argument("matching", help="matching file (.match)")
     verify.add_argument("--json", action="store_true")
 
-    gen = sub.add_parser("gen", help="generate a hardness-reduction instance")
     gensub = gen.add_subparsers(dest="kind", required=True)
-    vc = gensub.add_parser("vc2ep", help="vertex cover -> min envy-pairs instance")
-    vc.add_argument("--graph", required=True, help="source graph file (.g)")
-    vc.add_argument("--k", type=int, required=True, help="target cover size")
-    vc.add_argument("--gadget-l", type=int, default=None,
-                    help="gadget length (default n^2+1)")
-    vc.add_argument("--out", help="instance output file (default stdout)")
-    vc.add_argument("--cert", help="cover:v1,v2,... writes the certificate matching")
-    cq = gensub.add_parser("clique2er", help="clique -> min envy-residents instance")
-    cq.add_argument("--graph", required=True, help="source graph file (.g)")
-    cq.add_argument("--k", type=int, required=True, help="target clique size")
-    cq.add_argument("--copies", type=int, default=None,
-                    help="residents per source edge (default n+1)")
-    cq.add_argument("--out", help="instance output file (default stdout)")
-    cq.add_argument("--cert", help="clique:v1,v2,... writes the certificate matching")
+    for kind, g in _GENERATORS.items():
+        p = gensub.add_parser(kind, help=g.help)
+        p.add_argument("--graph", required=True, help="source graph file (.g)")
+        p.add_argument("--k", type=int, required=True, help=f"target {g.cert_prefix} size")
+        p.add_argument(g.option, type=int, default=None, help=g.option_help)
+        p.add_argument("--out", help="instance output file (default stdout)")
+        p.add_argument("--cert", help=f"{g.cert_prefix}:v1,v2,... writes the certificate matching")
 
-    oracle = sub.add_parser("oracle", help="brute-force both objectives")
-    oracle.add_argument("--in", dest="infile", required=True, help="instance file (.hrlq)")
     oracle.add_argument("--json", action="store_true")
     oracle.add_argument("--budget", type=_count, default=algorithms.DEFAULT_NODE_BUDGET)
 
@@ -98,8 +107,24 @@ def _read(path: str) -> str:
         raise formats.ParseError(f"{path}: not UTF-8 text") from None
 
 
-def _load_instance(path: str) -> core.Instance:
-    return formats.parse_instance(_read(path))
+def _report(args, doc: dict, lines: list[str]) -> None:
+    """Print `doc` as one JSON document under --json, otherwise the text lines."""
+    print(json.dumps(doc, indent=2, sort_keys=True) if args.json else "\n".join(lines))
+
+
+def _aligned(rows: list[tuple[str, object]]) -> list[str]:
+    width = max(len(k) for k, _ in rows)
+    return [f"{k.ljust(width)}  {v}" for k, v in rows]
+
+
+def _envy_rows(report: core.EnvyReport) -> list[tuple[str, object]]:
+    return [
+        ("feasible", "yes" if report.feasible else "no"),
+        ("envy free", "no" if report.envy_pairs else "yes"),
+        ("envy pairs", len(report.envy_pairs)),
+        ("envy residents", len(report.envy_residents)),
+        ("blocking pairs", len(report.blocking_pairs)),
+    ]
 
 
 def _stats_dict(stats: algorithms.SolveStats) -> dict:
@@ -108,119 +133,83 @@ def _stats_dict(stats: algorithms.SolveStats) -> dict:
     return d
 
 
-def _report_lines(pairs: list[tuple[str, str]]) -> list[str]:
-    width = max((len(k) for k, _ in pairs), default=0)
-    return [f"{k.ljust(width)}  {v}" for k, v in pairs]
-
-
-def _emit_solution(args, instance, matching, objective, objective_kind, stats) -> None:
-    report = core.analyze(instance, matching)
-    if args.json:
-        doc = {
-            "command": "solve",
-            "algorithm": args.alg,
-            "objective_kind": objective_kind,
-            "objective": objective,
-            "feasible": report.feasible,
-            "envy_free": not report.envy_pairs,
-            "envy_pairs": len(report.envy_pairs),
-            "envy_residents": len(report.envy_residents),
-            "blocking_pairs": len(report.blocking_pairs),
-            "matching": [list(p) for p in matching.pairs()],
-            "stats": _stats_dict(stats) if stats else None,
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        rows = [
-            ("algorithm", args.alg),
-            ("objective kind", objective_kind if objective_kind else "-"),
-            ("objective", str(objective) if objective is not None else "-"),
-            ("feasible", "yes" if report.feasible else "no"),
-            ("envy free", "yes" if not report.envy_pairs else "no"),
-            ("envy pairs", str(len(report.envy_pairs))),
-            ("envy residents", str(len(report.envy_residents))),
-            ("blocking pairs", str(len(report.blocking_pairs))),
-        ]
-        if stats:
-            rows.append(("guesses examined", str(stats.guesses_examined)))
-            rows.append(("level", str(stats.level)))
-            rows.append(("nodes", str(stats.nodes)))
-            if stats.guess:
-                rows.append(("guess", " ".join(f"({r},{h})" for r, h in stats.guess)))
-        print("\n".join(_report_lines(rows)))
-        listing = formats.serialize_matching(instance, matching)
-        if listing:
-            print(listing, end="")
-    if args.out:
-        Path(args.out).write_text(
-            formats.serialize_matching(instance, matching), encoding="utf-8"
-        )
-
-
 def _cmd_solve(args) -> int:
-    instance = _load_instance(args.infile)
+    instance = formats.parse_instance(_read(args.infile))
+    result = None
     if args.alg == "da":
         matching = algorithms.deferred_acceptance(instance)
-        _emit_solution(args, instance, matching, None, None, None)
-        return EXIT_OK
-    if args.alg == "yokoi":
+    elif args.alg == "yokoi":
         matching = algorithms.yokoi_envy_free(instance)
         if matching is None:
-            if args.json:
-                print(json.dumps({"command": "solve", "algorithm": "yokoi",
-                                  "outcome": "no-envy-free-matching"},
-                                 indent=2, sort_keys=True))
-            else:
-                print("no envy-free matching")
+            _report(args, {"command": "solve", "algorithm": "yokoi",
+                           "outcome": "no-envy-free-matching"}, ["no envy-free matching"])
             return EXIT_NO_SOLUTION
-        _emit_solution(args, instance, matching, 0, algorithms.ObjectiveKind.ENVY_FREE.value,
-                       algorithms.SolveStats())
-        return EXIT_OK
+        result = algorithms.SolveResult(matching, 0, algorithms.ObjectiveKind.ENVY_FREE,
+                                        algorithms.SolveStats())
+    else:
+        result = {
+            "min-ep": lambda: algorithms.min_ep_exact(instance, level_cap=args.level_cap),
+            "brute-ep": lambda: algorithms.brute_min_ep(instance, node_budget=args.budget),
+            "brute-er": lambda: algorithms.brute_min_er(instance, node_budget=args.budget),
+        }[args.alg]()
+        matching = result.matching
 
-    solver = {
-        "min-ep": lambda: algorithms.min_ep_exact(instance, level_cap=args.level_cap),
-        "brute-ep": lambda: algorithms.brute_min_ep(instance, node_budget=args.budget),
-        "brute-er": lambda: algorithms.brute_min_er(instance, node_budget=args.budget),
-    }[args.alg]
-    result = solver()
-    _emit_solution(args, instance, result.matching, result.objective,
-                   result.objective_kind.value, result.stats)
+    report = core.analyze(instance, matching)
+    doc = {
+        "command": "solve",
+        "algorithm": args.alg,
+        "objective_kind": result.objective_kind.value if result else None,
+        "objective": result.objective if result else None,
+        "feasible": report.feasible,
+        "envy_free": not report.envy_pairs,
+        "envy_pairs": len(report.envy_pairs),
+        "envy_residents": len(report.envy_residents),
+        "blocking_pairs": len(report.blocking_pairs),
+        "matching": [list(p) for p in matching.pairs()],
+        "stats": _stats_dict(result.stats) if result else None,
+    }
+    rows = [
+        ("algorithm", args.alg),
+        ("objective kind", result.objective_kind.value if result else "-"),
+        ("objective", result.objective if result else "-"),
+        *_envy_rows(report),
+    ]
+    if result:
+        stats = result.stats
+        rows += [("guesses examined", stats.guesses_examined), ("level", stats.level),
+                 ("nodes", stats.nodes)]
+        if stats.guess:
+            rows.append(("guess", " ".join(f"({r},{h})" for r, h in stats.guess)))
+    listing = formats.serialize_matching(instance, matching)
+    _report(args, doc, [*_aligned(rows), *listing.splitlines()])
+    if args.out:
+        Path(args.out).write_text(listing, encoding="utf-8")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    instance = _load_instance(args.infile)
+    instance = formats.parse_instance(_read(args.infile))
     matching = formats.parse_matching(_read(args.matching), instance)
     report = core.analyze(instance, matching)
-    if args.json:
-        doc = {
-            "command": "verify",
-            "feasible": report.feasible,
-            "envy_free": not report.envy_pairs,
-            "envy_pairs": [list(p) for p in report.envy_pairs],
-            "envy_residents": list(report.envy_residents),
-            "blocking_pairs": [list(p) for p in report.blocking_pairs],
-            "deficient_hospitals": list(report.deficient_hospitals),
-            "over_subscribed_hospitals": list(report.over_subscribed_hospitals),
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        rows = [
-            ("feasible", "yes" if report.feasible else "no"),
-            ("envy free", "yes" if not report.envy_pairs else "no"),
-            ("envy pairs", str(len(report.envy_pairs))),
-            ("envy residents", str(len(report.envy_residents))),
-            ("blocking pairs", str(len(report.blocking_pairs))),
-            ("deficient", " ".join(report.deficient_hospitals) or "-"),
-            ("over subscribed", " ".join(report.over_subscribed_hospitals) or "-"),
-        ]
-        print("\n".join(_report_lines(rows)))
-        for r, h in report.envy_pairs:
-            print(f"envy-pair {r} {h}")
-        for r in report.envy_residents:
-            print(f"envy-resident {r}")
-        for r, h in report.blocking_pairs:
-            print(f"blocking-pair {r} {h}")
+    doc = {
+        "command": "verify",
+        "feasible": report.feasible,
+        "envy_free": not report.envy_pairs,
+        "envy_pairs": [list(p) for p in report.envy_pairs],
+        "envy_residents": list(report.envy_residents),
+        "blocking_pairs": [list(p) for p in report.blocking_pairs],
+        "deficient_hospitals": list(report.deficient_hospitals),
+        "over_subscribed_hospitals": list(report.over_subscribed_hospitals),
+    }
+    lines = _aligned([
+        *_envy_rows(report),
+        ("deficient", " ".join(report.deficient_hospitals) or "-"),
+        ("over subscribed", " ".join(report.over_subscribed_hospitals) or "-"),
+    ])
+    lines += [f"envy-pair {r} {h}" for r, h in report.envy_pairs]
+    lines += [f"envy-resident {r}" for r in report.envy_residents]
+    lines += [f"blocking-pair {r} {h}" for r, h in report.blocking_pairs]
+    _report(args, doc, lines)
     return EXIT_OK
 
 
@@ -249,26 +238,20 @@ def _cmd_gen(args) -> int:
         print("--cert requires --out (the matching file is written next to it)",
               file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.cert and Path(args.out).suffix == ".match":
+        print("--out may not end in .match with --cert (the matching file would overwrite it)",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    g = _GENERATORS[args.kind]
     graph = formats.parse_graph(_read(args.graph))
     graph = dataclasses.replace(graph, k=args.k)
+    params = g.params(getattr(args, g.option[2:].replace("-", "_")))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", reductions.SeparationBoundWarning)
-        if args.kind == "vc2ep":
-            params = reductions.VCReductionParams(args.gadget_l)
-            instance = reductions.vc_to_min_ep(graph, params)
-            cert_matching = (
-                reductions.matching_from_cover(graph, params, _parse_cert(args.cert, "cover"))
-                if args.cert
-                else None
-            )
-        else:
-            params = reductions.CliqueReductionParams(args.copies)
-            instance = reductions.clique_to_min_er(graph, params)
-            cert_matching = (
-                reductions.matching_from_clique(graph, params, _parse_cert(args.cert, "clique"))
-                if args.cert
-                else None
-            )
+        instance = g.build(graph, params)
+        cert_matching = (
+            g.certify(graph, params, _parse_cert(args.cert, g.cert_prefix)) if args.cert else None
+        )
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
@@ -278,36 +261,24 @@ def _cmd_gen(args) -> int:
     else:
         print(text, end="")
     if cert_matching is not None:
-        cert_path = Path(args.out).with_suffix(".match")
-        cert_path.write_text(
+        Path(args.out).with_suffix(".match").write_text(
             formats.serialize_matching(instance, cert_matching), encoding="utf-8"
         )
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    instance = _load_instance(args.infile)
-    ep, er = algorithms._brute_optima(instance, args.budget)
-    if args.json:
-        doc = {
-            "command": "oracle",
-            "min_ep": {
-                "objective": ep.objective,
-                "matching": [list(p) for p in ep.matching.pairs()],
-                "stats": _stats_dict(ep.stats),
-            },
-            "min_er": {
-                "objective": er.objective,
-                "matching": [list(p) for p in er.matching.pairs()],
-                "stats": _stats_dict(er.stats),
-            },
+    instance = formats.parse_instance(_read(args.infile))
+    doc, lines = {"command": "oracle"}, []
+    for key, result in zip(("min_ep", "min_er"), algorithms._brute_optima(instance, args.budget)):
+        doc[key] = {
+            "objective": result.objective,
+            "matching": [list(p) for p in result.matching.pairs()],
+            "stats": _stats_dict(result.stats),
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(f"min-ep objective  {ep.objective}")
-        print(formats.serialize_matching(instance, ep.matching), end="")
-        print(f"min-er objective  {er.objective}")
-        print(formats.serialize_matching(instance, er.matching), end="")
+        lines.append(f"{key.replace('_', '-')} objective  {result.objective}")
+        lines += formats.serialize_matching(instance, result.matching).splitlines()
+    _report(args, doc, lines)
     return EXIT_OK
 
 
@@ -340,8 +311,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
     raise SystemExit(main())

@@ -179,16 +179,6 @@ class Instance:
                     )
         return out
 
-    def prefers(self, resident: str, hospital: str, over: str | None) -> bool:
-        """True if `resident` strictly prefers `hospital` to `over`.
-
-        `over` may be None (unmatched); every acceptable hospital beats it.
-        """
-        prefs = self.resident_prefs[resident]
-        if over is None:
-            return hospital in prefs
-        return prefs.index(hospital) < prefs.index(over)
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -206,12 +196,6 @@ class Matching:
 
     def pairs(self) -> tuple[Pair, ...]:
         return tuple(self.assignment.items())
-
-    def occupancy(self) -> dict[str, tuple[str, ...]]:
-        occ: dict[str, list[str]] = {}
-        for r, h in self.assignment.items():
-            occ.setdefault(h, []).append(r)
-        return {h: tuple(rs) for h, rs in occ.items()}
 
     def __len__(self) -> int:
         return len(self.assignment)

@@ -55,14 +55,14 @@ def parse_instance(text: str) -> Instance:
         if len(set(prefs)) != len(prefs):
             dup = next(p for i, p in enumerate(prefs) if p in prefs[:i])
             raise ParseError(f"duplicate preference entry {dup}", lineno)
-        if fields[0] == "resident" and len(fields) == 2:
+        if len(fields) == 2 and fields[0] == "resident":
             name = fields[1]
             if name in decl_line:
                 raise ParseError(f"{name} already declared on line {decl_line[name]}", lineno)
             decl_line[name] = lineno
             residents.append(name)
             resident_prefs[name] = prefs
-        elif fields[0] == "hospital" and len(fields) == 3:
+        elif len(fields) == 3 and fields[0] == "hospital":
             name = fields[1]
             match = _QUOTA_RE.match(fields[2])
             if not match:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hrlq
+from hrlq import cli
 from hrlq.cli import main
 from helpers import chain_instance, instance_a, instance_b, random_feasible_instances
 
@@ -95,6 +96,7 @@ class TestSolve:
         ["solve", "--alg", "min-ep", "--level-cap", "-3"],
         ["solve", "--alg", "brute-ep", "--budget", "-1"],
         ["oracle", "--budget", "-1"],
+        ["solve", "--alg", "brute-ep", "--budget", "x"],
     ])
     def test_negative_cap_is_input_error(self, capsys, ia_file, command):
         with pytest.raises(SystemExit) as exc:
@@ -126,6 +128,13 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--alg", "da", "--in", path)
         assert code == 2
         assert "quota inversion" in err
+
+    def test_declaration_without_head_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.hrlq"
+        path.write_text(": r1\n")
+        code, out, err = run(capsys, "solve", "--alg", "da", "--in", path)
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: unrecognized declaration: ': r1'\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--alg", "da", "--in", "nope.hrlq")
@@ -237,6 +246,24 @@ class TestGen:
         assert code == 2
         assert "--cert requires --out" in err
 
+    @pytest.mark.parametrize("kind, cert", [("vc2ep", "cover:v1,v2"), ("clique2er", "clique:v1,v2")])
+    def test_cert_would_overwrite_out(self, capsys, tmp_path, kind, cert):
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        code, out, err = run(capsys, "gen", kind, "--graph", graph_path, "--k", "2",
+                             "--out", tmp_path / "t.match", "--cert", cert)
+        assert (code, out) == (2, "")
+        assert "--out may not end in .match" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["triangle.g"]
+
+    def test_clique2er_to_stdout(self, capsys, tmp_path):
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        code, out, err = run(capsys, "gen", "clique2er", "--graph", graph_path, "--k", "2")
+        assert (code, err) == (0, "")
+        inst = hrlq.parse_instance(out)
+        assert len(inst.residents) == 3 + 3 * 4  # n + m*copies, copies = n + 1
+
     def test_bad_certificate_is_input_error(self, capsys, tmp_path):
         graph_path = tmp_path / "triangle.g"
         graph_path.write_text(TRIANGLE_G)
@@ -293,6 +320,14 @@ class TestOracle:
         assert code == 0
         assert "min-ep objective  1" in out
         assert "min-er objective  1" in out
+
+
+def test_entrypoint_exits_with_the_code_of_main(capsys, monkeypatch, ia_file):
+    monkeypatch.setattr(sys, "argv", ["hrlq", "solve", "--alg", "yokoi", "--in", str(ia_file)])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == "no envy-free matching\n"
 
 
 class TestLongChains:

@@ -69,11 +69,31 @@ class TestValidation:
             )
         assert exc.value.violations == ("preference list for unknown hospital hX",)
 
-    @pytest.mark.parametrize("quota", [(True, 2), (0, 2.7), ("1", "2"), "12"])
+    @pytest.mark.parametrize("quota", [(True, 2), (0, 2.7), ("1", "2"), "12", 5, (0, 1, 2)])
     def test_quota_bounds_must_be_plain_ints(self, quota):
         with pytest.raises(hrlq.InvalidInstanceError) as exc:
             hrlq.validate_instance(["r"], ["h"], {"r": ["h"]}, {"h": ["r"]}, {"h": quota})
         assert exc.value.violations == ("missing or malformed quota for h",)
+
+    @pytest.mark.parametrize("residents, hospitals, resident_prefs, hospital_prefs, quotas, violation", [
+        (["r"], ["h", "h"], {"r": []}, {"h": []}, {"h": (0, 1)}, "duplicate hospital name h"),
+        (["x"], ["x"], {"x": []}, {"x": []}, {"x": (0, 1)},
+         "name x used for both a resident and a hospital"),
+        (["r"], ["h"], {"r": []}, {"h": []}, {"h": (0, 1), "g": (0, 1)},
+         "quota for unknown hospital g"),
+        (["r"], ["h"], {"r": []}, {"h": []}, {"h": (-1, 1)}, "negative lower quota at h"),
+        (["r"], ["h"], {"r": ["h"]}, {"h": ["r", "r"]}, {"h": (0, 1)},
+         "duplicate resident r in preference list of h"),
+        (["r"], ["h"], {"r": ["h"]}, {"h": ["r", "ghost"]}, {"h": (0, 1)},
+         "unknown resident ghost in preference list of h"),
+        (["r"], ["h"], {"r": []}, {"h": ["r"]}, {"h": (0, 1)},
+         "one-sided acceptability (r,h): h lists r but r does not list h"),
+    ])
+    def test_each_violation_is_named(self, residents, hospitals, resident_prefs,
+                                     hospital_prefs, quotas, violation):
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(residents, hospitals, resident_prefs, hospital_prefs, quotas)
+        assert violation in exc.value.violations
 
     def test_names_the_instance_format_cannot_read_back(self):
         for bad in ("", "a b", "a:b", "a#b"):
@@ -102,6 +122,8 @@ class TestValidation:
             hrlq.make_matching(IA, [("r1", "h1"), ("r1", "h2")])
         with pytest.raises(hrlq.InvalidMatchingError, match="unknown resident"):
             hrlq.make_matching(IA, [("zz", "h1")])
+        with pytest.raises(hrlq.InvalidMatchingError, match="unknown hospital zz"):
+            hrlq.make_matching(IA, [("r1", "zz")])
 
 
 class TestFeasibility:

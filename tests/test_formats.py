@@ -56,6 +56,18 @@ class TestInstanceFormat:
         with pytest.raises(hrlq.ParseError, match="already declared on line 1"):
             hrlq.parse_instance("resident r: \nresident r:\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("resident r h\n", "line 1: expected ':' after the declaration head"),
+        ("hospital h [0,1]:\nhospital h [0,1]:\n", "line 2: h already declared on line 1"),
+        (": r1\n", "line 1: unrecognized declaration: ': r1'"),
+        ("doctor d: h\n", "line 1: unrecognized declaration"),
+        ("resident r [0,1]: h\n", "line 1: unrecognized declaration"),
+        ("resident r:\nhospital h [0,1]: ghost\n", "line 2: .* hospital h names undeclared resident ghost"),
+    ])
+    def test_malformed_declarations(self, text, message):
+        with pytest.raises(hrlq.ParseError, match=message):
+            hrlq.parse_instance(text)
+
     def test_one_sided_lists_rejected(self):
         text = "resident r: h\nresident q: h\nhospital h [0,1]: r\n"
         with pytest.raises(hrlq.InvalidInstanceError, match="one-sided"):
@@ -100,6 +112,19 @@ class TestGraphFormat:
         with pytest.raises(hrlq.ParseError, match="edge before the p header"):
             hrlq.parse_graph("e 1 2\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p 2 1\np 2 1\ne 1 2\n", "line 2: duplicate p header"),
+        ("p 2\n", "line 1: expected 'p <n> <m>'"),
+        ("p two 1\n", "line 1: p header fields must be integers"),
+        ("p 2 1\ne 1\n", "line 2: expected 'e <i> <j>'"),
+        ("p 2 1\ne 1 b\n", "line 2: edge endpoints must be integers"),
+        ("p 2 1\nx 1 2\n", "line 2: unrecognized line: 'x 1 2'"),
+        ("# no header\n", "^missing p header$"),
+    ])
+    def test_malformed_lines(self, text, message):
+        with pytest.raises(hrlq.ParseError, match=message):
+            hrlq.parse_graph(text)
+
 
 class TestMatchingFormat:
     def test_parse_and_serialize(self):
@@ -122,6 +147,11 @@ class TestMatchingFormat:
     def test_unknown_resident(self):
         with pytest.raises(hrlq.ParseError, match="unknown resident"):
             hrlq.parse_matching("match zz h1\n", IA)
+
+    @pytest.mark.parametrize("line", ["pair r1 h1", "match r1", "match r1 h1 h2"])
+    def test_unrecognized_line(self, line):
+        with pytest.raises(hrlq.ParseError, match=f"line 1: unrecognized line: '{line}'"):
+            hrlq.parse_matching(line + "\n", IA)
 
     def test_empty_matching_serializes_empty(self):
         assert hrlq.serialize_matching(IA, hrlq.EMPTY_MATCHING) == ""

@@ -1,8 +1,8 @@
 """Output bytes that must not change from one version to the next.
 
 Each digest was recorded once.  A mismatch means that a file `hrlq gen`
-writes, or a gadget matching, has changed; update a digest only when that
-change of output is intended.
+writes, a report that `hrlq solve|verify|oracle` prints, or a gadget matching
+has changed; update a digest only when that change of output is intended.
 """
 
 import hashlib
@@ -11,6 +11,7 @@ import pytest
 
 import hrlq
 from hrlq.cli import main
+from helpers import instance_a, instance_b
 
 
 def sha256(data: bytes) -> str:
@@ -45,3 +46,76 @@ def test_gen_writes_the_recorded_bytes(capsys, tmp_path, kind, graph, argv, dige
 def test_gadget_matchings_repr():
     got = sha256(repr(hrlq.gadget_matchings((2, 5), 3)).encode())
     assert got == "a8f530a471cd73de1cc1bd844a178fad301aa408cac13fe05b8590405b049d63"
+
+
+# `verify` reads the instance's min-ep matching; "a" has no envy-free matching,
+# so its yokoi rows are the no-solution report.
+@pytest.mark.parametrize("name, command, code, digest", [
+    ("a", "solve --alg da", 0,
+     "5e7c42d55ab0c3a2eaa0fd3824b2eae047d665aee97ca35ab306915d0800c83f"),
+    ("a", "solve --alg da --json", 0,
+     "cf856e0be8cc56665beb5f27bf0c19b67ef2e7b4b92281be70538db74eef3423"),
+    ("a", "solve --alg yokoi", 1,
+     "2d6179d5271c0a061da6aacdc9f2fb6890f9727a54e37fcb9e70ca22a1906dcf"),
+    ("a", "solve --alg yokoi --json", 1,
+     "c12d083e12d4c5f089cdec8682d395b3919be950e2a211328ec693d7043a5526"),
+    ("a", "solve --alg min-ep", 0,
+     "cd828f5bae49346391da4b055a0cdeb0e91fca74e4abb66c6a28510a0e65c7eb"),
+    ("a", "solve --alg min-ep --json", 0,
+     "8f57b424de2c901c7505793fdb64cb6c58de0409ef43c7e066027063b41748c9"),
+    ("a", "solve --alg brute-ep", 0,
+     "22155adfefca1d4f63a3ab64bac0eddc34959f3b6141147c36750213cbcc4a77"),
+    ("a", "solve --alg brute-ep --json", 0,
+     "218c3d59a33ef0c6e98d945a6c0b14e24e403f344f935ec1173f0f31021fefb0"),
+    ("a", "solve --alg brute-er", 0,
+     "789d09852e4b03b78926fc411b0a7a3bbfe6a7e610094e86fae712ba9921367a"),
+    ("a", "solve --alg brute-er --json", 0,
+     "0946fe75cb793e85b8bfdc58e7956fc4e9ea0add3dd3f97e1d5d1ed5f78e03ae"),
+    ("a", "verify", 0,
+     "a6bbeb57ec16cd4246f0e5bf4f0577cd9455380e7b0c02461d1d0691c875df7a"),
+    ("a", "verify --json", 0,
+     "b974a6e039c7a455c45879caf7949c417a19fcb18670cf01b6c36d4047ca7517"),
+    ("a", "oracle", 0,
+     "32573b4b015320cc39b16620911f853ab651276518162c3830c90b3c91fe93e8"),
+    ("a", "oracle --json", 0,
+     "78784e01976ce1931e1a5a07574882ccd53420855b76f39c933dec535cb553da"),
+    ("b", "solve --alg da", 0,
+     "876e76cd8b9ed19ae1a8e201997418fd422d168fe7350f3ffd0c464de31b24db"),
+    ("b", "solve --alg da --json", 0,
+     "41e62d1c5ec7e2cf39841af494bcd21df829ac1acb16288c1efd72630a15945b"),
+    ("b", "solve --alg yokoi", 0,
+     "0d9c7d43f66109ae357098cdd557f5677aa33f46c6b1ab95327128a47d815522"),
+    ("b", "solve --alg yokoi --json", 0,
+     "775a9dbf158d2cf70b9d4f7247816b28d0be5eb834920605ec5991b765709c32"),
+    ("b", "solve --alg min-ep", 0,
+     "8368a7dfb8fad94851a67b55560c92bae30cc8a1caef033fdb5c29fe21f7b250"),
+    ("b", "solve --alg min-ep --json", 0,
+     "829c6ca93561488f424180e88ca17f6e4197583f7df22b44b22790b832a1fb70"),
+    ("b", "solve --alg brute-ep", 0,
+     "b40ff130cd8836f6b745b8fc9ffc7fd0ad5960b9bd258bd45116deeaf17a5329"),
+    ("b", "solve --alg brute-ep --json", 0,
+     "20a77b3603296efa5741f06ed73e19725bdc6d38ce4b39bd8ca1ce40d3db307c"),
+    ("b", "solve --alg brute-er", 0,
+     "23c86d3a60081cf51012c66801c429001ed06d1ef44bd428b478f1b07c173867"),
+    ("b", "solve --alg brute-er --json", 0,
+     "bc76ee8e32bb71a3e53a919a0257018ea465ee3dfd2f5dc5be3b543465383ca4"),
+    ("b", "verify", 0,
+     "c62fedc621bf67a010e8ca8aade79df8fb67e2c25d4dff26d6ceb1282a9a96d6"),
+    ("b", "verify --json", 0,
+     "4f877bb33554383ace621dbc8c890c04b053e9bfd87f339aaff8d4ac7fed00cc"),
+    ("b", "oracle", 0,
+     "292bd793e7ca4d0ed31e5364c8d5aeb199affe78a1ff7c2a9f410cca87395ae8"),
+    ("b", "oracle --json", 0,
+     "1ecea2886cc425c04b61c5944ef803ae5f5585f2fb0563cb7ca85f0a62c44156"),
+])
+def test_reports_print_the_recorded_bytes(capsys, tmp_path, name, command, code, digest):
+    inst = {"a": instance_a, "b": instance_b}[name]()
+    inst_path = tmp_path / "in.hrlq"
+    inst_path.write_text(hrlq.serialize_instance(inst))
+    argv = command.split()
+    if argv[0] == "verify":
+        match_path = tmp_path / "in.match"
+        match_path.write_text(hrlq.serialize_matching(inst, hrlq.min_ep_exact(inst).matching))
+        argv.insert(1, str(match_path))
+    assert main([*argv, "--in", str(inst_path)]) == code
+    assert sha256(capsys.readouterr().out.encode()) == digest

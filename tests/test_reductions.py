@@ -40,6 +40,8 @@ class TestSourceGraph:
             hrlq.SourceGraph(3, [(1, 4)])
         with pytest.raises(hrlq.ReductionError):
             hrlq.SourceGraph(3, [(1, 2), (1, 2)])
+        with pytest.raises(hrlq.ReductionError, match="at least one vertex, got n=0"):
+            hrlq.SourceGraph(0, [])
 
     def test_rejects_bad_k(self):
         with pytest.raises(hrlq.ReductionError):
@@ -135,6 +137,12 @@ class TestGadgetMatchings:
             assert hrlq.is_feasible(gadget, matching)
             assert hrlq.envy_pairs(gadget, matching) == (envy,)
 
+    @pytest.mark.parametrize("build", [hrlq.gadget_instance, hrlq.gadget_matchings])
+    @pytest.mark.parametrize("edge", [(2, 1), (2, 2)])
+    def test_rejects_unordered_edge(self, build, edge):
+        with pytest.raises(hrlq.ReductionError, match="edge must satisfy i < j"):
+            build(edge, 2)
+
     @pytest.mark.parametrize("length", [2, 3, 5])
     def test_no_other_perfect_matchings(self, length):
         gadget = hrlq.gadget_instance((1, 2), length)
@@ -217,6 +225,14 @@ class TestCertificatesAgainstInstances:
                 want = hrlq.make_matching(inst, m.pairs())
                 assert m == want
                 assert m.pairs() == want.pairs()
+
+    @pytest.mark.parametrize("certify, params, what", [
+        (hrlq.matching_from_cover, hrlq.VCReductionParams(10), "cover"),
+        (hrlq.matching_from_clique, hrlq.CliqueReductionParams(2), "clique"),
+    ])
+    def test_unknown_vertex_rejected(self, certify, params, what):
+        with pytest.raises(hrlq.ReductionError, match=rf"{what} names unknown vertices: \[0\]"):
+            certify(TRIANGLE, params, {0, 1})
 
     def test_bad_parameters_still_rejected(self):
         with pytest.raises(hrlq.ReductionError, match="gadget_length"):
