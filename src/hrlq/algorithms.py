@@ -90,44 +90,49 @@ def _deferred_acceptance(
 ) -> tuple[list[int], list[int]]:
     """Resident-proposing DA on the index tables.
 
-    Returns each resident's hospital index (or -1) and its proposal pointer:
-    the position in its list of the hospital it holds, or the list's length
-    when it ends unmatched.  A resident considered exactly the hospitals at
-    or before its pointer.  Pairs in `dropped` count as deleted from both
-    preference lists.
+    Returns each resident's hospital index (or -1) and, per resident, a
+    bitmask int with bit k set when the hospital at position k of its list
+    held it at some point of the run, even if it later displaced it.  A
+    displaced resident proposes again from just past its highest set bit.
+    Pairs in `dropped` count as deleted from both preference lists.
+    Deleting a pair whose bit is clear as well gives back the identical
+    run, which `min_ep_exact` relies on to skip runs.
     """
     acc, rank_h = instance._acc, instance._rank_h
-    nxt = [0] * len(acc)
     choice = [-1] * len(acc)
+    taken = [0] * len(acc)
     held: list[list[int]] = [[] for _ in caps]
     free = deque(range(len(acc)))
     while free:
         r = free.popleft()
         prefs = acc[r]
-        while nxt[r] < len(prefs):
-            h = prefs[nxt[r]]
-            if caps[h] and not (dropped and (r, h) in dropped):
-                occupants = held[h]
-                if len(occupants) < caps[h]:
-                    occupants.append(r)
-                    choice[r] = h
-                    break
-                worst = max(occupants, key=rank_h[h].__getitem__)
-                if rank_h[h][r] < rank_h[h][worst]:
-                    occupants.remove(worst)
-                    occupants.append(r)
-                    choice[worst], choice[r] = -1, h
-                    nxt[worst] += 1
-                    free.append(worst)
-                    break
-            nxt[r] += 1
-        # falling through the list leaves r unmatched
-    return choice, nxt
+        for k in range(taken[r].bit_length(), len(prefs)):
+            h = prefs[k]
+            cap = caps[h]
+            if not cap or dropped and (r, h) in dropped:
+                continue
+            occupants = held[h]
+            if len(occupants) < cap:
+                occupants.append(r)
+                break
+            rank = rank_h[h]
+            worst = occupants[0] if cap == 1 else max(occupants, key=rank.__getitem__)
+            if rank[r] < rank[worst]:
+                occupants.remove(worst)
+                occupants.append(r)
+                free.append(worst)
+                break
+        else:  # falling through the list leaves r unmatched
+            choice[r] = -1
+            continue
+        choice[r] = h
+        taken[r] |= 1 << k
+    return choice, taken
 
 
-def _filled(instance: Instance, choice: list[int]) -> bool:
-    """Yokoi's test on a DA run capped at the lower quotas: every one of them is filled."""
-    return sum(h >= 0 for h in choice) == sum(instance._low)
+def _filled(choice: list[int], demand: int) -> bool:
+    """Yokoi's test on a DA run capped at the lower quotas: all `demand` seats are filled."""
+    return len(choice) - choice.count(-1) == demand
 
 
 def deferred_acceptance(instance: Instance) -> Matching:
@@ -165,7 +170,7 @@ def yokoi_envy_free(instance: Instance) -> Matching | None:
     None otherwise; that is a regular outcome, not a failure.
     """
     choice = _deferred_acceptance(instance, instance._low)[0]
-    return _matching(instance, choice) if _filled(instance, choice) else None
+    return _matching(instance, choice) if _filled(choice, sum(instance._low)) else None
 
 
 class _FeasibleSearch:
@@ -185,6 +190,8 @@ class _FeasibleSearch:
     """
 
     def __init__(self, instance: Instance, node_budget: int):
+        if node_budget < 0:
+            raise ValueError(f"node_budget must be non-negative, got {node_budget}")
         self.node_budget = node_budget
         self.nodes = 0
         self.acc, self.acc_h = instance._acc, instance._acc_h
@@ -323,10 +330,11 @@ def enumerate_feasible(
 
     Raises BudgetExceeded once the backtracking search has visited
     node_budget states; that signals the instance is too large for
-    exhaustive treatment.
+    exhaustive treatment.  A negative node_budget raises ValueError at
+    the call, before anything is yielded.
     """
-    for choice in _FeasibleSearch(instance, node_budget).leaves():
-        yield _matching(instance, choice)
+    search = _FeasibleSearch(instance, node_budget)
+    return (_matching(instance, choice) for choice in search.leaves())
 
 
 def _brute_optima(instance: Instance, node_budget: int) -> tuple[SolveResult, SolveResult]:
@@ -393,19 +401,20 @@ def _extend_guess(
     vector, with `guess` and `dropped` left holding the winner, or None
     with both restored.
     """
-    nxt = run[1]
+    taken = run[1]
+    demand = sum(instance._low)
     for i in range(start, len(candidates) - need + 1):
         e, r, h, at = candidates[i]
-        # If r never reached h, the run with (r, h) deleted too repeats `run`
-        # step for step; at the last level that is a failure already seen.
-        unreached = nxt[r] < at
-        if unreached and need == 1:
+        # Deleting a pair h never held repeats `run` (the never-held rule in
+        # min_ep_exact); at the last level that is a failure already seen.
+        held = taken[r] >> at & 1
+        if not held and need == 1:
             continue
         dropped.add((r, h))
         guess.append(e)
-        child = run if unreached else _deferred_acceptance(instance, instance._low, dropped)
+        child = _deferred_acceptance(instance, instance._low, dropped) if held else run
         if need == 1:
-            if _filled(instance, child[0]):
+            if _filled(child[0], demand):
                 return child[0]
         else:
             found = _extend_guess(instance, candidates, guess, dropped, child, i + 1, need - 1)
@@ -434,18 +443,24 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
       level earlier), so it holds only pairs (r, h) where h has a positive
       lower quota and ranks some resident below r.  Only subsets of these
       candidates are tried.
-    * Unreached pairs.  Guesses are extended one pair at a time, each prefix
-      keeping its run's proposal pointers.  If r never reached h in the
-      prefix's run, deleting (r, h) as well repeats that run step for step,
-      so it is reused; at the last level it is a failure already seen.
+    * Never-held pairs.  Guesses are extended one pair at a time, each
+      prefix keeping, per resident, the hospitals that held it in the
+      prefix's run.  If h never held r there, r either never reached h or
+      was refused on the spot, which moves only r's pointer, exactly as
+      deleting (r, h) does.  So deleting (r, h) as well repeats that run
+      step for step, and it is reused; at the last level it is a failure
+      already seen.
 
     `guesses_examined` counts guesses in the paper's order, by size and
     then lexicographically over all acceptable pairs, up to and including
     the winner, whether or not deferred acceptance ran on them.
 
-    Raises Infeasible when no feasible matching exists at all, and
-    LevelCapExceeded when level_cap is given and exhausted.
+    Raises Infeasible when no feasible matching exists at all,
+    LevelCapExceeded when level_cap is given and exhausted, and ValueError
+    when level_cap is negative.
     """
+    if level_cap is not None and level_cap < 0:
+        raise ValueError(f"level_cap must be non-negative, got {level_cap}")
     if not exists_feasible(instance):
         raise Infeasible("no feasible matching exists")
     acc, rank_h, low = instance._acc, instance._rank_h, instance._low
@@ -458,7 +473,7 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     ]
     guess: list[int] = []
     root = _deferred_acceptance(instance, low)
-    choice = root[0] if _filled(instance, root[0]) else None
+    choice = root[0] if _filled(root[0], sum(low)) else None
     level = 0
     while choice is None and level < min(max_level, len(candidates)):
         level += 1

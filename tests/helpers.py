@@ -1,6 +1,7 @@
 """Shared fixtures: the two worked micro-instances, seeded random families, long
 chains, a reference recount of envy and blocking pairs, a product-space
-enumeration of feasible matchings and a paper-order Min-EP search."""
+enumeration of feasible matchings, a textbook deferred acceptance and a
+paper-order Min-EP search."""
 
 from __future__ import annotations
 
@@ -202,6 +203,43 @@ def naive_blocking_pairs(instance: hrlq.Instance, matching: hrlq.Matching) -> tu
             if len(held) < instance.quotas[h][1] or any(hp.index(r) < hp.index(o) for o in held):
                 out.append((r, h))
     return tuple(out)
+
+
+def textbook_da(
+    instance: hrlq.Instance, caps: dict[str, int], dropped: set[tuple[str, str]] = frozenset()
+) -> dict[str, str]:
+    """Resident-proposing deferred acceptance in rounds, on names, as the reference for the kernel.
+
+    In each round every resident without a hospital, and with hospitals
+    left to try, proposes to the next one on its list; each hospital then
+    keeps its `caps[h]` best among those it held and the new proposers and
+    refuses the rest.  Pairs in `dropped` are skipped as if unlisted.  The
+    result, a hospital per matched resident, is the resident-optimal stable
+    matching for the capacities, whatever the proposal order.  Shares no
+    code with `hrlq.algorithms`.
+    """
+    lists = {
+        r: [h for h in instance.resident_prefs[r] if (r, h) not in dropped]
+        for r in instance.residents
+    }
+    tried = {r: 0 for r in instance.residents}
+    holds: dict[str, list[str]] = {h: [] for h in instance.hospitals}
+    assigned: dict[str, str] = {}
+    while True:
+        proposals: dict[str, list[str]] = {}
+        for r in instance.residents:
+            if r not in assigned and tried[r] < len(lists[r]):
+                proposals.setdefault(lists[r][tried[r]], []).append(r)
+                tried[r] += 1
+        if not proposals:
+            return assigned
+        for h, new in proposals.items():
+            ranked = sorted(holds[h] + new, key=instance.hospital_prefs[h].index)
+            holds[h] = ranked[: caps[h]]
+            for r in ranked[caps[h]:]:
+                assigned.pop(r, None)
+            for r in holds[h]:
+                assigned[r] = h
 
 
 def paper_min_ep(instance: hrlq.Instance, level_cap: int | None = None) -> hrlq.SolveResult:

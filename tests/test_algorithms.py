@@ -17,10 +17,12 @@ from helpers import (
     product_space_choices,
     random_feasible_instances,
     random_instance,
+    textbook_da,
 )
 
 IA = instance_a()
 IB = instance_b()
+_deferred_acceptance = hrlq.algorithms._deferred_acceptance
 
 
 class TestDeferredAcceptance:
@@ -55,6 +57,77 @@ class TestDeferredAcceptance:
             inst = random_instance(rng)
             m = hrlq.deferred_acceptance(inst)
             assert hrlq.blocking_pairs(inst, m) == ()
+
+
+class TestKernelAgainstTextbook:
+    """The DA kernel and its public wrappers against helpers.textbook_da."""
+
+    FAMILY = [*exhaustive_two_by_two(), *random_feasible_instances(31, 150),
+              *(random_instance(random.Random(32 + i), max_upper=3) for i in range(150))]
+
+    @staticmethod
+    def quotas(inst, bound):
+        return {h: quota[bound] for h, quota in inst.quotas.items()}
+
+    def test_public_wrappers(self):
+        for inst in self.FAMILY:
+            upper = textbook_da(inst, self.quotas(inst, 1))
+            assert dict(hrlq.deferred_acceptance(inst).assignment) == upper
+            lower_caps = self.quotas(inst, 0)
+            lower = textbook_da(inst, lower_caps)
+            want = lower if len(lower) == sum(lower_caps.values()) else None
+            got = hrlq.yokoi_envy_free(inst)
+            assert (None if got is None else dict(got.assignment)) == want
+
+    def test_kernel_with_dropped_pairs(self):
+        rng = random.Random(33)
+        for inst in self.FAMILY:
+            for bound in (0, 1):
+                caps = self.quotas(inst, bound)
+                cap_vector = tuple(caps[h] for h in inst.hospitals)
+                for _ in range(3):
+                    dropped = {pair for pair in inst.edges if rng.random() < 0.3}
+                    indexed = {(inst.resident_index[r], inst.hospital_index[h]) for r, h in dropped}
+                    choice = _deferred_acceptance(inst, cap_vector, indexed)[0]
+                    named = {inst.residents[r]: inst.hospitals[h]
+                             for r, h in enumerate(choice) if h >= 0}
+                    assert named == textbook_da(inst, caps, dropped)
+
+    def test_never_held_pair_repeats_the_run(self):
+        # The lemma min_ep_exact's reuse rule rests on: deleting a pair whose
+        # hospital never held the resident gives back the identical run.
+        rng = random.Random(34)
+        refused = 0  # never-held pairs r proposed to and was refused at: what the rule adds
+        family = random_feasible_instances(35, 120, max_residents=8, max_hospitals=5, max_upper=3)
+        for inst in family:
+            acc = inst._acc
+            for caps in (inst._low, inst._up):
+                for _ in range(3):
+                    dropped = {pair for pair in inst._edges if rng.random() < 0.25}
+                    run = _deferred_acceptance(inst, caps, dropped)
+                    choice, taken = run
+                    for r, h in inst._edges:
+                        at = acc[r].index(h)
+                        if (r, h) in dropped or taken[r] >> at & 1:
+                            continue
+                        assert _deferred_acceptance(inst, caps, dropped | {(r, h)}) == run
+                        if caps[h] and (choice[r] < 0 or at < taken[r].bit_length() - 1):
+                            refused += 1
+        assert refused > 0
+
+
+class TestNegativeLimits:
+    @pytest.mark.parametrize("call", [
+        lambda: hrlq.min_ep_exact(IB, level_cap=-1),
+        lambda: hrlq.enumerate_feasible(IB, node_budget=-5),
+        lambda: hrlq.brute_min_ep(IB, node_budget=-1),
+        lambda: hrlq.brute_min_er(IB, node_budget=-1),
+    ], ids=["min_ep_exact", "enumerate_feasible", "brute_min_ep", "brute_min_er"])
+    def test_negative_cap_or_budget_is_value_error(self, call):
+        # IB is envy-free, so a cap below level 0 must not return its level-0
+        # result; enumerate_feasible refuses at the call, not at the first item.
+        with pytest.raises(ValueError, match="must be non-negative"):
+            call()
 
 
 class TestYokoiEnvyFree:

@@ -1,5 +1,6 @@
 """Property tests over generated instances: format round trips, the exact
-solver against the oracle, envy against blocking, byte-stable output.
+solver against the oracle and the paper-order reference, envy against
+blocking, byte-stable output.
 
 Examples are derandomized and the example database is off, so every run
 checks the same inputs.
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrlq
-from helpers import random_instance
+from helpers import paper_min_ep, random_instance
 
 FIXED = settings(derandomize=True, database=None, max_examples=50, deadline=None)
 
@@ -74,6 +75,24 @@ def test_min_ep_exact_equals_the_oracle(instance):
     if not hrlq.exists_feasible(instance):
         return
     assert hrlq.min_ep_exact(instance).objective == hrlq.brute_min_ep(instance).objective
+
+
+def _outcome(solve, instance):
+    """A solver's SolveResult, or the payload of the LevelCapExceeded it raised."""
+    try:
+        return solve(instance, level_cap=2)
+    except hrlq.LevelCapExceeded as capped:
+        return capped.level_cap, capped.guesses_examined
+
+
+# Level cap 2 keeps the reference, which rebuilds an instance per guess, fast.
+# About one drawn instance in twenty needs envy, so this draws 600.
+@settings(FIXED, max_examples=600)
+@given(INSTANCES)
+def test_min_ep_exact_equals_the_paper_order_reference(instance):
+    if not hrlq.exists_feasible(instance):
+        return
+    assert _outcome(hrlq.min_ep_exact, instance) == _outcome(paper_min_ep, instance)
 
 
 @FIXED
