@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
+from operator import itemgetter
 from typing import Collection, Iterator
 
 from .core import Instance, Matching, Pair, _envy, _envy_counts
@@ -173,6 +174,11 @@ def yokoi_envy_free(instance: Instance) -> Matching | None:
     return _matching(instance, choice) if _filled(choice, sum(instance._low)) else None
 
 
+def _no_state(have: list[int]) -> tuple:
+    """The frontier demand at a level whose frontier is empty."""
+    return ()
+
+
 class _FeasibleSearch:
     """Depth-first enumeration of feasible matchings, without recursion.
 
@@ -180,13 +186,28 @@ class _FeasibleSearch:
     acceptable hospitals with a seat left under the upper quota, in
     preference order, then staying unmatched.  A branch survives only while
     the undecided residents can still meet the remaining lower-quota
-    demand, so dead branches are cut at the node where they die.  Two tests
-    decide that.  A count comes first, in O(1): the demand left may not
-    exceed the residents left.  Then a cover, which gives every demand slot
-    its own undecided resident.  Each level of the explicit stack holds its
-    cover: the parent's, or a copy of it when the decision frees or removes
-    a slot, repaired with one augmenting path.  Any path gives the same
-    decision, because the cover only has to exist.
+    demand, so dead branches are cut at the node where they die.  Three
+    tests decide that, cheapest first:
+
+    * a count, in O(1): the demand left may not exceed the residents left;
+    * the last-lister check, in O(1): an option that frees a slot i covers
+      dies when no resident after i lists that slot's hospital;
+    * a cover, which gives every demand slot its own undecided resident.
+      Each level of the explicit stack holds its cover: the parent's, or
+      one repaired with one augmenting path when the decision frees or
+      removes a slot.  Any repair gives the same decision, because the
+      cover only has to exist.
+
+    Whether the residents after i can meet the demand depends only on i
+    and the frontier demand: min(occupancy, lower quota) after i's
+    decision, on the hospitals with a positive lower quota listed both by
+    a resident <= i and by one after i.  A hospital listed only after i
+    still has all its demand, and on a live branch one listed only up to
+    i has none left (the cover and the last-lister check see to that).  So
+    repairs are memoized by (i, frontier demand), dead or the repaired
+    cover, and a branch that meets a known state reuses the verdict and
+    the cover, which is copied before it is ever changed.  The key is
+    the per-node state a bound can share with the enumeration.
     """
 
     def __init__(self, instance: Instance, node_budget: int):
@@ -243,6 +264,32 @@ class _FeasibleSearch:
                 queue.append(r)
         return False
 
+    def _frontier(self) -> tuple[list[int], list]:
+        """Per hospital, its last lister; per level i, a reader of the frontier demand.
+
+        last[h] is the highest resident index on h's list (-1 if none).
+        The frontier F_i holds the hospitals with a positive lower quota
+        listed both by a resident <= i and by a resident > i; states[i]
+        maps a vector of min(occupancy, lower quota) to its entries on F_i.
+        One sweep over the residents' lists builds every F_i: a hospital
+        joins at its first lister and leaves at its last.
+        """
+        last = [-1] * self.n_hosp
+        for r, prefs in enumerate(self.acc):
+            for h in prefs:
+                last[h] = r
+        low = self.low
+        frontier: dict[int, None] = {}  # an ordered set
+        states = []
+        for i, prefs in enumerate(self.acc):
+            for h in prefs:
+                if last[h] == i:
+                    frontier.pop(h, None)
+                elif low[h]:
+                    frontier[h] = None
+            states.append(itemgetter(*frontier) if frontier else _no_state)
+        return last, states
+
     def leaves(self) -> Iterator[list[int]]:
         """Yield the live choice vector at each feasible leaf; copy it to keep it.
 
@@ -254,7 +301,10 @@ class _FeasibleSearch:
         if cover is None:
             return
         low, up, budget, n = self.low, self.up, self.node_budget, self.n_res
+        last, states = self._frontier()
         occ = [0] * self.n_hosp
+        have = [0] * self.n_hosp  # have[h]: min(occ[h], low[h])
+        repaired: dict[tuple, list[int] | None] = {}  # (i, frontier demand) -> cover, or None: dead
         choice = [-1] * n
         options = [prefs + (-1,) for prefs in self.acc]  # -1: stay unmatched
         covers = [cover] * n  # covers[i]: the cover while resident i is decided
@@ -280,10 +330,23 @@ class _FeasibleSearch:
                 cover = covers[i]
                 freed = cover[i]
                 if freed != j and (fills or freed >= 0):
-                    cover = cover.copy()
-                    if fills:  # a slot of j that i did not cover disappears
-                        cover[cover.index(j, i + 1)] = -1
-                    if freed >= 0 and not self._augment(freed, i + 1, cover):
+                    if freed >= 0 and last[freed] <= i:
+                        continue  # the last-lister check: nobody after i can take the slot
+                    if fills:  # the key is taken after i's decision
+                        have[j] += 1
+                    key = (i, states[i](have))
+                    if fills:
+                        have[j] -= 1
+                    if key in repaired:
+                        cover = repaired[key]
+                    else:
+                        cover = cover.copy()
+                        if fills:  # a slot of j that i did not cover disappears
+                            cover[cover.index(j, i + 1)] = -1
+                        if freed >= 0 and not self._augment(freed, i + 1, cover):
+                            cover = None
+                        repaired[key] = cover
+                    if cover is None:
                         continue
                 self.nodes += 1
                 if self.nodes > budget:
@@ -296,6 +359,8 @@ class _FeasibleSearch:
                 if j >= 0:
                     choice[i] = j
                     occ[j] += 1
+                    if fills:
+                        have[j] += 1
                 pending[i] = it
                 i += 1
                 covers[i] = cover
@@ -309,6 +374,8 @@ class _FeasibleSearch:
                 j = choice[i]
                 if j >= 0:
                     occ[j] -= 1
+                    if occ[j] < low[j]:
+                        have[j] -= 1
                     choice[i] = -1
                 it = pending[i]
 

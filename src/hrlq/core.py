@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Pair = tuple[str, str]
 
@@ -282,16 +282,26 @@ def _choice(instance: Instance, matching: Matching) -> list[int]:
     return choice
 
 
-def _envy_scan(
-    instance: Instance, choice: list[int], wasteful: bool = False
-) -> Iterator[tuple[int, int]]:
-    """Envy pairs of a choice vector as (resident, hospital) index pairs.
+def _envy_counts(
+    instance: Instance,
+    choice: list[int],
+    stop_pairs: int,
+    stop_residents: int,
+    wasteful: bool = False,
+    found: list[tuple[int, int]] | None = None,
+) -> tuple[int, int]:
+    """The numbers of envy pairs and of envious residents of a choice vector.
 
-    (r, h) is an envy pair when r prefers h to its own hospital (any
+    The one place envy is defined: every predicate, report and oracle
+    reads it through this loop.  (r, h) is an envy pair when r prefers h to its own hospital (any
     acceptable h beats being unmatched) and h holds a resident it ranks
     below r.  With `wasteful`, pairs whose hospital has a free seat under
     its upper quota count too, which gives the classical blocking pairs.
-    Pairs come by resident index, then in the resident's preference order.
+    Residents are scanned by index, each one's list in preference order,
+    and every pair found is appended to `found` when it is given.  The
+    scan stops once both counts have reached their stop values, since
+    neither can fall; so both counts are exact whenever either ends below
+    its stop value.
     """
     rank_h = instance._rank_h
     cut = [-1] * len(rank_h)  # h takes r exactly when r's rank at h is below cut[h]
@@ -304,38 +314,30 @@ def _envy_scan(
             if h >= 0:
                 seats[h] -= 1
         cut = [len(ranks) if free > 0 else c for ranks, free, c in zip(rank_h, seats, cut)]
+    pairs = residents = 0
+    last = -1
     for r, (prefs, own) in enumerate(zip(instance._acc, choice)):
         for h in prefs:
             if h == own:
                 break
             if rank_h[h][r] < cut[h]:
-                yield r, h
+                if found is not None:
+                    found.append((r, h))
+                pairs += 1
+                if r != last:
+                    residents += 1
+                    last = r
+                if pairs >= stop_pairs and residents >= stop_residents:
+                    return pairs, residents
+    return pairs, residents
 
 
 def _envy(instance: Instance, choice: list[int], wasteful: bool = False) -> list[tuple[int, int]]:
     """Envy pairs (blocking pairs with `wasteful`) as (resident, hospital) index pairs, in index order."""
-    return sorted(_envy_scan(instance, choice, wasteful))
-
-
-def _envy_counts(
-    instance: Instance, choice: list[int], stop_pairs: int, stop_residents: int
-) -> tuple[int, int]:
-    """The numbers of envy pairs and of envious residents of a choice vector.
-
-    Scanning stops once both counts have reached their stop values, since
-    neither can fall; so both counts are exact whenever either ends below
-    its stop value.
-    """
-    pairs = residents = 0
-    last = -1
-    for r, _ in _envy_scan(instance, choice):
-        pairs += 1
-        if r != last:
-            residents += 1
-            last = r
-        if pairs >= stop_pairs and residents >= stop_residents:
-            break
-    return pairs, residents
+    found: list[tuple[int, int]] = []
+    never = len(instance._edges) + 1  # above any count
+    _envy_counts(instance, choice, never, never, wasteful, found)
+    return sorted(found)
 
 
 def _named(instance: Instance, pairs: list[tuple[int, int]]) -> tuple[Pair, ...]:

@@ -1,7 +1,10 @@
 """Deferred acceptance, the envy-free decision, exact and brute-force solvers."""
 
+import hashlib
 import itertools
 import random
+import tracemalloc
+import warnings
 
 import pytest
 
@@ -255,12 +258,66 @@ class TestEnumerateFeasible:
             assert fast == naive
 
 
-class TestEngineAgainstProductSpace:
-    """The search against `itertools.product` over each resident's options, in order."""
+def _hand_built(resident_prefs: dict, hospital_prefs: dict, quotas: dict) -> hrlq.Instance:
+    """Residents and hospitals in the order their lists are written."""
+    return hrlq.validate_instance(
+        list(resident_prefs), list(hospital_prefs), resident_prefs, hospital_prefs, quotas)
 
-    @staticmethod
-    def _family():
-        return [*random_feasible_instances(23, 62), *exhaustive_two_by_two()]
+
+class TestEngineAgainstProductSpace:
+    """The search against `itertools.product` over each resident's options, in order.
+
+    Besides the seeded and exhaustive instances, the family holds
+    hand-built ones that put the search's cuts and its repair memo on
+    their boundaries.
+    """
+
+    # r2 is the last resident to list hA.  Once r1 stays unmatched, r2
+    # covers hA, so each of r2's options but hA dies: nobody after r2 can
+    # take the slot over.  Those options leave the same frontier demand
+    # (hC unmet, listed by r3 and r4) as r2's live options after r1 took
+    # hA, which the memo holds a cover for; the last-lister check must
+    # cut them before the memo is asked.
+    LAST_LISTER = _hand_built(
+        {"r1": ("hA",), "r2": ("hD", "hA", "hC"), "r3": ("hC",), "r4": ("hC",)},
+        {"hA": ("r1", "r2"), "hC": ("r2", "r3", "r4"), "hD": ("r2",)},
+        {"hA": (1, 1), "hC": (1, 1), "hD": (0, 1)},
+    )
+    # r2 lists hA after r1, but r2 is the only resident listing hB, so it
+    # stays locked on hB and r1's option hD dies in the augmenting-path
+    # search; r1 staying unmatched meets the same frontier state and the
+    # memo's verdict.  In the twin r3 lists hB too, so r2 can move to hA
+    # and both options of r1 live.
+    LOCKED = _hand_built(
+        {"r1": ("hD", "hA"), "r2": ("hB", "hA"), "r3": ("hD",)},
+        {"hA": ("r1", "r2"), "hB": ("r2",), "hD": ("r1", "r3")},
+        {"hA": (1, 1), "hB": (1, 1), "hD": (0, 1)},
+    )
+    UNLOCKED = _hand_built(
+        {"r1": ("hD", "hA"), "r2": ("hB", "hA"), "r3": ("hD", "hB")},
+        {"hA": ("r1", "r2"), "hB": ("r2", "r3"), "hD": ("r1", "r3")},
+        {"hA": (1, 1), "hB": (1, 1), "hD": (0, 1)},
+    )
+    # r1 and r2 fill h1 and one seat of h2, in either order, so r3 meets
+    # the same frontier demand twice.  The first order's repair leaves r4
+    # covering h2's last seat; the second path's own repair would leave r3
+    # there, and it takes the memo's cover instead.
+    TWO_PATHS = _hand_built(
+        {"r1": ("h1", "h2"), "r2": ("h1", "h2"), "r3": ("h2",), "r4": ("h1", "h2")},
+        {"h1": ("r4", "r2", "r1"), "h2": ("r4", "r1", "r3", "r2")},
+        {"h1": (1, 1), "h2": (2, 2)},
+    )
+
+    HAND_BUILT = {"LAST_LISTER": 7, "LOCKED": 2, "UNLOCKED": 5, "TWO_PATHS": 9}
+
+    @classmethod
+    def _family(cls):
+        hand_built = [getattr(cls, name) for name in cls.HAND_BUILT]
+        return [*random_feasible_instances(23, 62), *exhaustive_two_by_two(), *hand_built]
+
+    @pytest.mark.parametrize("name", HAND_BUILT)
+    def test_hand_built_leaf_counts(self, name):
+        assert len(product_space_choices(getattr(self, name))) == self.HAND_BUILT[name]
 
     def test_enumeration_yields_product_space_in_order(self):
         for inst in self._family():
@@ -318,6 +375,51 @@ class TestBudgetSemantics:
                 solve(inst, node_budget=0)
 
 
+def _reduction(kind: str, n: int, edges: list, k: int, length: int | None) -> hrlq.Instance:
+    graph = hrlq.SourceGraph(n, edges, k)
+    if kind == "clique":
+        return hrlq.clique_to_min_er(graph, hrlq.CliqueReductionParams(length))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", hrlq.SeparationBoundWarning)
+        return hrlq.vc_to_min_ep(graph, hrlq.VCReductionParams(length))
+
+
+_TRIANGLE = [(1, 2), (1, 3), (2, 3)]
+_FOUR_CYCLE = [(1, 2), (1, 4), (2, 3), (3, 4)]
+_K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+_C5 = [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)]
+
+
+class TestReductionEnumeration:
+    """The enumeration on reduction instances, where the search's cuts fire most.
+
+    Recorded once: the number of feasible matchings, the brute oracle's
+    nodes and the sha256 of the `enumerate_feasible` sequence (each
+    matching's `repr(pairs())` and a newline).  A mismatch means the
+    search's leaves, their order or its node count changed.
+    """
+
+    @pytest.mark.parametrize("source, leaves, nodes, digest", [
+        (("vc", 3, _TRIANGLE, 1, None), 48, 1696,
+         "2a4f17c6ab28298ba8d5bade7f637292e2c5d4e1f34eb22f99f430980d670202"),
+        (("clique", 4, _FOUR_CYCLE, 3, None), 24, 545,
+         "37fbca82bc918bf76de8e9d7e77fad27a9d36695ce2d01a45b7e57e1fc797ad8"),
+        (("vc", 4, _K4, 2, 3), 1536, 18209,
+         "9cfbc6614dca24a44db92c269f48e2b21a563c5a5f33080cee1d6b2eba65489d"),
+        (("vc", 5, _C5, 2, 3), 3840, 44966,
+         "8cbd3eed7444cb801c3f93635aaac63ed1476f4309291b78737537934008c523"),
+    ])
+    def test_pinned(self, source, leaves, nodes, digest):
+        inst = _reduction(*source)
+        sequence = hashlib.sha256()
+        count = 0
+        for m in hrlq.enumerate_feasible(inst):
+            sequence.update(repr(m.pairs()).encode() + b"\n")
+            count += 1
+        assert (count, hrlq.brute_min_ep(inst).stats.nodes, sequence.hexdigest()) == (
+            leaves, nodes, digest)
+
+
 class TestZeroResidents:
     """No residents: one feasible matching, the empty one, when no hospital needs anyone."""
 
@@ -339,7 +441,7 @@ class TestZeroResidents:
 
 
 class TestLongChains:
-    """Recursion depth does not limit instance size."""
+    """Recursion depth does not limit instance size, and per-node work and memory stay flat."""
 
     @pytest.mark.parametrize("links", [1200, 3000])
     def test_exists_feasible(self, links):
@@ -366,6 +468,35 @@ class TestLongChains:
             assert result.objective == 1199
             assert result.matching.pairs() == forced
             assert result.stats.nodes == 1201
+
+    def test_chain_repairs_no_cover(self, monkeypatch):
+        # On a chain every option that frees a cover slot frees one that no
+        # later resident lists, so the last-lister check cuts it before any
+        # augmenting-path search.
+        repairs = []
+        augment = hrlq.algorithms._FeasibleSearch._augment
+
+        def counting(search, hospital, start, cover):
+            if start:  # the initial cover augments from resident 0
+                repairs.append(hospital)
+            return augment(search, hospital, start, cover)
+
+        monkeypatch.setattr(hrlq.algorithms._FeasibleSearch, "_augment", counting)
+        assert len(list(hrlq.enumerate_feasible(chain_instance(50)))) == 1
+        assert repairs == []
+
+    def test_brute_oracle_memory(self):
+        # Nothing the search keeps per level may grow with the chain's
+        # length: a cover copy kept per level would take about 72 MB here
+        # (3,000 levels of 3,000 eight-byte entries).
+        inst = chain_instance(3000)
+        tracemalloc.start()
+        try:
+            hrlq.brute_min_ep(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 10**6
 
 
 class TestMinEpExact:
