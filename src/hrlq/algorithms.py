@@ -16,7 +16,7 @@ from math import comb
 from operator import itemgetter
 from typing import Collection, Iterator
 
-from .core import Instance, Matching, Pair, _envy, _envy_counts
+from .core import Instance, Matching, Pair, _envy, _envy_scan
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -150,7 +150,12 @@ def reduced_capacity_instance(instance: Instance) -> Instance:
     """The companion instance whose upper quotas are the original lower quotas.
 
     Envy-free matchings that fill every lower quota correspond to stable
-    matchings of this instance that fill every hospital.
+    matchings of this instance that fill every hospital.  This is the
+    paper's reduced-capacity instance, built literally as a new validated
+    Instance.  No solver calls it: `yokoi_envy_free` and `min_ep_exact`
+    run deferred acceptance with the capacities lowered in place.  Tests
+    and benchmark probes use it as the reference that shortcut is checked
+    against.
     """
     return Instance(
         instance.residents,
@@ -179,15 +184,28 @@ def _no_state(have: list[int]) -> tuple:
     return ()
 
 
+def _frontier_reader(spans: list[tuple[int, int, int]], i: int):
+    """The reader of the frontier demand at level i.
+
+    `spans` holds (first lister, last lister, h) for the hospitals h with
+    a positive lower quota.  The frontier F_i holds those listed both by a
+    resident <= i and by a resident > i; the reader maps a vector of
+    min(occupancy, lower quota) to its entries on F_i.
+    """
+    frontier = [h for first, last, h in spans if first <= i < last]
+    return itemgetter(*frontier) if frontier else _no_state
+
+
 class _FeasibleSearch:
     """Depth-first enumeration of feasible matchings, without recursion.
 
-    Residents are decided in index order.  Resident i's options are its
-    acceptable hospitals with a seat left under the upper quota, in
-    preference order, then staying unmatched.  A branch survives only while
-    the undecided residents can still meet the remaining lower-quota
-    demand, so dead branches are cut at the node where they die.  Three
-    tests decide that, cheapest first:
+    Residents are decided in index order.  Resident i's options are the
+    entries of `Instance._options[i]`: its acceptable hospitals, each with
+    i's rank there, in preference order, then (-1, -1) for staying
+    unmatched; a hospital whose upper quota is full is skipped.  A branch
+    survives only while the undecided residents can still meet the
+    remaining lower-quota demand, so dead branches are cut at the node
+    where they die.  Three tests decide that, cheapest first:
 
     * a count, in O(1): the demand left may not exceed the residents left;
     * the last-lister check, in O(1): an option that frees a slot i covers
@@ -208,6 +226,13 @@ class _FeasibleSearch:
     cover, and a branch that meets a known state reuses the verdict and
     the cover, which is copied before it is ever changed.  The key is
     the per-node state a bound can share with the enumeration.
+
+    Along the path the search keeps, besides each hospital's occupancy,
+    `cut[h]`: the rank in h's list of h's worst decided occupant (-1 while
+    h holds nobody).  Placing a resident raises it, backtracking restores
+    it, and at a leaf it covers every resident, so `core._envy_scan` scores
+    the leaf from it without rebuilding it.  Plain enumeration pays for it
+    per node (README, "Algorithm notes", has the figures).
     """
 
     def __init__(self, instance: Instance, node_budget: int):
@@ -215,10 +240,12 @@ class _FeasibleSearch:
             raise ValueError(f"node_budget must be non-negative, got {node_budget}")
         self.node_budget = node_budget
         self.nodes = 0
-        self.acc, self.acc_h = instance._acc, instance._acc_h
+        self.instance = instance
+        self.acc_h = instance._acc_h
         self.low, self.up = instance._low, instance._up
-        self.n_res = len(self.acc)
+        self.n_res = len(instance._acc)
         self.n_hosp = len(self.acc_h)
+        self.cut = [-1] * self.n_hosp
 
     def initial_cover(self) -> list[int] | None:
         """Cover every lower-quota slot with a distinct resident, or report impossibility."""
@@ -264,52 +291,31 @@ class _FeasibleSearch:
                 queue.append(r)
         return False
 
-    def _frontier(self) -> tuple[list[int], list]:
-        """Per hospital, its last lister; per level i, a reader of the frontier demand.
-
-        last[h] is the highest resident index on h's list (-1 if none).
-        The frontier F_i holds the hospitals with a positive lower quota
-        listed both by a resident <= i and by a resident > i; states[i]
-        maps a vector of min(occupancy, lower quota) to its entries on F_i.
-        One sweep over the residents' lists builds every F_i: a hospital
-        joins at its first lister and leaves at its last.
-        """
-        last = [-1] * self.n_hosp
-        for r, prefs in enumerate(self.acc):
-            for h in prefs:
-                last[h] = r
-        low = self.low
-        frontier: dict[int, None] = {}  # an ordered set
-        states = []
-        for i, prefs in enumerate(self.acc):
-            for h in prefs:
-                if last[h] == i:
-                    frontier.pop(h, None)
-                elif low[h]:
-                    frontier[h] = None
-            states.append(itemgetter(*frontier) if frontier else _no_state)
-        return last, states
-
     def leaves(self) -> Iterator[list[int]]:
         """Yield the live choice vector at each feasible leaf; copy it to keep it.
 
-        An instance without a feasible matching yields nothing and enters no
-        state.  Otherwise every state entered counts as a node, and entering
-        one past the budget raises BudgetExceeded.
+        While a leaf is out, `self.cut` is that leaf's cut.  An instance
+        without a feasible matching yields nothing and enters no state.
+        Otherwise every state entered counts as a node, and entering one
+        past the budget raises BudgetExceeded.
         """
         cover = self.initial_cover()
         if cover is None:
             return
         low, up, budget, n = self.low, self.up, self.node_budget, self.n_res
-        last, states = self._frontier()
+        options, cut = self.instance._options, self.cut
+        last = [max(listed, default=-1) for listed in self.acc_h]  # h's last lister
+        spans = [(min(listed), last[h], h)
+                 for h, listed in enumerate(self.acc_h) if low[h] and len(listed) > 1]
+        readers = [None] * n  # readers[i]: F_i's reader, built when level i first takes a key
         occ = [0] * self.n_hosp
         have = [0] * self.n_hosp  # have[h]: min(occ[h], low[h])
         repaired: dict[tuple, list[int] | None] = {}  # (i, frontier demand) -> cover, or None: dead
         choice = [-1] * n
-        options = [prefs + (-1,) for prefs in self.acc]  # -1: stay unmatched
         covers = [cover] * n  # covers[i]: the cover while resident i is decided
         # slack[i]: undecided residents minus unmet lower-quota demand at level i
         slack = [n - sum(low)] * n
+        kept = [-1] * n  # kept[i]: the cut of i's hospital before i took it
         pending = [None] * n  # pending[i]: the options resident i has not tried yet
         self.nodes += 1
         if self.nodes > budget:
@@ -320,7 +326,7 @@ class _FeasibleSearch:
         i = 0
         it = iter(options[0])
         while True:
-            for j in it:
+            for j, rank in it:
                 if j >= 0 and occ[j] >= up[j]:
                     continue
                 fills = j >= 0 and occ[j] < low[j]
@@ -332,9 +338,12 @@ class _FeasibleSearch:
                 if freed != j and (fills or freed >= 0):
                     if freed >= 0 and last[freed] <= i:
                         continue  # the last-lister check: nobody after i can take the slot
+                    reader = readers[i]
+                    if reader is None:
+                        reader = readers[i] = _frontier_reader(spans, i)
                     if fills:  # the key is taken after i's decision
                         have[j] += 1
-                    key = (i, states[i](have))
+                    key = (i, reader(have))
                     if fills:
                         have[j] -= 1
                     if key in repaired:
@@ -353,7 +362,12 @@ class _FeasibleSearch:
                     raise BudgetExceeded(budget)
                 if i + 1 == n:  # a leaf
                     choice[i] = j
-                    yield choice
+                    if j >= 0 and rank > cut[j]:
+                        below, cut[j] = cut[j], rank
+                        yield choice
+                        cut[j] = below
+                    else:
+                        yield choice
                     choice[i] = -1
                     continue
                 if j >= 0:
@@ -361,6 +375,9 @@ class _FeasibleSearch:
                     occ[j] += 1
                     if fills:
                         have[j] += 1
+                    kept[i] = cut[j]
+                    if rank > cut[j]:
+                        cut[j] = rank
                 pending[i] = it
                 i += 1
                 covers[i] = cover
@@ -376,6 +393,7 @@ class _FeasibleSearch:
                     occ[j] -= 1
                     if occ[j] < low[j]:
                         have[j] -= 1
+                    cut[j] = kept[i]
                     choice[i] = -1
                 it = pending[i]
 
@@ -411,10 +429,11 @@ def _brute_optima(instance: Instance, node_budget: int) -> tuple[SolveResult, So
     leaf's envy count stops as soon as it can beat neither best so far.
     """
     search = _FeasibleSearch(instance, node_budget)
+    options, cut = instance._options, search.cut
     best_ep = best_er = None
     ep_obj = er_obj = len(instance._edges) + 1  # above any count
     for choice in search.leaves():
-        n_pairs, n_residents = _envy_counts(instance, choice, ep_obj, er_obj)
+        n_pairs, n_residents = _envy_scan(options, choice, cut, ep_obj, er_obj)
         if n_pairs < ep_obj:
             best_ep, ep_obj = _matching(instance, choice), n_pairs
         if n_residents < er_obj:

@@ -69,6 +69,7 @@ class Instance:
     # and, by dense index, the only compiled form the solvers and predicates read:
     #   _acc[r], _acc_h[h]  preference lists; _rank_h[h][r]  r's position in h's list
     #   _low, _up  quota vectors; _edges  `edges` as index pairs
+    # and `_options` below, built on first use.
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "residents", tuple(self.residents))
@@ -106,6 +107,24 @@ class Instance:
         object.__setattr__(self, "_low", tuple(quotas[h][0] for h in self.hospitals))
         object.__setattr__(self, "_up", tuple(quotas[h][1] for h in self.hospitals))
         object.__setattr__(self, "_edges", edges)
+        # Set now, filled by `_options`: an attribute first added after
+        # construction makes every attribute read on the instance slower
+        # (about 3x on CPython 3.11, which then drops its inline layout).
+        object.__setattr__(self, "_option_table", None)
+
+    @property
+    def _options(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per resident r: (h, _rank_h[h][r]) for each h on r's list, in r's order, then (-1, -1).
+
+        The (-1, -1) entry stands for staying unmatched.  The search and the
+        envy scan read it; parsing and validating alone never build it.
+        """
+        if self._option_table is None:
+            rank_h = self._rank_h
+            object.__setattr__(self, "_option_table", tuple(
+                tuple([(h, rank_h[h][r]) for h in prefs] + [(-1, -1)])
+                for r, prefs in enumerate(self._acc)))
+        return self._option_table
 
     def _violations(self, quotas: dict, listed_residents: tuple, listed_hospitals: tuple) -> list[str]:
         out: list[str] = []
@@ -282,6 +301,45 @@ def _choice(instance: Instance, matching: Matching) -> list[int]:
     return choice
 
 
+def _envy_scan(
+    options: tuple,
+    choice: list[int],
+    cut: list[int],
+    stop_pairs: int,
+    stop_residents: int,
+    found: list[tuple[int, int]] | None = None,
+) -> tuple[int, int]:
+    """The numbers of envy pairs and of envious residents, given each hospital's cut.
+
+    The one loop that finds envy: `_envy_counts` and the brute oracles'
+    leaf score both run it.  `options` is `Instance._options`; cut[h] is
+    the rank, in h's list, of h's worst occupant (-1 when h is empty), and
+    (r, h) is an envy pair when h comes before r's own hospital on r's
+    list (the (-1, -1) entry ends an unmatched resident's list) and r's
+    rank at h is below cut[h].  Residents are scanned by index, each one's
+    list in preference order, and every pair found is appended to `found`
+    when it is given.  The scan stops once both counts have reached their
+    stop values, since neither can fall; so both counts are exact whenever
+    either ends below its stop value.
+    """
+    pairs = residents = 0
+    last = -1
+    for r, own in enumerate(choice):
+        for h, rank in options[r]:
+            if h == own:
+                break
+            if rank < cut[h]:
+                if found is not None:
+                    found.append((r, h))
+                pairs += 1
+                if r != last:
+                    residents += 1
+                    last = r
+                if pairs >= stop_pairs and residents >= stop_residents:
+                    return pairs, residents
+    return pairs, residents
+
+
 def _envy_counts(
     instance: Instance,
     choice: list[int],
@@ -292,16 +350,15 @@ def _envy_counts(
 ) -> tuple[int, int]:
     """The numbers of envy pairs and of envious residents of a choice vector.
 
-    The one place envy is defined: every predicate, report and oracle
-    reads it through this loop.  (r, h) is an envy pair when r prefers h to its own hospital (any
-    acceptable h beats being unmatched) and h holds a resident it ranks
-    below r.  With `wasteful`, pairs whose hospital has a free seat under
-    its upper quota count too, which gives the classical blocking pairs.
-    Residents are scanned by index, each one's list in preference order,
-    and every pair found is appended to `found` when it is given.  The
-    scan stops once both counts have reached their stop values, since
-    neither can fall; so both counts are exact whenever either ends below
-    its stop value.
+    The one place envy is defined: every predicate and report reads it
+    through this function, and the brute oracles run the same scan,
+    `_envy_scan`, with the cut their search keeps along its path.  (r, h)
+    is an envy pair when r prefers h to its own hospital (any acceptable h
+    beats being unmatched) and h holds a resident it ranks below r.  The
+    cut, each hospital's worst occupant rank, is derived from the choice
+    vector here.  With `wasteful`, pairs whose hospital has a free seat
+    under its upper quota count too, which gives the classical blocking
+    pairs.  Stop values and `found` are those of `_envy_scan`.
     """
     rank_h = instance._rank_h
     cut = [-1] * len(rank_h)  # h takes r exactly when r's rank at h is below cut[h]
@@ -314,22 +371,7 @@ def _envy_counts(
             if h >= 0:
                 seats[h] -= 1
         cut = [len(ranks) if free > 0 else c for ranks, free, c in zip(rank_h, seats, cut)]
-    pairs = residents = 0
-    last = -1
-    for r, (prefs, own) in enumerate(zip(instance._acc, choice)):
-        for h in prefs:
-            if h == own:
-                break
-            if rank_h[h][r] < cut[h]:
-                if found is not None:
-                    found.append((r, h))
-                pairs += 1
-                if r != last:
-                    residents += 1
-                    last = r
-                if pairs >= stop_pairs and residents >= stop_residents:
-                    return pairs, residents
-    return pairs, residents
+    return _envy_scan(instance._options, choice, cut, stop_pairs, stop_residents, found)
 
 
 def _envy(instance: Instance, choice: list[int], wasteful: bool = False) -> list[tuple[int, int]]:
@@ -398,7 +440,11 @@ def without_edges(instance: Instance, pairs: Iterable[Pair]) -> Instance:
     """A copy of the instance with the given acceptable pairs deleted.
 
     Each pair is removed from both preference lists; the relative order of
-    the remaining entries is preserved.
+    the remaining entries is preserved.  This is the paper's trimmed
+    instance G - E' for a guess E', built literally as a new validated
+    Instance.  No solver calls it: `min_ep_exact` hands each guess to
+    deferred acceptance as dropped pairs.  Tests and benchmark probes use
+    it as the reference that shortcut is checked against.
     """
     drop = {tuple(p) for p in pairs}
     unknown = drop - set(instance.edges)

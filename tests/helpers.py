@@ -1,7 +1,7 @@
 """Shared fixtures: the two worked micro-instances, seeded random families, long
-chains, a reference recount of envy and blocking pairs, a product-space
-enumeration of feasible matchings, a textbook deferred acceptance and a
-paper-order Min-EP search."""
+chains, a reference recount of envy and blocking pairs, the oracles' picks
+and the search's leaf state, a product-space enumeration of feasible
+matchings, a textbook deferred acceptance and a paper-order Min-EP search."""
 
 from __future__ import annotations
 
@@ -190,6 +190,51 @@ def naive_envy_pairs(instance: hrlq.Instance, matching: hrlq.Matching) -> tuple:
             if any(hp.index(r) < hp.index(o) for o in occupants.get(h, ())):
                 out.append((r, h))
     return tuple(out)
+
+
+def naive_first_minima(instance: hrlq.Instance) -> tuple:
+    """The first strict minimum of each objective in `enumerate_feasible` order.
+
+    Each leaf is scored by `naive_envy_pairs`, so the picks share no
+    scoring code with `hrlq.core`.  Returns (min-EP matching, its number
+    of envy pairs, min-ER matching, its number of envious residents); all
+    four are None when nothing is feasible.
+    """
+    best_ep = best_er = None
+    ep = er = None
+    for matching in hrlq.enumerate_feasible(instance):
+        pairs = naive_envy_pairs(instance, matching)
+        residents = len({r for r, _ in pairs})
+        if ep is None or len(pairs) < ep:
+            best_ep, ep = matching, len(pairs)
+        if er is None or residents < er:
+            best_er, er = matching, residents
+    return best_ep, ep, best_er, er
+
+
+def check_leaf_state(instance: hrlq.Instance) -> int:
+    """Check the search's path-kept cut and its leaf score at every leaf; return the leaves.
+
+    At each leaf `_FeasibleSearch.cut` must equal each hospital's worst
+    occupant rank recounted from the choice vector by name, and the scan
+    the oracles run on it must give `_envy_counts`' exact counts.
+    """
+    core = hrlq.core
+    never = len(instance.edges) + 1
+    search = hrlq.algorithms._FeasibleSearch(instance, 10**7)
+    leaves = 0
+    for choice in search.leaves():
+        held: dict[str, list[int]] = {}
+        for r, j in zip(instance.residents, choice):
+            if j >= 0:
+                h = instance.hospitals[j]
+                held.setdefault(h, []).append(instance.hospital_prefs[h].index(r))
+        recount = [max(held.get(h, [-1])) for h in instance.hospitals]
+        assert search.cut == recount, choice
+        score = core._envy_scan(instance._options, choice, search.cut, never, never)
+        assert score == core._envy_counts(instance, choice, never, never), choice
+        leaves += 1
+    return leaves
 
 
 def naive_blocking_pairs(instance: hrlq.Instance, matching: hrlq.Matching) -> tuple:

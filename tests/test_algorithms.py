@@ -11,11 +11,13 @@ import pytest
 import hrlq
 from helpers import (
     chain_instance,
+    check_leaf_state,
     choice_pairs,
     exhaustive_two_by_two,
     has_envy_free_feasible,
     instance_a,
     instance_b,
+    naive_first_minima,
     paper_min_ep,
     product_space_choices,
     random_feasible_instances,
@@ -375,6 +377,14 @@ class TestBudgetSemantics:
                 solve(inst, node_budget=0)
 
 
+def _assert_first_naive_minima(inst: hrlq.Instance) -> None:
+    """Each brute oracle returns its objective's first strict minimum, scored by the helpers."""
+    best_ep, ep, best_er, er = naive_first_minima(inst)
+    ep_result, er_result = hrlq.brute_min_ep(inst), hrlq.brute_min_er(inst)
+    assert (ep_result.matching, ep_result.objective) == (best_ep, ep)
+    assert (er_result.matching, er_result.objective) == (best_er, er)
+
+
 def _reduction(kind: str, n: int, edges: list, k: int, length: int | None) -> hrlq.Instance:
     graph = hrlq.SourceGraph(n, edges, k)
     if kind == "clique":
@@ -418,6 +428,24 @@ class TestReductionEnumeration:
             count += 1
         assert (count, hrlq.brute_min_ep(inst).stats.nodes, sequence.hexdigest()) == (
             leaves, nodes, digest)
+
+
+    # The four instances above, for the checks that are not pinned.
+    SOURCES = {
+        "triangle-k1-full": ("vc", 3, _TRIANGLE, 1, None),
+        "four-cycle-k3-full": ("clique", 4, _FOUR_CYCLE, 3, None),
+        "k4-k2-g3": ("vc", 4, _K4, 2, 3),
+        "c5-k2-g3": ("vc", 5, _C5, 2, 3),
+    }
+
+    @pytest.mark.parametrize("name", SOURCES)
+    def test_path_cut_and_leaf_score(self, name):
+        inst = _reduction(*self.SOURCES[name])
+        assert check_leaf_state(inst) == sum(1 for _ in hrlq.enumerate_feasible(inst))
+
+    @pytest.mark.parametrize("name", SOURCES)
+    def test_oracles_pick_the_first_naive_minimum(self, name):
+        _assert_first_naive_minima(_reduction(*self.SOURCES[name]))
 
 
 class TestZeroResidents:
@@ -484,6 +512,27 @@ class TestLongChains:
         monkeypatch.setattr(hrlq.algorithms._FeasibleSearch, "_augment", counting)
         assert len(list(hrlq.enumerate_feasible(chain_instance(50)))) == 1
         assert repairs == []
+
+    def test_chain_builds_no_frontier_reader(self, monkeypatch):
+        # Every option on a chain is settled by the count or the last-lister
+        # check, so no level takes a memo key and no frontier reader is built.
+        built = []
+        itemgetter = hrlq.algorithms.itemgetter
+
+        def counting(*items):
+            built.append(items)
+            return itemgetter(*items)
+
+        monkeypatch.setattr(hrlq.algorithms, "itemgetter", counting)
+        result = hrlq.brute_min_ep(chain_instance(3000))
+        assert built == []
+        assert result.objective == 2999
+        assert result.matching.pairs() == tuple((f"r{i}", f"h{i}") for i in range(3000))
+        assert result.stats.nodes == 3001
+        # A reduction instance asks the memo, and each level builds its reader once.
+        inst = _reduction("vc", 3, _TRIANGLE, 1, None)
+        hrlq.brute_min_ep(inst)
+        assert 0 < len(built) <= len(inst.residents)
 
     def test_brute_oracle_memory(self):
         # Nothing the search keeps per level may grow with the chain's
@@ -600,6 +649,12 @@ class TestBruteOracles:
             hrlq.brute_min_ep(inst)
         with pytest.raises(hrlq.Infeasible):
             hrlq.brute_min_er(inst)
+
+    def test_picks_are_the_first_naive_minima(self):
+        # Each oracle keeps the first strict minimum in enumeration order,
+        # whatever scores the leaves.
+        for inst in random_feasible_instances(24, 80):
+            _assert_first_naive_minima(inst)
 
     def test_er_never_exceeds_ep(self):
         for inst in random_feasible_instances(19, 60):

@@ -1,6 +1,7 @@
 """Property tests over generated instances: format round trips, the exact
-solver against the oracle and the paper-order reference, envy against
-blocking, byte-stable output.
+solver against the oracle and the paper-order reference, the search's
+path-kept cut and leaf score against a recount, envy against blocking,
+byte-stable output.
 
 Examples are derandomized and the example database is off, so every run
 checks the same inputs.
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrlq
-from helpers import paper_min_ep, random_instance
+from helpers import check_leaf_state, paper_min_ep, random_instance
 
 FIXED = settings(derandomize=True, database=None, max_examples=50, deadline=None)
 
@@ -93,6 +94,12 @@ def test_min_ep_exact_equals_the_paper_order_reference(instance):
     if not hrlq.exists_feasible(instance):
         return
     assert _outcome(hrlq.min_ep_exact, instance) == _outcome(paper_min_ep, instance)
+
+
+@FIXED
+@given(INSTANCES)
+def test_path_cut_and_leaf_score_equal_a_recount(instance):
+    check_leaf_state(instance)
 
 
 @FIXED
