@@ -179,21 +179,69 @@ def yokoi_envy_free(instance: Instance) -> Matching | None:
     return _matching(instance, choice) if _filled(choice, sum(instance._low)) else None
 
 
-def _no_state(have: list[int]) -> tuple:
-    """The frontier demand at a level whose frontier is empty."""
+def _no_state(occ: list[int]) -> tuple:
+    """The frontier occupancy at a level whose frontier is empty."""
     return ()
 
 
 def _frontier_reader(spans: list[tuple[int, int, int]], i: int):
-    """The reader of the frontier demand at level i.
+    """The reader of the frontier occupancy at level i.
 
     `spans` holds (first lister, last lister, h) for the hospitals h with
     a positive lower quota.  The frontier F_i holds those listed both by a
-    resident <= i and by a resident > i; the reader maps a vector of
-    min(occupancy, lower quota) to its entries on F_i.
+    resident <= i and by a resident > i; the reader maps the occupancy
+    vector to its entries on F_i.
     """
     frontier = [h for first, last, h in spans if first <= i < last]
     return itemgetter(*frontier) if frontier else _no_state
+
+
+def _augment(acc_h: tuple, hospital: int, start: int, cover: list[int]) -> bool:
+    """Cover one more slot of `hospital` with residents from `start` on, if possible.
+
+    `acc_h` is `Instance._acc_h`.  A free resident on the hospital's list
+    takes the slot directly; otherwise a breadth-first search over
+    alternating paths finds a free resident and shifts every resident on
+    the path by one slot.
+    """
+    listed = acc_h[hospital]
+    for r in listed:
+        if r >= start and cover[r] < 0:
+            cover[r] = hospital
+            return True
+    # via[r]: the resident whose covered hospital r was reached from
+    # (-1 for `hospital` itself).
+    via = {r: -1 for r in listed if r >= start}
+    expanded = {hospital}
+    queue = list(via)
+    for q in queue:
+        h = cover[q]
+        if h in expanded:
+            continue
+        expanded.add(h)
+        for r in acc_h[h]:
+            if r < start or r in via:
+                continue
+            via[r] = q
+            if cover[r] < 0:
+                while r >= 0:
+                    q = via[r]
+                    cover[r] = hospital if q < 0 else cover[q]
+                    r = q
+                return True
+            queue.append(r)
+    return False
+
+
+def _initial_cover(instance: Instance) -> list[int] | None:
+    """Cover every lower-quota slot with a distinct resident, or None when that is impossible."""
+    acc_h = instance._acc_h
+    cover = [-1] * len(instance._acc)
+    for j, low in enumerate(instance._low):
+        for _ in range(low):
+            if not _augment(acc_h, j, 0, cover):
+                return None
+    return cover
 
 
 class _FeasibleSearch:
@@ -212,27 +260,26 @@ class _FeasibleSearch:
       dies when no resident after i lists that slot's hospital;
     * a cover, which gives every demand slot its own undecided resident.
       Each level of the explicit stack holds its cover: the parent's, or
-      one repaired with one augmenting path when the decision frees or
-      removes a slot.  Any repair gives the same decision, because the
-      cover only has to exist.
+      one repaired with one augmenting path (`_augment`) when the decision
+      frees or removes a slot.  Any repair gives the same decision,
+      because the cover only has to exist.
 
     Whether the residents after i can meet the demand depends only on i
-    and the frontier demand: min(occupancy, lower quota) after i's
-    decision, on the hospitals with a positive lower quota listed both by
-    a resident <= i and by one after i.  A hospital listed only after i
-    still has all its demand, and on a live branch one listed only up to
-    i has none left (the cover and the last-lister check see to that).  So
-    repairs are memoized by (i, frontier demand), dead or the repaired
-    cover, and a branch that meets a known state reuses the verdict and
-    the cover, which is copied before it is ever changed.  The key is
-    the per-node state a bound can share with the enumeration.
+    and the demand after i's decision on the frontier F_i: the hospitals
+    with a positive lower quota listed both by a resident <= i and by one
+    after i.  A hospital listed only after i still has all its demand,
+    and on a live branch one listed only up to i has none left (the cover
+    and the last-lister check see to that).  The occupancy on F_i fixes
+    that demand, so repairs are memoized by (i, frontier occupancy), dead
+    or the repaired cover, and a branch that meets a known state reuses
+    the verdict and the cover, which is copied before it is ever changed.
+    The key is the per-node state a bound can share with the enumeration.
 
     Along the path the search keeps, besides each hospital's occupancy,
     `cut[h]`: the rank in h's list of h's worst decided occupant (-1 while
     h holds nobody).  Placing a resident raises it, backtracking restores
     it, and at a leaf it covers every resident, so `core._envy_scan` scores
-    the leaf from it without rebuilding it.  Plain enumeration pays for it
-    per node (README, "Algorithm notes", has the figures).
+    the leaf from it without rebuilding it.
     """
 
     def __init__(self, instance: Instance, node_budget: int):
@@ -241,55 +288,7 @@ class _FeasibleSearch:
         self.node_budget = node_budget
         self.nodes = 0
         self.instance = instance
-        self.acc_h = instance._acc_h
-        self.low, self.up = instance._low, instance._up
-        self.n_res = len(instance._acc)
-        self.n_hosp = len(self.acc_h)
-        self.cut = [-1] * self.n_hosp
-
-    def initial_cover(self) -> list[int] | None:
-        """Cover every lower-quota slot with a distinct resident, or report impossibility."""
-        cover = [-1] * self.n_res
-        for j in range(self.n_hosp):
-            for _ in range(self.low[j]):
-                if not self._augment(j, 0, cover):
-                    return None
-        return cover
-
-    def _augment(self, hospital: int, start: int, cover: list[int]) -> bool:
-        """Cover one more slot of `hospital` with residents from `start` on, if possible.
-
-        A free resident on the hospital's list takes the slot directly;
-        otherwise a breadth-first search over alternating paths finds a
-        free resident and shifts every resident on the path by one slot.
-        """
-        listed = self.acc_h[hospital]
-        for r in listed:
-            if r >= start and cover[r] < 0:
-                cover[r] = hospital
-                return True
-        # via[r]: the resident whose covered hospital r was reached from
-        # (-1 for `hospital` itself).
-        via = {r: -1 for r in listed if r >= start}
-        expanded = {hospital}
-        queue = list(via)
-        for q in queue:
-            h = cover[q]
-            if h in expanded:
-                continue
-            expanded.add(h)
-            for r in self.acc_h[h]:
-                if r < start or r in via:
-                    continue
-                via[r] = q
-                if cover[r] < 0:
-                    while r >= 0:
-                        q = via[r]
-                        cover[r] = hospital if q < 0 else cover[q]
-                        r = q
-                    return True
-                queue.append(r)
-        return False
+        self.cut = [-1] * len(instance._acc_h)
 
     def leaves(self) -> Iterator[list[int]]:
         """Yield the live choice vector at each feasible leaf; copy it to keep it.
@@ -299,18 +298,19 @@ class _FeasibleSearch:
         Otherwise every state entered counts as a node, and entering one
         past the budget raises BudgetExceeded.
         """
-        cover = self.initial_cover()
+        instance = self.instance
+        cover = _initial_cover(instance)
         if cover is None:
             return
-        low, up, budget, n = self.low, self.up, self.node_budget, self.n_res
-        options, cut = self.instance._options, self.cut
-        last = [max(listed, default=-1) for listed in self.acc_h]  # h's last lister
+        acc_h, low, up = instance._acc_h, instance._low, instance._up
+        budget, n = self.node_budget, len(instance._acc)
+        options, cut = instance._options, self.cut
+        last = [max(listed, default=-1) for listed in acc_h]  # h's last lister
         spans = [(min(listed), last[h], h)
-                 for h, listed in enumerate(self.acc_h) if low[h] and len(listed) > 1]
+                 for h, listed in enumerate(acc_h) if low[h] and len(listed) > 1]
         readers = [None] * n  # readers[i]: F_i's reader, built when level i first takes a key
-        occ = [0] * self.n_hosp
-        have = [0] * self.n_hosp  # have[h]: min(occ[h], low[h])
-        repaired: dict[tuple, list[int] | None] = {}  # (i, frontier demand) -> cover, or None: dead
+        occ = [0] * len(acc_h)
+        repaired: dict[tuple, list[int] | None] = {}  # (i, frontier occupancy) -> cover, or None: dead
         choice = [-1] * n
         covers = [cover] * n  # covers[i]: the cover while resident i is decided
         # slack[i]: undecided residents minus unmet lower-quota demand at level i
@@ -341,18 +341,18 @@ class _FeasibleSearch:
                     reader = readers[i]
                     if reader is None:
                         reader = readers[i] = _frontier_reader(spans, i)
-                    if fills:  # the key is taken after i's decision
-                        have[j] += 1
-                    key = (i, reader(have))
-                    if fills:
-                        have[j] -= 1
+                    if j >= 0:  # the key is taken after i's decision
+                        occ[j] += 1
+                    key = (i, reader(occ))
+                    if j >= 0:
+                        occ[j] -= 1
                     if key in repaired:
                         cover = repaired[key]
                     else:
                         cover = cover.copy()
                         if fills:  # a slot of j that i did not cover disappears
                             cover[cover.index(j, i + 1)] = -1
-                        if freed >= 0 and not self._augment(freed, i + 1, cover):
+                        if freed >= 0 and not _augment(acc_h, freed, i + 1, cover):
                             cover = None
                         repaired[key] = cover
                     if cover is None:
@@ -373,8 +373,6 @@ class _FeasibleSearch:
                 if j >= 0:
                     choice[i] = j
                     occ[j] += 1
-                    if fills:
-                        have[j] += 1
                     kept[i] = cut[j]
                     if rank > cut[j]:
                         cut[j] = rank
@@ -391,8 +389,6 @@ class _FeasibleSearch:
                 j = choice[i]
                 if j >= 0:
                     occ[j] -= 1
-                    if occ[j] < low[j]:
-                        have[j] -= 1
                     cut[j] = kept[i]
                     choice[i] = -1
                 it = pending[i]
@@ -405,7 +401,7 @@ def exists_feasible(instance: Instance) -> bool:
     quota; surplus residents may stay unmatched, so saturating the demand
     slots is both necessary and sufficient.
     """
-    return _FeasibleSearch(instance, 0).initial_cover() is not None
+    return _initial_cover(instance) is not None
 
 
 def enumerate_feasible(

@@ -210,9 +210,6 @@ class Matching:
 
     assignment: Mapping[str, str]
 
-    def hospital_of(self, resident: str) -> str | None:
-        return self.assignment.get(resident)
-
     def pairs(self) -> tuple[Pair, ...]:
         return tuple(self.assignment.items())
 
@@ -311,8 +308,8 @@ def _envy_scan(
 ) -> tuple[int, int]:
     """The numbers of envy pairs and of envious residents, given each hospital's cut.
 
-    The one loop that finds envy: `_envy_counts` and the brute oracles'
-    leaf score both run it.  `options` is `Instance._options`; cut[h] is
+    The one loop that finds envy: `_envy` and the brute oracles' leaf
+    score both run it.  `options` is `Instance._options`; cut[h] is
     the rank, in h's list, of h's worst occupant (-1 when h is empty), and
     (r, h) is an envy pair when h comes before r's own hospital on r's
     list (the (-1, -1) entry ends an unmatched resident's list) and r's
@@ -340,15 +337,8 @@ def _envy_scan(
     return pairs, residents
 
 
-def _envy_counts(
-    instance: Instance,
-    choice: list[int],
-    stop_pairs: int,
-    stop_residents: int,
-    wasteful: bool = False,
-    found: list[tuple[int, int]] | None = None,
-) -> tuple[int, int]:
-    """The numbers of envy pairs and of envious residents of a choice vector.
+def _envy(instance: Instance, choice: list[int], wasteful: bool = False) -> list[tuple[int, int]]:
+    """Envy pairs (blocking pairs with `wasteful`) as (resident, hospital) index pairs, in index order.
 
     The one place envy is defined: every predicate and report reads it
     through this function, and the brute oracles run the same scan,
@@ -358,7 +348,7 @@ def _envy_counts(
     cut, each hospital's worst occupant rank, is derived from the choice
     vector here.  With `wasteful`, pairs whose hospital has a free seat
     under its upper quota count too, which gives the classical blocking
-    pairs.  Stop values and `found` are those of `_envy_scan`.
+    pairs.
     """
     rank_h = instance._rank_h
     cut = [-1] * len(rank_h)  # h takes r exactly when r's rank at h is below cut[h]
@@ -371,14 +361,9 @@ def _envy_counts(
             if h >= 0:
                 seats[h] -= 1
         cut = [len(ranks) if free > 0 else c for ranks, free, c in zip(rank_h, seats, cut)]
-    return _envy_scan(instance._options, choice, cut, stop_pairs, stop_residents, found)
-
-
-def _envy(instance: Instance, choice: list[int], wasteful: bool = False) -> list[tuple[int, int]]:
-    """Envy pairs (blocking pairs with `wasteful`) as (resident, hospital) index pairs, in index order."""
     found: list[tuple[int, int]] = []
     never = len(instance._edges) + 1  # above any count
-    _envy_counts(instance, choice, never, never, wasteful, found)
+    _envy_scan(instance._options, choice, cut, never, never, found)
     return sorted(found)
 
 

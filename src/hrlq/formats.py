@@ -6,8 +6,9 @@ non-whitespace tokens):
     resident <name>: <hospital> <hospital> ...     # most-preferred first
     hospital <name> [<l>,<u>]: <resident> ...
 
-Graph grammar: a `p <n> <m>` header followed by exactly m `e <i> <j>` lines,
-1-based with i < j.  Matching grammar: `match <resident> <hospital>` lines;
+Graph grammar: a `p <n> <m>` header (n >= 1) followed by exactly m
+`e <i> <j>` lines, 1-based with i < j.  Numbers in both grammars are ASCII
+digits only.  Matching grammar: `match <resident> <hospital>` lines;
 unmatched residents are omitted.  Serialization is the canonical form:
 parse(serialize(x)) == x and repeated serialization is byte-identical.
 """
@@ -19,7 +20,7 @@ import re
 from .core import Instance, InvalidMatchingError, Matching, make_matching, validate_instance
 from .reductions import SourceGraph
 
-_QUOTA_RE = re.compile(r"^\[(\d+),(\d+)\]$")
+_QUOTA_RE = re.compile(r"^\[([0-9]+),([0-9]+)\]$")
 
 
 class ParseError(ValueError):
@@ -67,7 +68,10 @@ def parse_instance(text: str) -> Instance:
             match = _QUOTA_RE.match(fields[2])
             if not match:
                 raise ParseError(f"malformed quota token {fields[2]} (expected [l,u])", lineno)
-            low, up = int(match.group(1)), int(match.group(2))
+            try:
+                low, up = int(match.group(1)), int(match.group(2))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"quota of {name} has too many digits", lineno) from None
             if low > up:
                 raise ParseError(f"quota inversion at {name}: lower {low} exceeds upper {up}", lineno)
             if name in decl_line:
@@ -109,6 +113,13 @@ def serialize_instance(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _natural(token: str) -> int:
+    """`token` as an int when it is ASCII digits only: no sign, no '_', no other script."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a natural number: {token!r}")
+    return int(token)
+
+
 def parse_graph(text: str) -> SourceGraph:
     """Parse a `p n m` / `e i j` edge-list document.
 
@@ -126,16 +137,18 @@ def parse_graph(text: str) -> SourceGraph:
             if len(fields) != 3:
                 raise ParseError("expected 'p <n> <m>'", lineno)
             try:
-                n, declared_m = int(fields[1]), int(fields[2])
+                n, declared_m = _natural(fields[1]), _natural(fields[2])
             except ValueError:
                 raise ParseError("p header fields must be integers", lineno) from None
+            if n < 1:
+                raise ParseError(f"graph needs at least one vertex, got n={n}", lineno)
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("edge before the p header", lineno)
             if len(fields) != 3:
                 raise ParseError("expected 'e <i> <j>'", lineno)
             try:
-                i, j = int(fields[1]), int(fields[2])
+                i, j = _natural(fields[1]), _natural(fields[2])
             except ValueError:
                 raise ParseError("edge endpoints must be integers", lineno) from None
             if not 1 <= i < j <= n:

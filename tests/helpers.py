@@ -212,27 +212,33 @@ def naive_first_minima(instance: hrlq.Instance) -> tuple:
     return best_ep, ep, best_er, er
 
 
+def worst_occupant_ranks(instance: hrlq.Instance, choice: list[int]) -> list[int]:
+    """Per hospital, the rank in its list of its worst occupant (-1 when empty), recounted by name."""
+    held: dict[str, list[int]] = {}
+    for r, j in zip(instance.residents, choice):
+        if j >= 0:
+            h = instance.hospitals[j]
+            held.setdefault(h, []).append(instance.hospital_prefs[h].index(r))
+    return [max(held.get(h, [-1])) for h in instance.hospitals]
+
+
 def check_leaf_state(instance: hrlq.Instance) -> int:
     """Check the search's path-kept cut and its leaf score at every leaf; return the leaves.
 
     At each leaf `_FeasibleSearch.cut` must equal each hospital's worst
     occupant rank recounted from the choice vector by name, and the scan
-    the oracles run on it must give `_envy_counts`' exact counts.
+    the oracles run on it must count `_envy`'s pairs and their distinct
+    residents.
     """
     core = hrlq.core
     never = len(instance.edges) + 1
     search = hrlq.algorithms._FeasibleSearch(instance, 10**7)
     leaves = 0
     for choice in search.leaves():
-        held: dict[str, list[int]] = {}
-        for r, j in zip(instance.residents, choice):
-            if j >= 0:
-                h = instance.hospitals[j]
-                held.setdefault(h, []).append(instance.hospital_prefs[h].index(r))
-        recount = [max(held.get(h, [-1])) for h in instance.hospitals]
-        assert search.cut == recount, choice
+        assert search.cut == worst_occupant_ranks(instance, choice), choice
         score = core._envy_scan(instance._options, choice, search.cut, never, never)
-        assert score == core._envy_counts(instance, choice, never, never), choice
+        pairs = core._envy(instance, choice)
+        assert score == (len(pairs), len({r for r, _ in pairs})), choice
         leaves += 1
     return leaves
 

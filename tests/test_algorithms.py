@@ -502,14 +502,14 @@ class TestLongChains:
         # later resident lists, so the last-lister check cuts it before any
         # augmenting-path search.
         repairs = []
-        augment = hrlq.algorithms._FeasibleSearch._augment
+        augment = hrlq.algorithms._augment
 
-        def counting(search, hospital, start, cover):
+        def counting(acc_h, hospital, start, cover):
             if start:  # the initial cover augments from resident 0
                 repairs.append(hospital)
-            return augment(search, hospital, start, cover)
+            return augment(acc_h, hospital, start, cover)
 
-        monkeypatch.setattr(hrlq.algorithms._FeasibleSearch, "_augment", counting)
+        monkeypatch.setattr(hrlq.algorithms, "_augment", counting)
         assert len(list(hrlq.enumerate_feasible(chain_instance(50)))) == 1
         assert repairs == []
 

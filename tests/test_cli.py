@@ -274,6 +274,13 @@ class TestGen:
         assert code == 2
         assert "not covered" in err
 
+    def test_graph_without_vertices_is_input_error(self, capsys, tmp_path):
+        graph_path = tmp_path / "empty.g"
+        graph_path.write_text("p 0 0\n")
+        code, out, err = run(capsys, "gen", "vc2ep", "--graph", graph_path, "--k", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: graph needs at least one vertex, got n=0\n"
+
     @pytest.mark.parametrize("spec, message", [
         ("cover:v\u00b2", "bad certificate vertex"),
         ("cover:\u2462", "bad certificate vertex"),

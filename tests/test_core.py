@@ -13,6 +13,7 @@ from helpers import (
     naive_envy_pairs,
     random_feasible_instances,
     random_instance,
+    worst_occupant_ranks,
 )
 
 IA = instance_a()
@@ -266,14 +267,16 @@ class TestReferenceRecount:
         assert report.envy_pairs == envy
         assert report.envy_residents == tuple(dict.fromkeys(r for r, _ in envy))
         assert report.blocking_pairs == blocking
-        # The brute oracles' leaf counter, unbounded and with every pair of
-        # stop values up to one past the exact counts.
+        # The brute oracles' leaf counter, on a cut recounted by name,
+        # unbounded and with every pair of stop values up to one past the
+        # exact counts.
         choice = hrlq.core._choice(inst, m)
+        cut = worst_occupant_ranks(inst, choice)
         exact = (len(envy), len({r for r, _ in envy}))
-        assert hrlq.core._envy_counts(inst, choice, 10**9, 10**9) == exact
+        assert hrlq.core._envy_scan(inst._options, choice, cut, 10**9, 10**9) == exact
         for stop_pairs in range(exact[0] + 2):
             for stop_residents in range(exact[1] + 2):
-                got = hrlq.core._envy_counts(inst, choice, stop_pairs, stop_residents)
+                got = hrlq.core._envy_scan(inst._options, choice, cut, stop_pairs, stop_residents)
                 if got[0] < stop_pairs or got[1] < stop_residents:
                     assert got == exact
                 else:

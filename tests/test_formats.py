@@ -63,6 +63,10 @@ class TestInstanceFormat:
         ("doctor d: h\n", "line 1: unrecognized declaration"),
         ("resident r [0,1]: h\n", "line 1: unrecognized declaration"),
         ("resident r:\nhospital h [0,1]: ghost\n", "line 2: .* hospital h names undeclared resident ghost"),
+        # Quotas are ASCII digits: no other script, and no more digits than int() reads.
+        ("hospital h [\u0661,\u0662]:\n", r"line 1: malformed quota token \[\u0661,\u0662\]"),
+        pytest.param(f"resident r:\nhospital h [0,{'9' * 5000}]:\n", "line 2: quota of h has too many digits",
+                     id="quota-of-5000-digits"),
     ])
     def test_malformed_declarations(self, text, message):
         with pytest.raises(hrlq.ParseError, match=message):
@@ -120,6 +124,13 @@ class TestGraphFormat:
         ("p 2 1\ne 1 b\n", "line 2: edge endpoints must be integers"),
         ("p 2 1\nx 1 2\n", "line 2: unrecognized line: 'x 1 2'"),
         ("# no header\n", "^missing p header$"),
+        # Numbers are ASCII digits only: no sign, no '_', no other script.
+        ("p 2 1\ne +1 2\n", "line 2: edge endpoints must be integers"),
+        ("p 10 1\ne 1 1_0\n", "line 2: edge endpoints must be integers"),
+        ("p 2 1\ne \u0661 \u0662\n", "line 2: edge endpoints must be integers"),
+        ("p \u0662 0\n", "line 1: p header fields must be integers"),
+        ("p -1 0\n", "line 1: p header fields must be integers"),
+        ("p 0 0\n", "line 1: graph needs at least one vertex, got n=0"),
     ])
     def test_malformed_lines(self, text, message):
         with pytest.raises(hrlq.ParseError, match=message):
@@ -134,7 +145,7 @@ class TestMatchingFormat:
 
     def test_unmatched_residents_omitted(self):
         m = hrlq.parse_matching("match r1 h1\n", IA)
-        assert m.hospital_of("r2") is None
+        assert "r2" not in m.assignment
 
     def test_duplicate_resident(self):
         with pytest.raises(hrlq.ParseError, match="more than once"):
