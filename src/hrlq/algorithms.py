@@ -95,33 +95,34 @@ def _deferred_acceptance(
     bitmask int with bit k set when the hospital at position k of its list
     held it at some point of the run, even if it later displaced it.  A
     displaced resident proposes again from just past its highest set bit.
-    Pairs in `dropped` count as deleted from both preference lists.
-    Deleting a pair whose bit is clear as well gives back the identical
-    run, which `min_ep_exact` relies on to skip runs.
+    Each hospital holds the ranks, in its own list, of its occupants, so
+    its worst occupant is the largest rank.  Pairs in `dropped` count as
+    deleted from both preference lists.  Deleting a pair whose bit is
+    clear as well gives back the identical run, which `min_ep_exact`
+    relies on to skip runs.
     """
-    acc, rank_h = instance._acc, instance._rank_h
-    choice = [-1] * len(acc)
-    taken = [0] * len(acc)
-    held: list[list[int]] = [[] for _ in caps]
-    free = deque(range(len(acc)))
+    options, acc_h = instance._options, instance._acc_h
+    choice = [-1] * len(options)
+    taken = [0] * len(options)
+    held: list[list[int]] = [[] for _ in caps]  # held[h]: the ranks of h's occupants
+    free = deque(range(len(options)))
     while free:
         r = free.popleft()
-        prefs = acc[r]
-        for k in range(taken[r].bit_length(), len(prefs)):
-            h = prefs[k]
+        prefs = options[r]
+        for k in range(taken[r].bit_length(), len(prefs) - 1):  # the (-1, -1) entry is not tried
+            h, rank = prefs[k]
             cap = caps[h]
             if not cap or dropped and (r, h) in dropped:
                 continue
-            occupants = held[h]
-            if len(occupants) < cap:
-                occupants.append(r)
+            ranks = held[h]
+            if len(ranks) < cap:
+                ranks.append(rank)
                 break
-            rank = rank_h[h]
-            worst = occupants[0] if cap == 1 else max(occupants, key=rank.__getitem__)
-            if rank[r] < rank[worst]:
-                occupants.remove(worst)
-                occupants.append(r)
-                free.append(worst)
+            worst = ranks[0] if cap == 1 else max(ranks)
+            if rank < worst:
+                ranks.remove(worst)
+                ranks.append(rank)
+                free.append(acc_h[h][worst])
                 break
         else:  # falling through the list leaves r unmatched
             choice[r] = -1
@@ -236,7 +237,7 @@ def _augment(acc_h: tuple, hospital: int, start: int, cover: list[int]) -> bool:
 def _initial_cover(instance: Instance) -> list[int] | None:
     """Cover every lower-quota slot with a distinct resident, or None when that is impossible."""
     acc_h = instance._acc_h
-    cover = [-1] * len(instance._acc)
+    cover = [-1] * len(instance._options)
     for j, low in enumerate(instance._low):
         for _ in range(low):
             if not _augment(acc_h, j, 0, cover):
@@ -303,7 +304,7 @@ class _FeasibleSearch:
         if cover is None:
             return
         acc_h, low, up = instance._acc_h, instance._low, instance._up
-        budget, n = self.node_budget, len(instance._acc)
+        budget, n = self.node_budget, len(instance._options)
         options, cut = instance._options, self.cut
         last = [max(listed, default=-1) for listed in acc_h]  # h's last lister
         spans = [(min(listed), last[h], h)
@@ -545,13 +546,13 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
         raise ValueError(f"level_cap must be non-negative, got {level_cap}")
     if not exists_feasible(instance):
         raise Infeasible("no feasible matching exists")
-    acc, rank_h, low = instance._acc, instance._rank_h, instance._low
+    options, acc_h, low = instance._options, instance._acc_h, instance._low
     n_edges = len(instance._edges)
     max_level = n_edges if level_cap is None else min(level_cap, n_edges)
     candidates = [
-        (e, r, h, acc[r].index(h))
-        for e, (r, h) in enumerate(instance._edges)
-        if low[h] and rank_h[h][r] < len(rank_h[h]) - 1
+        (e, r, h, at)
+        for e, (r, h) in enumerate(instance._edges) if low[h]
+        for at, (j, rank) in enumerate(options[r]) if j == h and rank < len(acc_h[h]) - 1
     ]
     guess: list[int] = []
     root = _deferred_acceptance(instance, low)

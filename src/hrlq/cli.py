@@ -34,14 +34,11 @@ EXIT_CAP_EXCEEDED = 3
 
 
 def _count(text: str) -> int:
-    """argparse type for caps: a non-negative integer; anything else exits 2."""
+    """argparse type for counts: ASCII digits only, as in the files; anything else exits 2."""
     try:
-        value = int(text)
+        return formats._natural(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
 
 
 # Per `hrlq gen` kind: subcommand help, certificate prefix (also the target's
@@ -89,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for kind, g in _GENERATORS.items():
         p = gensub.add_parser(kind, help=g.help)
         p.add_argument("--graph", required=True, help="source graph file (.g)")
-        p.add_argument("--k", type=int, required=True, help=f"target {g.cert_prefix} size")
-        p.add_argument(g.option, type=int, default=None, help=g.option_help)
+        p.add_argument("--k", type=_count, required=True, help=f"target {g.cert_prefix} size")
+        p.add_argument(g.option, type=_count, default=None, help=g.option_help)
         p.add_argument("--out", help="instance output file (default stdout)")
         p.add_argument("--cert", help=f"{g.cert_prefix}:v1,v2,... writes the certificate matching")
 
@@ -224,10 +221,10 @@ def _parse_cert(spec: str, expected_kind: str) -> set[int]:
         token = token.strip()
         if not token:
             continue
-        digits = token[1:] if token.startswith("v") else token
-        if not (digits.isascii() and digits.isdigit()):
-            raise formats.ParseError(f"bad certificate vertex {token!r}")
-        vertices.add(int(digits))
+        try:
+            vertices.add(formats._natural(token[1:] if token.startswith("v") else token))
+        except ValueError:
+            raise formats.ParseError(f"bad certificate vertex {token!r}") from None
     if not vertices:
         raise formats.ParseError("certificate names no vertices")
     return vertices

@@ -67,9 +67,10 @@ class Instance:
     #   resident_index, hospital_index  name -> dense index
     #   edges  all acceptable pairs sorted by (resident index, hospital index)
     # and, by dense index, the only compiled form the solvers and predicates read:
-    #   _acc[r], _acc_h[h]  preference lists; _rank_h[h][r]  r's position in h's list
-    #   _low, _up  quota vectors; _edges  `edges` as index pairs
-    # and `_options` below, built on first use.
+    #   _options[r]  (h, r's rank in h's list) for each h on r's list, in r's
+    #                order, then (-1, -1), which stands for staying unmatched
+    #   _acc_h[h]  h's preference list; _low, _up  quota vectors
+    #   _edges  `edges` as index pairs
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "residents", tuple(self.residents))
@@ -95,36 +96,21 @@ class Instance:
         hidx = {h: j for j, h in enumerate(self.hospitals)}
         acc = tuple(tuple(map(hidx.__getitem__, p)) for p in self.resident_prefs.values())
         acc_h = tuple(tuple(map(ridx.__getitem__, p)) for p in self.hospital_prefs.values())
+        rank_h = [{r: k for k, r in enumerate(p)} for p in acc_h]
+        options = tuple(
+            tuple([(h, rank_h[h][r]) for h in prefs] + [(-1, -1)]) for r, prefs in enumerate(acc)
+        )
         edges = tuple((i, j) for i, prefs in enumerate(acc) for j in sorted(prefs))
         object.__setattr__(self, "resident_index", ridx)
         object.__setattr__(self, "hospital_index", hidx)
         object.__setattr__(
             self, "edges", tuple((self.residents[i], self.hospitals[j]) for i, j in edges)
         )
-        object.__setattr__(self, "_acc", acc)
+        object.__setattr__(self, "_options", options)
         object.__setattr__(self, "_acc_h", acc_h)
-        object.__setattr__(self, "_rank_h", tuple({r: k for k, r in enumerate(p)} for p in acc_h))
         object.__setattr__(self, "_low", tuple(quotas[h][0] for h in self.hospitals))
         object.__setattr__(self, "_up", tuple(quotas[h][1] for h in self.hospitals))
         object.__setattr__(self, "_edges", edges)
-        # Set now, filled by `_options`: an attribute first added after
-        # construction makes every attribute read on the instance slower
-        # (about 3x on CPython 3.11, which then drops its inline layout).
-        object.__setattr__(self, "_option_table", None)
-
-    @property
-    def _options(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per resident r: (h, _rank_h[h][r]) for each h on r's list, in r's order, then (-1, -1).
-
-        The (-1, -1) entry stands for staying unmatched.  The search and the
-        envy scan read it; parsing and validating alone never build it.
-        """
-        if self._option_table is None:
-            rank_h = self._rank_h
-            object.__setattr__(self, "_option_table", tuple(
-                tuple([(h, rank_h[h][r]) for h in prefs] + [(-1, -1)])
-                for r, prefs in enumerate(self._acc)))
-        return self._option_table
 
     def _violations(self, quotas: dict, listed_residents: tuple, listed_hospitals: tuple) -> list[str]:
         out: list[str] = []
@@ -350,20 +336,24 @@ def _envy(instance: Instance, choice: list[int], wasteful: bool = False) -> list
     under its upper quota count too, which gives the classical blocking
     pairs.
     """
-    rank_h = instance._rank_h
-    cut = [-1] * len(rank_h)  # h takes r exactly when r's rank at h is below cut[h]
+    options, acc_h = instance._options, instance._acc_h
+    cut = [-1] * len(acc_h)  # h takes r exactly when r's rank at h is below cut[h]
     for r, h in enumerate(choice):
-        if h >= 0 and rank_h[h][r] > cut[h]:
-            cut[h] = rank_h[h][r]
+        if h >= 0:
+            for j, rank in options[r]:
+                if j == h:
+                    if rank > cut[h]:
+                        cut[h] = rank
+                    break
     if wasteful:
         seats = list(instance._up)
         for h in choice:
             if h >= 0:
                 seats[h] -= 1
-        cut = [len(ranks) if free > 0 else c for ranks, free, c in zip(rank_h, seats, cut)]
+        cut = [len(listed) if free > 0 else c for listed, free, c in zip(acc_h, seats, cut)]
     found: list[tuple[int, int]] = []
     never = len(instance._edges) + 1  # above any count
-    _envy_scan(instance._options, choice, cut, never, never, found)
+    _envy_scan(options, choice, cut, never, never, found)
     return sorted(found)
 
 

@@ -9,7 +9,9 @@ non-whitespace tokens):
 Graph grammar: a `p <n> <m>` header (n >= 1) followed by exactly m
 `e <i> <j>` lines, 1-based with i < j.  Numbers in both grammars are ASCII
 digits only.  Matching grammar: `match <resident> <hospital>` lines;
-unmatched residents are omitted.  Serialization is the canonical form:
+unmatched residents are omitted.  In all three grammars a line ends only at
+LF, CR LF or CR; other line breaks, such as a form feed or U+2028, are
+ordinary whitespace.  Serialization is the canonical form:
 parse(serialize(x)) == x and repeated serialization is byte-identical.
 """
 
@@ -32,7 +34,11 @@ class ParseError(ValueError):
 
 
 def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """The 1-based number and the text, comment cut off, of each line that keeps any."""
+    # str.splitlines() would also break at \x0b, \x0c, \x1c-\x1e, \x85, U+2028
+    # and U+2029, and so make part of a comment a line of its own.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

@@ -105,14 +105,15 @@ class TestKernelAgainstTextbook:
         refused = 0  # never-held pairs r proposed to and was refused at: what the rule adds
         family = random_feasible_instances(35, 120, max_residents=8, max_hospitals=5, max_upper=3)
         for inst in family:
-            acc = inst._acc
+            position = {(r, h): k for r, options in enumerate(inst._options)
+                        for k, (h, _) in enumerate(options)}
             for caps in (inst._low, inst._up):
                 for _ in range(3):
                     dropped = {pair for pair in inst._edges if rng.random() < 0.25}
                     run = _deferred_acceptance(inst, caps, dropped)
                     choice, taken = run
                     for r, h in inst._edges:
-                        at = acc[r].index(h)
+                        at = position[r, h]
                         if (r, h) in dropped or taken[r] >> at & 1:
                             continue
                         assert _deferred_acceptance(inst, caps, dropped | {(r, h)}) == run

@@ -97,6 +97,13 @@ class TestSolve:
         ["solve", "--alg", "brute-ep", "--budget", "-1"],
         ["oracle", "--budget", "-1"],
         ["solve", "--alg", "brute-ep", "--budget", "x"],
+        # Counts are ASCII digits only: no other script, no '_', no sign, no space.
+        ["solve", "--alg", "brute-ep", "--budget", "\u0665"],
+        ["solve", "--alg", "min-ep", "--level-cap", "1_0"],
+        ["oracle", "--budget", "+5"],
+        ["oracle", "--budget", " 7"],
+        # argparse rejects --k as it reads it, before it could object to --in.
+        ["gen", "vc2ep", "--graph", "triangle.g", "--k", "\u0662"],
     ])
     def test_negative_cap_is_input_error(self, capsys, ia_file, command):
         with pytest.raises(SystemExit) as exc:
@@ -289,6 +296,7 @@ class TestGen:
         ("v1,v2", "certificate must look like cover:"),
         ("cover:", "certificate names no vertices"),
         ("cover: , ", "certificate names no vertices"),
+        pytest.param("cover:v" + "1" * 5000, "bad certificate vertex", id="vertex-of-5000-digits"),
     ])
     def test_malformed_certificate_is_parse_error(self, capsys, tmp_path, spec, message):
         graph_path = tmp_path / "triangle.g"

@@ -27,7 +27,9 @@ class TestInstanceFormat:
         assert hrlq.serialize_instance(hrlq.parse_instance(text)) == text
 
     def test_comments_and_blank_lines_ignored(self):
-        text = "# instance\n\n" + IA_TEXT.replace("resident r2", "resident r2", 1)
+        # Lines end at LF, CR LF or CR only; U+2028 and a form feed stay in their comment.
+        text = "# instance\u2028not a declaration\r\n\r" + IA_TEXT.replace(
+            "resident r2: h1", "resident r2: h1  # page\x0cbreak", 1)
         assert hrlq.parse_instance(text) == IA
 
     def test_empty_preference_list(self):
@@ -67,6 +69,8 @@ class TestInstanceFormat:
         ("hospital h [\u0661,\u0662]:\n", r"line 1: malformed quota token \[\u0661,\u0662\]"),
         pytest.param(f"resident r:\nhospital h [0,{'9' * 5000}]:\n", "line 2: quota of h has too many digits",
                      id="quota-of-5000-digits"),
+        # A line break inside a comment other than LF, CR LF or CR ends no line.
+        ("resident r1: h1  # a\u2028b\nhospital h1 [1,1]: r1 r1\n", "line 2: duplicate preference entry r1"),
     ])
     def test_malformed_declarations(self, text, message):
         with pytest.raises(hrlq.ParseError, match=message):
@@ -131,6 +135,7 @@ class TestGraphFormat:
         ("p \u0662 0\n", "line 1: p header fields must be integers"),
         ("p -1 0\n", "line 1: p header fields must be integers"),
         ("p 0 0\n", "line 1: graph needs at least one vertex, got n=0"),
+        ("p 3 1 # one\u2028edge\nx 1 2\n", "line 2: unrecognized line: 'x 1 2'"),
     ])
     def test_malformed_lines(self, text, message):
         with pytest.raises(hrlq.ParseError, match=message):
