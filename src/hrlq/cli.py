@@ -178,9 +178,9 @@ def _cmd_solve(args) -> int:
         if stats.guess:
             rows.append(("guess", " ".join(f"({r},{h})" for r, h in stats.guess)))
     listing = formats.serialize_matching(instance, matching)
-    _report(args, doc, [*_aligned(rows), *listing.splitlines()])
     if args.out:
         Path(args.out).write_text(listing, encoding="utf-8")
+    _report(args, doc, [*_aligned(rows), *listing.splitlines()])
     return EXIT_OK
 
 

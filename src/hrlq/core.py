@@ -63,7 +63,9 @@ class Instance:
     hospital_prefs: Mapping[str, tuple[str, ...]]
     quotas: Mapping[str, tuple[int, int]]
 
-    # Derived tables (set in __post_init__, excluded from eq/repr):
+    # Derived tables (set in __post_init__, excluded from eq/repr), built in
+    # the pass that validates: the index maps and each hospital's position
+    # table are the validator's lookup tables, reused to compile.
     #   resident_index, hospital_index  name -> dense index
     #   edges  all acceptable pairs sorted by (resident index, hospital index)
     # and, by dense index, the only compiled form the solvers and predicates read:
@@ -73,116 +75,97 @@ class Instance:
     #   _edges  `edges` as index pairs
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residents", tuple(self.residents))
-        object.__setattr__(self, "hospitals", tuple(self.hospitals))
-        listed = (tuple(self.resident_prefs), tuple(self.hospital_prefs))
-        object.__setattr__(
-            self,
-            "resident_prefs",
-            {r: tuple(self.resident_prefs.get(r, ())) for r in self.residents},
-        )
-        object.__setattr__(
-            self,
-            "hospital_prefs",
-            {h: tuple(self.hospital_prefs.get(h, ())) for h in self.hospitals},
-        )
-        quotas = {h: _quota(self.quotas.get(h)) for h in self.hospitals}
-        violations = self._violations(quotas, *listed)
-        if violations:
-            raise InvalidInstanceError(violations)
-        object.__setattr__(self, "quotas", quotas)
+        residents, hospitals = tuple(self.residents), tuple(self.hospitals)
+        # Dense indices in declaration order; a repeated name keeps its first.
+        ridx = {r: i for i, r in enumerate(dict.fromkeys(residents))}
+        hidx = {h: j for j, h in enumerate(dict.fromkeys(hospitals))}
+        rprefs = {r: tuple(self.resident_prefs.get(r, ())) for r in ridx}
+        hprefs = {h: tuple(self.hospital_prefs.get(h, ())) for h in hidx}
+        quotas = {h: _quota(self.quotas.get(h)) for h in hidx}
 
-        ridx = {r: i for i, r in enumerate(self.residents)}
-        hidx = {h: j for j, h in enumerate(self.hospitals)}
-        acc = tuple(tuple(map(hidx.__getitem__, p)) for p in self.resident_prefs.values())
-        acc_h = tuple(tuple(map(ridx.__getitem__, p)) for p in self.hospital_prefs.values())
-        rank_h = [{r: k for k, r in enumerate(p)} for p in acc_h]
-        options = tuple(
-            tuple([(h, rank_h[h][r]) for h in prefs] + [(-1, -1)]) for r, prefs in enumerate(acc)
-        )
-        edges = tuple((i, j) for i, prefs in enumerate(acc) for j in sorted(prefs))
-        object.__setattr__(self, "resident_index", ridx)
-        object.__setattr__(self, "hospital_index", hidx)
-        object.__setattr__(
-            self, "edges", tuple((self.residents[i], self.hospitals[j]) for i, j in edges)
-        )
-        object.__setattr__(self, "_options", options)
-        object.__setattr__(self, "_acc_h", acc_h)
-        object.__setattr__(self, "_low", tuple(quotas[h][0] for h in self.hospitals))
-        object.__setattr__(self, "_up", tuple(quotas[h][1] for h in self.hospitals))
-        object.__setattr__(self, "_edges", edges)
-
-    def _violations(self, quotas: dict, listed_residents: tuple, listed_hospitals: tuple) -> list[str]:
-        out: list[str] = []
-        for name in self.residents + self.hospitals:
-            if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
-                out.append(f"malformed name {name!r}: empty, or contains whitespace, ':' or '#'")
-        seen: set[str] = set()
-        for r in self.residents:
-            if r in seen:
-                out.append(f"duplicate resident name {r}")
-            seen.add(r)
-        hseen: set[str] = set()
-        for h in self.hospitals:
-            if h in hseen:
-                out.append(f"duplicate hospital name {h}")
-            hseen.add(h)
-        for name in sorted(seen & hseen):
-            out.append(f"name {name} used for both a resident and a hospital")
-
-        for r in listed_residents:
-            if r not in seen:
-                out.append(f"preference list for unknown resident {r}")
-        for h in listed_hospitals:
-            if h not in hseen:
-                out.append(f"preference list for unknown hospital {h}")
-        for h in self.quotas:
-            if h not in hseen:
-                out.append(f"quota for unknown hospital {h}")
-
-        for h in self.hospitals:
-            q = quotas.get(h)
+        out = [
+            f"malformed name {name!r}: empty, or contains whitespace, ':' or '#'"
+            for name in residents + hospitals
+            if not (isinstance(name, str) and _NAME_RE.fullmatch(name))
+        ]
+        out += [f"duplicate resident name {r}" for r in _repeats(residents)]
+        out += [f"duplicate hospital name {h}" for h in _repeats(hospitals)]
+        out += [f"name {name} used for both a resident and a hospital"
+                for name in sorted(ridx.keys() & hidx.keys())]
+        out += [f"preference list for unknown resident {r}"
+                for r in self.resident_prefs if r not in ridx]
+        out += [f"preference list for unknown hospital {h}"
+                for h in self.hospital_prefs if h not in hidx]
+        out += [f"quota for unknown hospital {h}" for h in self.quotas if h not in hidx]
+        for h, q in quotas.items():
             if q is None:
                 out.append(f"missing or malformed quota for {h}")
-            else:
-                low, up = q
-                if low < 0:
-                    out.append(f"negative lower quota at {h}")
-                if low > up:
-                    out.append(f"quota inversion at {h}: lower {low} exceeds upper {up}")
+                continue
+            low, up = q
+            if low < 0:
+                out.append(f"negative lower quota at {h}")
+            if low > up:
+                out.append(f"quota inversion at {h}: lower {low} exceeds upper {up}")
 
-        for r in self.residents:
-            local: set[str] = set()
-            for h in self.resident_prefs[r]:
-                if h in local:
-                    out.append(f"duplicate hospital {h} in preference list of {r}")
-                local.add(h)
-                if h not in hseen:
-                    out.append(f"unknown hospital {h} in preference list of {r}")
-        for h in self.hospitals:
-            local = set()
-            for r in self.hospital_prefs[h]:
-                if r in local:
-                    out.append(f"duplicate resident {r} in preference list of {h}")
-                local.add(r)
-                if r not in seen:
-                    out.append(f"unknown resident {r} in preference list of {h}")
+        # A hospital's position table is its rank table; a resident's lives
+        # until the one-sided checks are done.
+        position = [_positions(p, hidx, "hospital", r, out) for r, p in rprefs.items()]
+        rank_h = [_positions(p, ridx, "resident", h, out) for h, p in hprefs.items()]
+        out += [
+            f"one-sided acceptability ({r},{h}): {r} lists {h} but {h} does not list {r}"
+            for r, listed in zip(rprefs, position) for h in listed
+            if h in hidx and r not in rank_h[hidx[h]]
+        ]
+        out += [
+            f"one-sided acceptability ({r},{h}): {h} lists {r} but {r} does not list {h}"
+            for h, listed in zip(hprefs, rank_h) for r in listed
+            if r in ridx and h not in position[ridx[r]]
+        ]
+        if out:  # a name declared or listed twice repeats messages; each goes once
+            raise InvalidInstanceError(dict.fromkeys(out))
+        del position
 
-        hosp_accepts = {h: set(self.hospital_prefs[h]) for h in self.hospitals}
-        res_accepts = {r: set(self.resident_prefs[r]) for r in self.residents}
-        for r in self.residents:
-            for h in self.resident_prefs[r]:
-                if h in hosp_accepts and r not in hosp_accepts[h]:
-                    out.append(
-                        f"one-sided acceptability ({r},{h}): {r} lists {h} but {h} does not list {r}"
-                    )
-        for h in self.hospitals:
-            for r in self.hospital_prefs[h]:
-                if r in res_accepts and h not in res_accepts[r]:
-                    out.append(
-                        f"one-sided acceptability ({r},{h}): {h} lists {r} but {r} does not list {h}"
-                    )
-        return out
+        options = tuple(
+            tuple([(j, rank_h[j][r]) for j in map(hidx.__getitem__, p)] + [(-1, -1)])
+            for r, p in rprefs.items()
+        )
+        edges = tuple(
+            (i, j) for i, p in enumerate(rprefs.values()) for j in sorted(map(hidx.__getitem__, p))
+        )
+        acc_h = tuple(tuple(map(ridx.__getitem__, p)) for p in hprefs.values())
+        object.__setattr__(self, "residents", residents)
+        object.__setattr__(self, "hospitals", hospitals)
+        object.__setattr__(self, "resident_prefs", rprefs)
+        object.__setattr__(self, "hospital_prefs", hprefs)
+        object.__setattr__(self, "quotas", quotas)
+        object.__setattr__(self, "resident_index", ridx)
+        object.__setattr__(self, "hospital_index", hidx)
+        object.__setattr__(self, "edges", tuple((residents[i], hospitals[j]) for i, j in edges))
+        object.__setattr__(self, "_options", options)
+        object.__setattr__(self, "_acc_h", acc_h)
+        object.__setattr__(self, "_low", tuple(low for low, _ in quotas.values()))
+        object.__setattr__(self, "_up", tuple(up for _, up in quotas.values()))
+        object.__setattr__(self, "_edges", edges)
+
+
+def _repeats(names: tuple) -> list:
+    """Each name in `names` that equals an earlier one, in order."""
+    seen: set = set()
+    return [name for name in names if name in seen or seen.add(name)]  # add() gives None
+
+
+def _positions(listed: tuple, known: dict, kind: str, owner: str, out: list[str]) -> dict:
+    """`owner`'s list as a name -> position table; its repeats and unknown names go to `out`."""
+    table = {name: k for k, name in enumerate(listed)}
+    if len(table) < len(listed) or not table.keys() <= known.keys():
+        seen: set = set()
+        for name in listed:
+            if name in seen:
+                out.append(f"duplicate {kind} {name} in preference list of {owner}")
+            elif name not in known:
+                out.append(f"unknown {kind} {name} in preference list of {owner}")
+            seen.add(name)
+    return table
 
 
 @dataclass(frozen=True)
@@ -229,19 +212,14 @@ def validate_instance(
     hospital_prefs: Mapping[str, Iterable[str]],
     quotas: Mapping[str, tuple[int, int]],
 ) -> Instance:
-    """Build a canonical Instance from a loose description.
+    """Build a canonical Instance from a loose description: any iterables of names.
 
-    Raises InvalidInstanceError carrying the complete violation list when the
-    description is inconsistent; each violation names the offending vertex or
-    pair.
+    `Instance` itself turns the names and each declared vertex's list into
+    tuples.  Raises InvalidInstanceError carrying the complete violation list,
+    each violation once, when the description is inconsistent; each violation
+    names the offending vertex or pair.
     """
-    return Instance(
-        tuple(residents),
-        tuple(hospitals),
-        {r: tuple(v) for r, v in resident_prefs.items()},
-        {h: tuple(v) for h, v in hospital_prefs.items()},
-        dict(quotas),
-    )
+    return Instance(residents, hospitals, resident_prefs, hospital_prefs, quotas)
 
 
 def make_matching(instance: Instance, pairs: Iterable[Pair]) -> Matching:

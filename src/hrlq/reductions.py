@@ -77,7 +77,9 @@ class SourceGraph:
                 raise ReductionError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
         if not 0 <= self.k <= self.n:
-            raise ReductionError(f"target parameter k={self.k} outside 0..{self.n}")
+            raise ReductionError(
+                f"target parameter k={self.k} outside 1..{self.n} (0 leaves it unset)"
+            )
 
     @property
     def m(self) -> int:

@@ -1,7 +1,8 @@
 """Shared fixtures: the two worked micro-instances, seeded random families, long
-chains, a reference recount of envy and blocking pairs, the oracles' picks
-and the search's leaf state, a product-space enumeration of feasible
-matchings, a textbook deferred acceptance and a paper-order Min-EP search."""
+chains, a by-name rebuild of the compiled tables, a reference recount of envy
+and blocking pairs, the oracles' picks and the search's leaf state, a
+product-space enumeration of feasible matchings, a textbook deferred
+acceptance and a paper-order Min-EP search."""
 
 from __future__ import annotations
 
@@ -127,6 +128,33 @@ def exhaustive_two_by_two():
                         {"h1": o1, "h2": o2},
                         {"h1": q1, "h2": q2},
                     )
+
+
+def check_tables_by_name(instance: hrlq.Instance) -> None:
+    """Assert that the index maps, edges and compiled tables equal a rebuild from the string fields.
+
+    An index is a declaration position, found by `list.index`; a tuple
+    equals no list, so the container types are checked too.  Shares no
+    code with `hrlq.core`.
+    """
+    residents, hospitals = list(instance.residents), list(instance.hospitals)
+    rp, hp = instance.resident_prefs, instance.hospital_prefs
+    edges = tuple((r, h) for r in residents for h in hospitals if h in rp[r])
+    rebuilt = {
+        "resident_index": {r: residents.index(r) for r in residents},
+        "hospital_index": {h: hospitals.index(h) for h in hospitals},
+        "edges": edges,
+        "_edges": tuple((residents.index(r), hospitals.index(h)) for r, h in edges),
+        "_options": tuple(
+            tuple((hospitals.index(h), hp[h].index(r)) for h in rp[r]) + ((-1, -1),)
+            for r in residents
+        ),
+        "_acc_h": tuple(tuple(residents.index(r) for r in hp[h]) for h in hospitals),
+        "_low": tuple(instance.quotas[h][0] for h in hospitals),
+        "_up": tuple(instance.quotas[h][1] for h in hospitals),
+    }
+    for name, table in rebuilt.items():
+        assert getattr(instance, name) == table, name
 
 
 def has_envy_free_feasible(instance: hrlq.Instance, node_budget: int = 10**6) -> bool:

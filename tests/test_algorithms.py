@@ -12,6 +12,7 @@ import hrlq
 from helpers import (
     chain_instance,
     check_leaf_state,
+    check_tables_by_name,
     choice_pairs,
     exhaustive_two_by_two,
     has_envy_free_feasible,
@@ -447,6 +448,10 @@ class TestReductionEnumeration:
     @pytest.mark.parametrize("name", SOURCES)
     def test_oracles_pick_the_first_naive_minimum(self, name):
         _assert_first_naive_minima(_reduction(*self.SOURCES[name]))
+
+    @pytest.mark.parametrize("name", SOURCES)
+    def test_compiled_tables_match_a_rebuild_by_name(self, name):
+        check_tables_by_name(_reduction(*self.SOURCES[name]))
 
 
 class TestZeroResidents:

@@ -136,6 +136,12 @@ class TestSolve:
         assert code == 2
         assert "quota inversion" in err
 
+    def test_out_into_missing_directory_prints_nothing(self, capsys, tmp_path, ia_file):
+        code, out, err = run(capsys, "solve", "--alg", "da", "--in", ia_file,
+                             "--out", tmp_path / "nodir" / "a.match")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2]")
+
     def test_declaration_without_head_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.hrlq"
         path.write_text(": r1\n")
@@ -280,6 +286,16 @@ class TestGen:
                            "--out", out_path, "--cert", "cover:v3")
         assert code == 2
         assert "not covered" in err
+
+    @pytest.mark.parametrize("k, message", [
+        ("9", "error: target parameter k=9 outside 1..3 (0 leaves it unset)\n"),
+        ("0", "error: target parameter k must be set (1 <= k <= n)\n"),
+    ], ids=["above-n", "zero"])
+    def test_k_outside_the_accepted_range_names_it(self, capsys, tmp_path, k, message):
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        code, out, err = run(capsys, "gen", "vc2ep", "--graph", graph_path, "--k", k)
+        assert (code, out, err) == (2, "", message)
 
     def test_graph_without_vertices_is_input_error(self, capsys, tmp_path):
         graph_path = tmp_path / "empty.g"

@@ -6,6 +6,7 @@ import pytest
 
 import hrlq
 from helpers import (
+    check_tables_by_name,
     exhaustive_two_by_two,
     instance_a,
     instance_b,
@@ -116,6 +117,35 @@ class TestValidation:
         assert "quota inversion" in kinds
         assert "duplicate hospital h" in kinds
 
+    def test_every_kind_in_order_each_violation_once(self):
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(
+                ["r", "r", "x", "a b", "a b"],
+                ["h", "h", "x", "g", "q"],
+                {"r": ["h", "h", "ghost", "g"], "x": [], "a b": [], "rX": ["h"]},
+                {"h": ["r", "r", "nobody", "x"], "g": [], "x": [], "q": [], "hX": []},
+                {"h": (3, 1), "g": (-1, 0), "x": (0, 1), "zz": (0, 1)},
+            )
+        assert exc.value.violations == (
+            "malformed name 'a b': empty, or contains whitespace, ':' or '#'",
+            "duplicate resident name r",
+            "duplicate resident name a b",
+            "duplicate hospital name h",
+            "name x used for both a resident and a hospital",
+            "preference list for unknown resident rX",
+            "preference list for unknown hospital hX",
+            "quota for unknown hospital zz",
+            "quota inversion at h: lower 3 exceeds upper 1",
+            "negative lower quota at g",
+            "missing or malformed quota for q",
+            "duplicate hospital h in preference list of r",
+            "unknown hospital ghost in preference list of r",
+            "duplicate resident r in preference list of h",
+            "unknown resident nobody in preference list of h",
+            "one-sided acceptability (r,g): r lists g but g does not list r",
+            "one-sided acceptability (x,h): h lists x but x does not list h",
+        )
+
     def test_matching_validation(self):
         with pytest.raises(hrlq.InvalidMatchingError, match="unacceptable pair"):
             hrlq.make_matching(IA, [("r2", "h2")])
@@ -125,6 +155,19 @@ class TestValidation:
             hrlq.make_matching(IA, [("zz", "h1")])
         with pytest.raises(hrlq.InvalidMatchingError, match="unknown hospital zz"):
             hrlq.make_matching(IA, [("r1", "zz")])
+
+
+class TestCompiledTables:
+    """The index maps, edges and compiled tables against a rebuild from the string fields."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_instances(self, seed):
+        check_tables_by_name(random_instance(random.Random(seed), max_residents=8,
+                                             max_hospitals=5, max_upper=3))
+
+    def test_every_two_by_two_instance(self):
+        for inst in exhaustive_two_by_two():
+            check_tables_by_name(inst)
 
 
 class TestFeasibility:
