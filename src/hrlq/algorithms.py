@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 from operator import itemgetter
-from typing import Collection, Iterator
+from typing import Iterator
 
 from .core import Instance, Matching, Pair, _envy, _envy_scan
 
@@ -87,7 +87,7 @@ def _matching(instance: Instance, choice: list[int]) -> Matching:
 
 
 def _deferred_acceptance(
-    instance: Instance, caps: tuple[int, ...], dropped: Collection[tuple[int, int]] = ()
+    instance: Instance, caps: tuple[int, ...], banned: list[int] | None = None
 ) -> tuple[list[int], list[int]]:
     """Resident-proposing DA on the index tables.
 
@@ -96,10 +96,10 @@ def _deferred_acceptance(
     held it at some point of the run, even if it later displaced it.  A
     displaced resident proposes again from just past its highest set bit.
     Each hospital holds the ranks, in its own list, of its occupants, so
-    its worst occupant is the largest rank.  Pairs in `dropped` count as
-    deleted from both preference lists.  Deleting a pair whose bit is
-    clear as well gives back the identical run, which `min_ep_exact`
-    relies on to skip runs.
+    its worst occupant is the largest rank.  `banned[r]` is a mask of the
+    same shape; its bit k deletes the pair at position k of r's list from
+    both lists.  Banning as well a pair whose bit is clear in the returned
+    mask gives back the identical run, which `min_ep_exact` relies on.
     """
     options, acc_h = instance._options, instance._acc_h
     choice = [-1] * len(options)
@@ -109,10 +109,11 @@ def _deferred_acceptance(
     while free:
         r = free.popleft()
         prefs = options[r]
+        ban = banned[r] if banned else 0
         for k in range(taken[r].bit_length(), len(prefs) - 1):  # the (-1, -1) entry is not tried
             h, rank = prefs[k]
             cap = caps[h]
-            if not cap or dropped and (r, h) in dropped:
+            if not cap or ban and ban >> k & 1:
                 continue
             ranks = held[h]
             if len(ranks) < cap:
@@ -428,7 +429,7 @@ def _brute_optima(instance: Instance, node_budget: int) -> tuple[SolveResult, So
     search = _FeasibleSearch(instance, node_budget)
     options, cut = instance._options, search.cut
     best_ep = best_er = None
-    ep_obj = er_obj = len(instance._edges) + 1  # above any count
+    ep_obj = er_obj = len(instance.edges) + 1  # above any count
     for choice in search.leaves():
         n_pairs, n_residents = _envy_scan(options, choice, cut, ep_obj, er_obj)
         if n_pairs < ep_obj:
@@ -468,43 +469,44 @@ def _paper_position(n_edges: int, guess: list[int]) -> int:
 
 def _extend_guess(
     instance: Instance,
-    candidates: list[tuple[int, int, int, int]],
+    candidates: list[tuple[int, int, int]],
     guess: list[int],
-    dropped: set[tuple[int, int]],
+    banned: list[int],
     run: tuple[list[int], list[int]],
     start: int,
     need: int,
 ) -> list[int] | None:
     """Extend `guess` by the first `need` candidates from `start` on that pass Yokoi's test.
 
-    Candidates are (edge, resident, hospital, position of the hospital in
-    the resident's list), and sets of them are tried in lexicographic
-    order.  `dropped` holds the pairs of `guess`, and `run` is the DA run
-    with them deleted, which failed.  Returns the winning run's choice
-    vector, with `guess` and `dropped` left holding the winner, or None
-    with both restored.
+    Candidates are (edge, resident, position of the pair in the resident's
+    list), and sets of them are tried in lexicographic order.  `banned`
+    holds the pairs of `guess` as per-resident masks of list positions, and
+    `run` is the DA run with them deleted, which failed.  Returns the
+    winning run's choice vector, with `guess` and `banned` left holding the
+    winner, or None with both restored.
     """
     taken = run[1]
     demand = sum(instance._low)
     for i in range(start, len(candidates) - need + 1):
-        e, r, h, at = candidates[i]
+        e, r, at = candidates[i]
         # Deleting a pair h never held repeats `run` (the never-held rule in
         # min_ep_exact); at the last level that is a failure already seen.
-        held = taken[r] >> at & 1
+        bit = 1 << at
+        held = taken[r] & bit
         if not held and need == 1:
             continue
-        dropped.add((r, h))
+        banned[r] |= bit
         guess.append(e)
-        child = _deferred_acceptance(instance, instance._low, dropped) if held else run
+        child = _deferred_acceptance(instance, instance._low, banned) if held else run
         if need == 1:
             if _filled(child[0], demand):
                 return child[0]
         else:
-            found = _extend_guess(instance, candidates, guess, dropped, child, i + 1, need - 1)
+            found = _extend_guess(instance, candidates, guess, banned, child, i + 1, need - 1)
             if found is not None:
                 return found
         guess.pop()
-        dropped.discard((r, h))
+        banned[r] &= ~bit
     return None
 
 
@@ -516,10 +518,10 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     procedure on the trimmed instance.  The first success is reported; its
     guess set is therefore the lexicographically smallest winner at the
     optimal level.  Levels start at 0, so the reported objective is tight.
-    A guess is passed to deferred acceptance as a set of dropped pairs; no
-    trimmed instance is built.  Two rules settle most guesses without
-    running deferred acceptance, and neither changes the order or the
-    result:
+    A guess is passed to deferred acceptance as per-resident masks of
+    banned list positions; no trimmed instance is built.  Two rules settle
+    most guesses without running deferred acceptance, and neither changes
+    the order or the result:
 
     * Candidate pairs.  A winning guess at the optimal level is exactly the
       set of envy pairs of the matching it yields (a smaller set would win a
@@ -527,8 +529,9 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
       lower quota and ranks some resident below r.  Only subsets of these
       candidates are tried.
     * Never-held pairs.  Guesses are extended one pair at a time, each
-      prefix keeping, per resident, the hospitals that held it in the
-      prefix's run.  If h never held r there, r either never reached h or
+      prefix keeping, per resident, the mask of list positions whose
+      hospitals held it in the prefix's run; a pair's bit there is the bit
+      that bans it.  If h never held r there, r either never reached h or
       was refused on the spot, which moves only r's pointer, exactly as
       deleting (r, h) does.  So deleting (r, h) as well repeats that run
       step for step, and it is reused; at the last level it is a failure
@@ -547,20 +550,22 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     if not exists_feasible(instance):
         raise Infeasible("no feasible matching exists")
     options, acc_h, low = instance._options, instance._acc_h, instance._low
-    n_edges = len(instance._edges)
+    n_edges = len(instance.edges)
     max_level = n_edges if level_cap is None else min(level_cap, n_edges)
-    candidates = [
-        (e, r, h, at)
-        for e, (r, h) in enumerate(instance._edges) if low[h]
-        for at, (j, rank) in enumerate(options[r]) if j == h and rank < len(acc_h[h]) - 1
-    ]
+    candidates = []  # (e, r, at), read off r's options in edge order (by hospital index)
+    e = 0
+    for r, prefs in enumerate(options):
+        for h, rank, at in sorted((h, rank, at) for at, (h, rank) in enumerate(prefs[:-1])):
+            if low[h] and rank < len(acc_h[h]) - 1:
+                candidates.append((e, r, at))
+            e += 1
     guess: list[int] = []
     root = _deferred_acceptance(instance, low)
     choice = root[0] if _filled(root[0], sum(low)) else None
     level = 0
     while choice is None and level < min(max_level, len(candidates)):
         level += 1
-        choice = _extend_guess(instance, candidates, guess, set(), root, 0, level)
+        choice = _extend_guess(instance, candidates, guess, [0] * len(options), root, 0, level)
     if choice is None:
         # Unreachable without a level cap: a feasible instance always succeeds
         # once the guess covers an optimal matching's envy-pairs.

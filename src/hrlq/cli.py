@@ -56,6 +56,15 @@ _GENERATORS = {
 }
 
 
+# The solvers `hrlq solve --alg` dispatches on, by name; `da` and `yokoi`,
+# which return a bare matching or None, are handled in `_cmd_solve` itself.
+_SOLVERS = {
+    "min-ep": lambda instance, args: algorithms.min_ep_exact(instance, level_cap=args.level_cap),
+    "brute-ep": lambda instance, args: algorithms.brute_min_ep(instance, node_budget=args.budget),
+    "brute-er": lambda instance, args: algorithms.brute_min_er(instance, node_budget=args.budget),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hrlq",
@@ -67,8 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a hardness-reduction instance")
     oracle = sub.add_parser("oracle", help="brute-force both objectives")
 
-    solve.add_argument("--alg", required=True,
-                       choices=["da", "yokoi", "min-ep", "brute-ep", "brute-er"])
+    solve.add_argument("--alg", required=True, choices=["da", "yokoi", *_SOLVERS])
     for p in (solve, verify, oracle):
         p.add_argument("--in", dest="infile", required=True, help="instance file (.hrlq)")
 
@@ -87,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = gensub.add_parser(kind, help=g.help)
         p.add_argument("--graph", required=True, help="source graph file (.g)")
         p.add_argument("--k", type=_count, required=True, help=f"target {g.cert_prefix} size")
-        p.add_argument(g.option, type=_count, default=None, help=g.option_help)
+        p.add_argument(g.option, dest="param", metavar="N", type=_count, default=None,
+                       help=g.option_help)
         p.add_argument("--out", help="instance output file (default stdout)")
         p.add_argument("--cert", help=f"{g.cert_prefix}:v1,v2,... writes the certificate matching")
 
@@ -144,11 +153,7 @@ def _cmd_solve(args) -> int:
         result = algorithms.SolveResult(matching, 0, algorithms.ObjectiveKind.ENVY_FREE,
                                         algorithms.SolveStats())
     else:
-        result = {
-            "min-ep": lambda: algorithms.min_ep_exact(instance, level_cap=args.level_cap),
-            "brute-ep": lambda: algorithms.brute_min_ep(instance, node_budget=args.budget),
-            "brute-er": lambda: algorithms.brute_min_er(instance, node_budget=args.budget),
-        }[args.alg]()
+        result = _SOLVERS[args.alg](instance, args)
         matching = result.matching
 
     report = core.analyze(instance, matching)
@@ -242,7 +247,7 @@ def _cmd_gen(args) -> int:
     g = _GENERATORS[args.kind]
     graph = formats.parse_graph(_read(args.graph))
     graph = dataclasses.replace(graph, k=args.k)
-    params = g.params(getattr(args, g.option[2:].replace("-", "_")))
+    params = g.params(args.param)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", reductions.SeparationBoundWarning)
         instance = g.build(graph, params)

@@ -68,11 +68,11 @@ class Instance:
     # table are the validator's lookup tables, reused to compile.
     #   resident_index, hospital_index  name -> dense index
     #   edges  all acceptable pairs sorted by (resident index, hospital index)
-    # and, by dense index, the only compiled form the solvers and predicates read:
+    # and, by dense index, the four compiled tables the solvers and predicates read:
     #   _options[r]  (h, r's rank in h's list) for each h on r's list, in r's
-    #                order, then (-1, -1), which stands for staying unmatched
+    #                order, then (-1, -1), which stands for staying unmatched;
+    #                inside the solvers a pair is r and its position k here
     #   _acc_h[h]  h's preference list; _low, _up  quota vectors
-    #   _edges  `edges` as index pairs
 
     def __post_init__(self) -> None:
         residents, hospitals = tuple(self.residents), tuple(self.hospitals)
@@ -129,9 +129,6 @@ class Instance:
             tuple([(j, rank_h[j][r]) for j in map(hidx.__getitem__, p)] + [(-1, -1)])
             for r, p in rprefs.items()
         )
-        edges = tuple(
-            (i, j) for i, p in enumerate(rprefs.values()) for j in sorted(map(hidx.__getitem__, p))
-        )
         acc_h = tuple(tuple(map(ridx.__getitem__, p)) for p in hprefs.values())
         object.__setattr__(self, "residents", residents)
         object.__setattr__(self, "hospitals", hospitals)
@@ -140,12 +137,13 @@ class Instance:
         object.__setattr__(self, "quotas", quotas)
         object.__setattr__(self, "resident_index", ridx)
         object.__setattr__(self, "hospital_index", hidx)
-        object.__setattr__(self, "edges", tuple((residents[i], hospitals[j]) for i, j in edges))
+        object.__setattr__(self, "edges", tuple(
+            (r, h) for r, p in rprefs.items() for h in sorted(p, key=hidx.__getitem__)
+        ))
         object.__setattr__(self, "_options", options)
         object.__setattr__(self, "_acc_h", acc_h)
         object.__setattr__(self, "_low", tuple(low for low, _ in quotas.values()))
         object.__setattr__(self, "_up", tuple(up for _, up in quotas.values()))
-        object.__setattr__(self, "_edges", edges)
 
 
 def _repeats(names: tuple) -> list:
@@ -330,7 +328,7 @@ def _envy(instance: Instance, choice: list[int], wasteful: bool = False) -> list
                 seats[h] -= 1
         cut = [len(listed) if free > 0 else c for listed, free, c in zip(acc_h, seats, cut)]
     found: list[tuple[int, int]] = []
-    never = len(instance._edges) + 1  # above any count
+    never = len(instance.edges) + 1  # above any count
     _envy_scan(options, choice, cut, never, never, found)
     return sorted(found)
 
@@ -395,9 +393,9 @@ def without_edges(instance: Instance, pairs: Iterable[Pair]) -> Instance:
     Each pair is removed from both preference lists; the relative order of
     the remaining entries is preserved.  This is the paper's trimmed
     instance G - E' for a guess E', built literally as a new validated
-    Instance.  No solver calls it: `min_ep_exact` hands each guess to
-    deferred acceptance as dropped pairs.  Tests and benchmark probes use
-    it as the reference that shortcut is checked against.
+    Instance.  No solver calls it: `min_ep_exact` bans each guess's list
+    positions in deferred acceptance.  Tests and benchmark probes use it as
+    the reference that shortcut is checked against.
     """
     drop = {tuple(p) for p in pairs}
     unknown = drop - set(instance.edges)

@@ -135,6 +135,7 @@ def parse_graph(text: str) -> SourceGraph:
     n = None
     declared_m = 0
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()  # `edges` as a set, for the duplicate check
     for lineno, line in _content_lines(text):
         fields = line.split()
         if fields[0] == "p":
@@ -159,8 +160,9 @@ def parse_graph(text: str) -> SourceGraph:
                 raise ParseError("edge endpoints must be integers", lineno) from None
             if not 1 <= i < j <= n:
                 raise ParseError(f"edge ({i},{j}) is not 1 <= i < j <= {n}", lineno)
-            if (i, j) in edges:
+            if (i, j) in seen:
                 raise ParseError(f"duplicate edge ({i},{j})", lineno)
+            seen.add((i, j))
             edges.append((i, j))
         else:
             raise ParseError(f"unrecognized line: {line!r}", lineno)

@@ -144,7 +144,6 @@ def check_tables_by_name(instance: hrlq.Instance) -> None:
         "resident_index": {r: residents.index(r) for r in residents},
         "hospital_index": {h: hospitals.index(h) for h in hospitals},
         "edges": edges,
-        "_edges": tuple((residents.index(r), hospitals.index(h)) for r, h in edges),
         "_options": tuple(
             tuple((hospitals.index(h), hp[h].index(r)) for h in rp[r]) + ((-1, -1),)
             for r in residents

@@ -31,6 +31,14 @@ IB = instance_b()
 _deferred_acceptance = hrlq.algorithms._deferred_acceptance
 
 
+def _banned_masks(inst, pairs):
+    """Per resident index, the bitmask of the list positions of its named `pairs`."""
+    banned = [0] * len(inst.residents)
+    for r, h in pairs:
+        banned[inst.resident_index[r]] |= 1 << inst.resident_prefs[r].index(h)
+    return banned
+
+
 class TestDeferredAcceptance:
     def test_displacement(self):
         inst = hrlq.validate_instance(
@@ -93,8 +101,7 @@ class TestKernelAgainstTextbook:
                 cap_vector = tuple(caps[h] for h in inst.hospitals)
                 for _ in range(3):
                     dropped = {pair for pair in inst.edges if rng.random() < 0.3}
-                    indexed = {(inst.resident_index[r], inst.hospital_index[h]) for r, h in dropped}
-                    choice = _deferred_acceptance(inst, cap_vector, indexed)[0]
+                    choice = _deferred_acceptance(inst, cap_vector, _banned_masks(inst, dropped))[0]
                     named = {inst.residents[r]: inst.hospitals[h]
                              for r, h in enumerate(choice) if h >= 0}
                     assert named == textbook_da(inst, caps, dropped)
@@ -106,19 +113,20 @@ class TestKernelAgainstTextbook:
         refused = 0  # never-held pairs r proposed to and was refused at: what the rule adds
         family = random_feasible_instances(35, 120, max_residents=8, max_hospitals=5, max_upper=3)
         for inst in family:
-            position = {(r, h): k for r, options in enumerate(inst._options)
-                        for k, (h, _) in enumerate(options)}
             for caps in (inst._low, inst._up):
                 for _ in range(3):
-                    dropped = {pair for pair in inst._edges if rng.random() < 0.25}
-                    run = _deferred_acceptance(inst, caps, dropped)
+                    dropped = {pair for pair in inst.edges if rng.random() < 0.25}
+                    banned = _banned_masks(inst, dropped)
+                    run = _deferred_acceptance(inst, caps, banned)
                     choice, taken = run
-                    for r, h in inst._edges:
-                        at = position[r, h]
-                        if (r, h) in dropped or taken[r] >> at & 1:
+                    for r, h in inst.edges:
+                        i, j = inst.resident_index[r], inst.hospital_index[h]
+                        at = inst.resident_prefs[r].index(h)
+                        if (r, h) in dropped or taken[i] >> at & 1:
                             continue
-                        assert _deferred_acceptance(inst, caps, dropped | {(r, h)}) == run
-                        if caps[h] and (choice[r] < 0 or at < taken[r].bit_length() - 1):
+                        more = _banned_masks(inst, dropped | {(r, h)})
+                        assert _deferred_acceptance(inst, caps, more) == run
+                        if caps[j] and (choice[i] < 0 or at < taken[i].bit_length() - 1):
                             refused += 1
         assert refused > 0
 

@@ -1,5 +1,8 @@
 """File grammar round trips and diagnostics."""
 
+import itertools
+import time
+
 import pytest
 
 import hrlq
@@ -99,6 +102,18 @@ class TestGraphFormat:
     def test_round_trip(self):
         text = "p 4 2\ne 1 2\ne 3 4\n"
         assert hrlq.serialize_graph(hrlq.parse_graph(text)) == text
+
+    def test_complete_graph_parses_within_budget(self):
+        # The duplicate-edge check is a set lookup: as a list scan it made
+        # parsing quadratic, and K200 took about 6 s.
+        n, budget = 200, 1.0
+        text = hrlq.serialize_graph(hrlq.SourceGraph(n, itertools.combinations(range(1, n + 1), 2)))
+        start = time.monotonic()
+        graph = hrlq.parse_graph(text)
+        elapsed = time.monotonic() - start
+        assert elapsed < budget, f"parsing K{n} took {elapsed:.2f}s, budget {budget}s"
+        assert graph.m == n * (n - 1) // 2
+        assert hrlq.serialize_graph(graph) == text
 
     def test_header_count_mismatch(self):
         with pytest.raises(hrlq.ParseError, match="declares 3 edges but 1"):

@@ -1,4 +1,4 @@
-"""Property tests over generated instances: format round trips, the exact
+"""Property tests over generated instances and graphs: format round trips, the exact
 solver against the oracle and the paper-order reference, the search's
 path-kept cut and leaf score against a recount, envy against blocking,
 byte-stable output.
@@ -8,6 +8,7 @@ checks the same inputs.
 """
 
 import re
+from itertools import combinations
 from random import Random
 
 from hypothesis import given, settings
@@ -67,6 +68,24 @@ def test_formats_round_trip(case):
     assert hrlq.serialize_instance(parsed) == text
     listing = hrlq.serialize_matching(instance, matching)
     assert hrlq.parse_matching(listing, parsed) == matching
+
+
+@st.composite
+def graphs(draw):
+    """Any SourceGraph on 1 to 8 vertices: any subset of its pairs, in any order."""
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return hrlq.SourceGraph(n, edges)
+
+
+@FIXED
+@given(graphs())
+def test_graph_format_round_trip(graph):
+    text = hrlq.serialize_graph(graph)
+    parsed = hrlq.parse_graph(text)
+    assert parsed == graph
+    assert hrlq.serialize_graph(parsed) == text
 
 
 # Few random instances need envy, so this property draws more of them.
