@@ -80,6 +80,14 @@ class SolveResult:
     stats: SolveStats
 
 
+def _check_limit(value: int, what: str) -> None:
+    """Refuse a node budget or level cap that is not a plain int >= 0."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+
+
 def _matching(instance: Instance, choice: list[int]) -> Matching:
     """The Matching for a hospital index per resident (-1 for unmatched)."""
     residents, hospitals = instance.residents, instance.hospitals
@@ -285,8 +293,7 @@ class _FeasibleSearch:
     """
 
     def __init__(self, instance: Instance, node_budget: int):
-        if node_budget < 0:
-            raise ValueError(f"node_budget must be non-negative, got {node_budget}")
+        _check_limit(node_budget, "node_budget")
         self.node_budget = node_budget
         self.nodes = 0
         self.instance = instance
@@ -413,8 +420,8 @@ def enumerate_feasible(
 
     Raises BudgetExceeded once the backtracking search has visited
     node_budget states; that signals the instance is too large for
-    exhaustive treatment.  A negative node_budget raises ValueError at
-    the call, before anything is yielded.
+    exhaustive treatment.  A node_budget that is not an int >= 0 raises
+    ValueError at the call, before anything is yielded.
     """
     search = _FeasibleSearch(instance, node_budget)
     return (_matching(instance, choice) for choice in search.leaves())
@@ -543,10 +550,10 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
 
     Raises Infeasible when no feasible matching exists at all,
     LevelCapExceeded when level_cap is given and exhausted, and ValueError
-    when level_cap is negative.
+    when level_cap is neither None nor an int >= 0.
     """
-    if level_cap is not None and level_cap < 0:
-        raise ValueError(f"level_cap must be non-negative, got {level_cap}")
+    if level_cap is not None:
+        _check_limit(level_cap, "level_cap")
     if not exists_feasible(instance):
         raise Infeasible("no feasible matching exists")
     options, acc_h, low = instance._options, instance._acc_h, instance._low

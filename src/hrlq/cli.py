@@ -133,12 +133,6 @@ def _envy_rows(report: core.EnvyReport) -> list[tuple[str, object]]:
     ]
 
 
-def _stats_dict(stats: algorithms.SolveStats) -> dict:
-    d = dataclasses.asdict(stats)
-    d["guess"] = [list(p) for p in stats.guess]
-    return d
-
-
 def _cmd_solve(args) -> int:
     instance = formats.parse_instance(_read(args.infile))
     result = None
@@ -167,8 +161,8 @@ def _cmd_solve(args) -> int:
         "envy_pairs": len(report.envy_pairs),
         "envy_residents": len(report.envy_residents),
         "blocking_pairs": len(report.blocking_pairs),
-        "matching": [list(p) for p in matching.pairs()],
-        "stats": _stats_dict(result.stats) if result else None,
+        "matching": matching.pairs(),
+        "stats": dataclasses.asdict(result.stats) if result else None,
     }
     rows = [
         ("algorithm", args.alg),
@@ -193,16 +187,7 @@ def _cmd_verify(args) -> int:
     instance = formats.parse_instance(_read(args.infile))
     matching = formats.parse_matching(_read(args.matching), instance)
     report = core.analyze(instance, matching)
-    doc = {
-        "command": "verify",
-        "feasible": report.feasible,
-        "envy_free": not report.envy_pairs,
-        "envy_pairs": [list(p) for p in report.envy_pairs],
-        "envy_residents": list(report.envy_residents),
-        "blocking_pairs": [list(p) for p in report.blocking_pairs],
-        "deficient_hospitals": list(report.deficient_hospitals),
-        "over_subscribed_hospitals": list(report.over_subscribed_hospitals),
-    }
+    doc = {"command": "verify", "envy_free": not report.envy_pairs, **dataclasses.asdict(report)}
     lines = _aligned([
         *_envy_rows(report),
         ("deficient", " ".join(report.deficient_hospitals) or "-"),
@@ -275,8 +260,8 @@ def _cmd_oracle(args) -> int:
     for key, result in zip(("min_ep", "min_er"), algorithms._brute_optima(instance, args.budget)):
         doc[key] = {
             "objective": result.objective,
-            "matching": [list(p) for p in result.matching.pairs()],
-            "stats": _stats_dict(result.stats),
+            "matching": result.matching.pairs(),
+            "stats": dataclasses.asdict(result.stats),
         }
         lines.append(f"{key.replace('_', '-')} objective  {result.objective}")
         lines += formats.serialize_matching(instance, result.matching).splitlines()

@@ -10,7 +10,7 @@ identically ordered results.
 
 from __future__ import annotations
 
-import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -39,10 +39,6 @@ def _quota(value) -> tuple[int, int] | None:
     except (TypeError, ValueError):
         return None
     return (low, up) if type(low) is int and type(up) is int else None
-
-
-# A name the .hrlq grammar reads back: one token holding neither ':' nor '#'.
-_NAME_RE = re.compile(r"[^\s:#]+")
 
 
 @dataclass(frozen=True)
@@ -83,10 +79,12 @@ class Instance:
         hprefs = {h: tuple(self.hospital_prefs.get(h, ())) for h in hidx}
         quotas = {h: _quota(self.quotas.get(h)) for h in hidx}
 
+        # A name is one token of the .hrlq grammar: split at whitespace, cut at ':' and '#'.
         out = [
             f"malformed name {name!r}: empty, or contains whitespace, ':' or '#'"
             for name in residents + hospitals
-            if not (isinstance(name, str) and _NAME_RE.fullmatch(name))
+            if not (isinstance(name, str) and name.split() == [name]
+                    and ":" not in name and "#" not in name)
         ]
         out += [f"duplicate resident name {r}" for r in _repeats(residents)]
         out += [f"duplicate hospital name {h}" for h in _repeats(hospitals)]
@@ -244,13 +242,6 @@ def make_matching(instance: Instance, pairs: Iterable[Pair]) -> Matching:
     return Matching(ordered)
 
 
-def _occupancy_counts(matching: Matching) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for h in matching.assignment.values():
-        counts[h] = counts.get(h, 0) + 1
-    return counts
-
-
 def _choice(instance: Instance, matching: Matching) -> list[int]:
     """The matching as a hospital index per resident index, -1 for unmatched."""
     ridx, hidx = instance.resident_index, instance.hospital_index
@@ -340,9 +331,9 @@ def _named(instance: Instance, pairs: list[tuple[int, int]]) -> tuple[Pair, ...]
 
 def is_feasible(instance: Instance, matching: Matching) -> bool:
     """True iff every hospital's occupancy lies in its quota interval."""
-    counts = _occupancy_counts(matching)
+    counts = Counter(matching.assignment.values())
     for h, (low, up) in instance.quotas.items():
-        if not low <= counts.get(h, 0) <= up:
+        if not low <= counts[h] <= up:
             return False
     return True
 
@@ -372,9 +363,9 @@ def is_envy_free(instance: Instance, matching: Matching) -> bool:
 
 def analyze(instance: Instance, matching: Matching) -> EnvyReport:
     """Full envy/blocking/feasibility report for a matching."""
-    counts = _occupancy_counts(matching)
-    deficient = tuple(h for h in instance.hospitals if counts.get(h, 0) < instance.quotas[h][0])
-    over = tuple(h for h in instance.hospitals if counts.get(h, 0) > instance.quotas[h][1])
+    counts = Counter(matching.assignment.values())
+    deficient = tuple(h for h in instance.hospitals if counts[h] < instance.quotas[h][0])
+    over = tuple(h for h in instance.hospitals if counts[h] > instance.quotas[h][1])
     choice = _choice(instance, matching)
     eps = _named(instance, _envy(instance, choice))
     return EnvyReport(

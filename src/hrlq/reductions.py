@@ -58,7 +58,8 @@ class SourceGraph:
     """Undirected source graph: vertices 1..n, edges as (i, j) with i < j.
 
     `k` is the target parameter (cover size / clique size); 0 means not yet
-    set, as when parsed from an edge-list file.
+    set, as when parsed from an edge-list file.  `n`, `k` and the endpoints
+    must be plain ints; each edge is stored as a tuple of the values given.
     """
 
     n: int
@@ -66,9 +67,9 @@ class SourceGraph:
     k: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple((int(i), int(j)) for i, j in self.edges))
-        if self.n < 1:
+        if _plain_int(self.n, "vertex count n") < 1:
             raise ReductionError(f"graph needs at least one vertex, got n={self.n}")
+        object.__setattr__(self, "edges", tuple(map(_pair, self.edges)))
         seen = set()
         for i, j in self.edges:
             if not 1 <= i < j <= self.n:
@@ -76,7 +77,7 @@ class SourceGraph:
             if (i, j) in seen:
                 raise ReductionError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
-        if not 0 <= self.k <= self.n:
+        if not 0 <= _plain_int(self.k, "target parameter k") <= self.n:
             raise ReductionError(
                 f"target parameter k={self.k} outside 1..{self.n} (0 leaves it unset)"
             )
@@ -88,9 +89,14 @@ class SourceGraph:
 
 @dataclass(frozen=True)
 class VCReductionParams:
-    """gadget_length is the half-length of each side of the edge gadget; None = n^2 + 1."""
+    """gadget_length is the half-length of each side of the edge gadget: a plain
+    int >= 2, checked here, or None for n^2 + 1."""
 
     gadget_length: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.gadget_length is not None:
+            _check_gadget_length(self.gadget_length)
 
     def resolve(self, n: int) -> int:
         return self.gadget_length if self.gadget_length is not None else n * n + 1
@@ -98,9 +104,14 @@ class VCReductionParams:
 
 @dataclass(frozen=True)
 class CliqueReductionParams:
-    """copies is the number of residents per source edge; None = n + 1."""
+    """copies is the number of residents per source edge: a plain int >= 1,
+    checked here, or None for n + 1."""
 
     copies: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.copies is not None and _plain_int(self.copies, "copies") < 1:
+            raise ReductionError(f"copies must be >= 1, got {self.copies}")
 
     def resolve(self, n: int) -> int:
         return self.copies if self.copies is not None else n + 1
@@ -130,18 +141,28 @@ def _e(i: int, j: int, k: int) -> str:
     return f"e{i}_{j}_{k}"
 
 
+def _plain_int(value: int, what: str) -> int:
+    """`value` if it is a plain int; anything else, `bool` too, is refused, as in `core._quota`."""
+    if type(value) is not int:
+        raise ReductionError(f"{what} must be an int, got {value!r}")
+    return value
+
+
+def _pair(edge: tuple[int, int]) -> tuple[int, int]:
+    try:
+        i, j = edge
+    except (TypeError, ValueError):
+        raise ReductionError(f"edge must be a pair of vertices, got {edge!r}") from None
+    return _plain_int(i, "edge endpoint"), _plain_int(j, "edge endpoint")
+
+
 def _check_gadget_length(length: int) -> None:
-    if length < 2:
+    if _plain_int(length, "gadget_length") < 2:
         raise ReductionError(f"gadget_length must be >= 2, got {length}")
 
 
-def _check_copies(copies: int) -> None:
-    if copies < 1:
-        raise ReductionError(f"copies must be >= 1, got {copies}")
-
-
 def _check_edge(edge: tuple[int, int]) -> tuple[int, int]:
-    i, j = edge
+    i, j = _pair(edge)
     if not 1 <= i < j:
         raise ReductionError(f"edge must satisfy i < j, got ({i},{j})")
     return i, j
@@ -230,7 +251,7 @@ def _with_vertex_layer(
 
 def _vertex_set(graph: SourceGraph, vertices: Iterable[int], what: str) -> set[int]:
     """A certificate's vertices as a set, all of them in 1..n."""
-    chosen = {int(v) for v in vertices}
+    chosen = {_plain_int(v, f"{what} vertex") for v in vertices}
     bad = [v for v in sorted(chosen) if not 1 <= v <= graph.n]
     if bad:
         raise ReductionError(f"{what} names unknown vertices: {bad}")
@@ -254,7 +275,6 @@ def vc_to_min_ep(graph: SourceGraph, params: VCReductionParams = VCReductionPara
     """
     _require_k(graph)
     length = params.resolve(graph.n)
-    _check_gadget_length(length)
     if length < graph.n * graph.n + 1:
         warnings.warn(
             f"gadget_length {length} < n^2 + 1 = {graph.n * graph.n + 1}: "
@@ -324,7 +344,6 @@ def matching_from_cover(
         if len(cover_set) == k:
             break
         cover_set.add(v)
-    _check_gadget_length(length)
 
     # Pairs in the instance's resident order, so no instance is built to order them.
     assignment = _layer_assignment(graph, cover_set)
@@ -345,7 +364,6 @@ def clique_to_min_er(
     """
     _require_k(graph)
     copies = params.resolve(graph.n)
-    _check_copies(copies)
     if copies <= graph.n:
         warnings.warn(
             f"copies {copies} <= n = {graph.n}: "
@@ -387,7 +405,6 @@ def matching_from_clique(
     ]
     if missing:
         raise NotAClique(f"pairs not adjacent: {missing}")
-    _check_copies(copies)
 
     # Pairs in the instance's resident order: the vertex layer, then edge copies.
     assignment = _layer_assignment(graph, clique_set)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -142,6 +143,22 @@ class TestNegativeLimits:
         # IB is envy-free, so a cap below level 0 must not return its level-0
         # result; enumerate_feasible refuses at the call, not at the first item.
         with pytest.raises(ValueError, match="must be non-negative"):
+            call()
+
+
+class TestLimitsArePlainInts:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: hrlq.min_ep_exact(IA, level_cap=0.5), "level_cap must be an int, got 0.5"),
+        (lambda: hrlq.min_ep_exact(IA, level_cap=True), "level_cap must be an int, got True"),
+        (lambda: hrlq.enumerate_feasible(IB, node_budget=1.5),
+         "node_budget must be an int, got 1.5"),
+        (lambda: hrlq.brute_min_ep(IB, node_budget="5"), "node_budget must be an int, got '5'"),
+        (lambda: hrlq.brute_min_er(IB, node_budget=None), "node_budget must be an int, got None"),
+    ], ids=["level_cap=0.5", "level_cap=True", "node_budget=1.5", "node_budget='5'",
+            "node_budget=None"])
+    def test_other_types_are_value_errors(self, call, message):
+        # IA needs level 1, so a cap of 0.5 must not stand for 1 (True would).
+        with pytest.raises(ValueError, match=re.escape(message)):
             call()
 
 

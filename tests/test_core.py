@@ -1,6 +1,7 @@
 """Model validation and the envy/blocking/feasibility predicates."""
 
 import random
+import sys
 
 import pytest
 
@@ -98,7 +99,11 @@ class TestValidation:
         assert violation in exc.value.violations
 
     def test_names_the_instance_format_cannot_read_back(self):
-        for bad in ("", "a b", "a:b", "a#b"):
+        # Every code point str.split() breaks at: \x1c-\x1f, \x85, U+2028 and
+        # U+3000 among them, not only ASCII space.
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert len(spaces) == 29 and {"\x1c", "\x85", "\u2028", "\u3000"} <= set(spaces)
+        for bad in ("", "a b", "a:b", "a#b", *spaces, *(f"a{c}b" for c in spaces)):
             for residents, hospitals in (([bad], ["h"]), (["r"], [bad])):
                 r, h = residents[0], hospitals[0]
                 with pytest.raises(hrlq.InvalidInstanceError) as exc:
@@ -106,6 +111,22 @@ class TestValidation:
                 assert exc.value.violations == (
                     f"malformed name {bad!r}: empty, or contains whitespace, ':' or '#'",
                 )
+
+    def test_names_are_any_other_token(self):
+        # A zero-width space, a byte-order mark and an accented letter are no
+        # whitespace to str.split(), so names holding them survive a round trip.
+        residents, hospitals = ["r\u200b", "\ufeffr", "r\u00e9"], ["h\u200b", "h\ufeff", "\u00e9"]
+        inst = hrlq.validate_instance(
+            residents, hospitals,
+            {r: [h] for r, h in zip(residents, hospitals)},
+            {h: [r] for r, h in zip(residents, hospitals)},
+            dict.fromkeys(hospitals, (0, 1)),
+        )
+        text = hrlq.serialize_instance(inst)
+        parsed = hrlq.parse_instance(text)
+        assert parsed == inst
+        assert parsed.residents + parsed.hospitals == tuple(residents + hospitals)
+        assert hrlq.serialize_instance(parsed) == text
 
     def test_all_violations_reported_at_once(self):
         with pytest.raises(hrlq.InvalidInstanceError) as exc:

@@ -23,7 +23,8 @@ FIXED = settings(derandomize=True, database=None, max_examples=50, deadline=None
 # per drawn seed.
 INSTANCES = st.integers(0, 2**32 - 1).map(lambda seed: random_instance(Random(seed), min_residents=0))
 
-# Any name the file grammar accepts: no whitespace, ':' or '#'.
+# Any name the file grammar accepts: no whitespace, ':' or '#'.  The regex is an
+# independent statement of the rule `Instance` checks with str.split().
 NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4).filter(
     lambda name: re.fullmatch(r"[^\s:#]+", name) is not None
 )

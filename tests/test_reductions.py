@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import pytest
@@ -42,10 +43,25 @@ class TestSourceGraph:
             hrlq.SourceGraph(3, [(1, 2), (1, 2)])
         with pytest.raises(hrlq.ReductionError, match="at least one vertex, got n=0"):
             hrlq.SourceGraph(0, [])
+        # Nothing is converted: a vertex is a plain int, and bool is not one.
+        for edge, bad in [((1.9, 2.5), 1.9), ((True, 2), True), (("1", "2"), "1"), ((1, 2.0), 2.0)]:
+            with pytest.raises(hrlq.ReductionError,
+                               match=re.escape(f"edge endpoint must be an int, got {bad!r}")):
+                hrlq.SourceGraph(3, [edge])
+        for edge in [(1, 2, 3), 12, None]:
+            with pytest.raises(hrlq.ReductionError,
+                               match=re.escape(f"edge must be a pair of vertices, got {edge!r}")):
+                hrlq.SourceGraph(3, [edge])
+        with pytest.raises(hrlq.ReductionError, match="vertex count n must be an int, got 2.5"):
+            hrlq.SourceGraph(2.5, [(1, 2)])
 
     def test_rejects_bad_k(self):
         with pytest.raises(hrlq.ReductionError):
             hrlq.SourceGraph(3, [(1, 2)], k=4)
+        for k in (2.0, True):
+            with pytest.raises(hrlq.ReductionError,
+                               match=re.escape(f"target parameter k must be an int, got {k}")):
+                hrlq.SourceGraph(3, [(1, 2)], k=k)
 
 
 class TestVertexCoverGenerator:
@@ -94,6 +110,11 @@ class TestVertexCoverGenerator:
     def test_rejects_degenerate_gadget(self):
         with pytest.raises(hrlq.ReductionError):
             hrlq.vc_to_min_ep(TRIANGLE, hrlq.VCReductionParams(1))
+        # The parameter object refuses the value itself, before any warning.
+        for bad in (2.5, True, "3"):
+            with pytest.raises(hrlq.ReductionError,
+                               match=re.escape(f"gadget_length must be an int, got {bad!r}")):
+                hrlq.VCReductionParams(bad)
 
     def test_warns_when_separation_void(self):
         with pytest.warns(hrlq.SeparationBoundWarning):
@@ -142,6 +163,17 @@ class TestGadgetMatchings:
     def test_rejects_unordered_edge(self, build, edge):
         with pytest.raises(hrlq.ReductionError, match="edge must satisfy i < j"):
             build(edge, 2)
+
+    @pytest.mark.parametrize("build", [hrlq.gadget_instance, hrlq.gadget_matchings])
+    @pytest.mark.parametrize("edge, length, message", [
+        ((1.5, 2), 3, "edge endpoint must be an int, got 1.5"),
+        ((1, True), 3, "edge endpoint must be an int, got True"),
+        ((1, 2, 3), 3, "edge must be a pair of vertices"),
+        ((1, 2), 2.0, "gadget_length must be an int, got 2.0"),
+    ])
+    def test_rejects_what_is_not_an_int(self, build, edge, length, message):
+        with pytest.raises(hrlq.ReductionError, match=re.escape(message)):
+            build(edge, length)
 
     @pytest.mark.parametrize("length", [2, 3, 5])
     def test_no_other_perfect_matchings(self, length):
@@ -233,6 +265,10 @@ class TestCertificatesAgainstInstances:
     def test_unknown_vertex_rejected(self, certify, params, what):
         with pytest.raises(hrlq.ReductionError, match=rf"{what} names unknown vertices: \[0\]"):
             certify(TRIANGLE, params, {0, 1})
+        # A vertex is a plain int: nothing is rounded, and True is not vertex 1.
+        for vertices in ([1.7, 2.2], [1, 2.0], [True, 2], ["1", "2"]):
+            with pytest.raises(hrlq.ReductionError, match=f"{what} vertex must be an int"):
+                certify(TRIANGLE, params, vertices)
 
     def test_bad_parameters_still_rejected(self):
         with pytest.raises(hrlq.ReductionError, match="gadget_length"):
@@ -264,6 +300,10 @@ class TestCliqueGenerator:
     def test_rejects_bad_copies_and_warns_on_small(self):
         with pytest.raises(hrlq.ReductionError):
             hrlq.clique_to_min_er(FOUR_CYCLE, hrlq.CliqueReductionParams(0))
+        for bad in (1.5, True, "2"):
+            with pytest.raises(hrlq.ReductionError,
+                               match=re.escape(f"copies must be an int, got {bad!r}")):
+                hrlq.CliqueReductionParams(bad)
         with pytest.warns(hrlq.SeparationBoundWarning):
             hrlq.clique_to_min_er(FOUR_CYCLE, hrlq.CliqueReductionParams(4))
 
