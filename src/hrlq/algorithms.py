@@ -9,7 +9,6 @@ the independent cross-check for the exact route.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -94,51 +93,104 @@ def _matching(instance: Instance, choice: list[int]) -> Matching:
     return Matching({residents[r]: hospitals[h] for r, h in enumerate(choice) if h >= 0})
 
 
+class _Run:
+    """A deferred-acceptance run that admits residents one at a time, in index order.
+
+    choice[r]  r's hospital index; -1 while r is unmatched or has not entered
+    taken[r]   bitmask with bit k set when the hospital at position k of r's
+               list held r at some point of the run, even if it later
+               displaced r; a displaced resident proposes again from just
+               past its highest set bit
+    held[h]    the ranks, in h's own list, of h's occupants, so h's worst
+               occupant is the largest rank
+    entered    residents 0..entered-1 have entered, and every displacement
+               chain they set off has settled
+    fallen     how many of them fell off the end of their lists; such a
+               resident stays unmatched for the rest of the run
+    """
+
+    __slots__ = ("choice", "taken", "held", "entered", "fallen")
+
+    def __init__(self, n_residents: int, n_hospitals: int):
+        self.choice = [-1] * n_residents
+        self.taken = [0] * n_residents
+        self.held: list[list[int]] = [[] for _ in range(n_hospitals)]
+        self.entered = self.fallen = 0
+
+    def copy(self) -> _Run:
+        run = _Run.__new__(_Run)
+        run.choice, run.taken = self.choice.copy(), self.taken.copy()
+        run.held = [ranks.copy() for ranks in self.held]
+        run.entered, run.fallen = self.entered, self.fallen
+        return run
+
+    def admit(self, instance: Instance, caps: tuple[int, ...], banned: list[int],
+              stop: int, limit: int) -> bool:
+        """Admit residents `entered`..stop-1, each once every chain before it has settled.
+
+        `banned[r]` is a mask shaped like `taken[r]`; its bit k deletes the
+        pair at position k of r's list from both lists.  Only the bans of
+        the residents admitted here are read.  Returns whether at most
+        `limit` residents have fallen off; once more have, it returns at
+        once and leaves the run unfinished, not to be admitted to again.
+        """
+        options, acc_h = instance._options, instance._acc_h
+        choice, taken, held = self.choice, self.taken, self.held
+        fallen = self.fallen
+        for r in range(self.entered, stop):
+            while r >= 0:  # r proposes; the resident it displaces, if any, goes next
+                prefs = options[r]
+                ban = banned[r]
+                for k in range(taken[r].bit_length(), len(prefs) - 1):  # the (-1, -1) entry is not tried
+                    h, rank = prefs[k]
+                    cap = caps[h]
+                    if not cap or ban and ban >> k & 1:
+                        continue
+                    ranks = held[h]
+                    if len(ranks) < cap:
+                        ranks.append(rank)
+                        displaced = -1
+                        break
+                    worst = ranks[0] if cap == 1 else max(ranks)
+                    if rank < worst:
+                        ranks.remove(worst)
+                        ranks.append(rank)
+                        displaced = acc_h[h][worst]
+                        break
+                else:  # falling through the list leaves r unmatched for good
+                    choice[r] = -1
+                    fallen += 1
+                    if fallen > limit:
+                        return False
+                    break
+                choice[r] = h
+                taken[r] |= 1 << k
+                r = displaced
+        self.entered, self.fallen = stop, fallen
+        return fallen <= limit
+
+
 def _deferred_acceptance(
     instance: Instance, caps: tuple[int, ...], banned: list[int] | None = None
 ) -> tuple[list[int], list[int]]:
-    """Resident-proposing DA on the index tables.
+    """Resident-proposing DA on the index tables: one `_Run` admitting every resident.
 
-    Returns each resident's hospital index (or -1) and, per resident, a
-    bitmask int with bit k set when the hospital at position k of its list
-    held it at some point of the run, even if it later displaced it.  A
-    displaced resident proposes again from just past its highest set bit.
-    Each hospital holds the ranks, in its own list, of its occupants, so
-    its worst occupant is the largest rank.  `banned[r]` is a mask of the
-    same shape; its bit k deletes the pair at position k of r's list from
-    both lists.  Banning as well a pair whose bit is clear in the returned
-    mask gives back the identical run, which `min_ep_exact` relies on.
+    Returns the run's `choice` and `taken`.  Residents enter in index
+    order, each after the chains set off before it have settled (McVitie
+    and Wilson's order).  Any proposal order ends in the resident-optimal
+    stable matching, so `choice` does not depend on the order.  `taken`
+    does (a hospital may hold a resident before a better one comes, or
+    refuse it at once), but one fixed order gives one `taken`.  The state
+    just before resident r enters depends only on the residents before r
+    and their bans, which lets `min_ep_exact` resume a run there.  Banning
+    as well a pair whose bit is clear in the returned mask gives back the
+    identical run, in this order as in any fixed one, which `min_ep_exact`
+    relies on.
     """
-    options, acc_h = instance._options, instance._acc_h
-    choice = [-1] * len(options)
-    taken = [0] * len(options)
-    held: list[list[int]] = [[] for _ in caps]  # held[h]: the ranks of h's occupants
-    free = deque(range(len(options)))
-    while free:
-        r = free.popleft()
-        prefs = options[r]
-        ban = banned[r] if banned else 0
-        for k in range(taken[r].bit_length(), len(prefs) - 1):  # the (-1, -1) entry is not tried
-            h, rank = prefs[k]
-            cap = caps[h]
-            if not cap or ban and ban >> k & 1:
-                continue
-            ranks = held[h]
-            if len(ranks) < cap:
-                ranks.append(rank)
-                break
-            worst = ranks[0] if cap == 1 else max(ranks)
-            if rank < worst:
-                ranks.remove(worst)
-                ranks.append(rank)
-                free.append(acc_h[h][worst])
-                break
-        else:  # falling through the list leaves r unmatched
-            choice[r] = -1
-            continue
-        choice[r] = h
-        taken[r] |= 1 << k
-    return choice, taken
+    n = len(instance._options)
+    run = _Run(n, len(caps))
+    run.admit(instance, caps, banned or [0] * n, n, n)
+    return run.choice, run.taken
 
 
 def _filled(choice: list[int], demand: int) -> bool:
@@ -185,8 +237,13 @@ def yokoi_envy_free(instance: Instance) -> Matching | None:
     iff that run fills every hospital to exactly its lower quota.  Returns
     None otherwise; that is a regular outcome, not a failure.
     """
-    choice = _deferred_acceptance(instance, instance._low)[0]
-    return _matching(instance, choice) if _filled(choice, sum(instance._low)) else None
+    low, n = instance._low, len(instance._options)
+    run = _Run(n, len(low))
+    # At most sum(low) residents find a seat, so the run fails once more
+    # than n - sum(low) have fallen off their lists, and stops there.
+    if run.admit(instance, low, [0] * n, n, n - sum(low)):
+        return _matching(instance, run.choice)
+    return None
 
 
 def _no_state(occ: list[int]) -> tuple:
@@ -479,37 +536,60 @@ def _extend_guess(
     candidates: list[tuple[int, int, int]],
     guess: list[int],
     banned: list[int],
-    run: tuple[list[int], list[int]],
+    taken: list[int],
+    cursor: _Run,
     start: int,
     need: int,
 ) -> list[int] | None:
     """Extend `guess` by the first `need` candidates from `start` on that pass Yokoi's test.
 
     Candidates are (edge, resident, position of the pair in the resident's
-    list), and sets of them are tried in lexicographic order.  `banned`
-    holds the pairs of `guess` as per-resident masks of list positions, and
-    `run` is the DA run with them deleted, which failed.  Returns the
-    winning run's choice vector, with `guess` and `banned` left holding the
-    winner, or None with both restored.
+    list), in edge order, so their residents never decrease, and sets of
+    them are tried in lexicographic order.  `banned` holds the pairs of
+    `guess` as per-resident masks of list positions, and `taken` is the
+    masks of the run with them deleted, which failed.  `cursor` belongs to
+    this call: the same run, admitted up to some resident no later than
+    `candidates[start]`'s.  Before a held candidate of resident r, the
+    cursor is admitted up to r under the prefix's bans; the candidate's run
+    is a copy of it, given the new ban and admitted from r on.  That is the
+    run from scratch step for step, since the state before r enters does
+    not depend on bans at r or later.
+
+    A resident that falls off its list stays unmatched, so a run with more
+    fallen residents than n - sum(low) fails.  The cursor stops there, and
+    the call returns: every guess left to it bans only pairs of r or later
+    residents, so its run holds the same fallen residents.  At the last
+    level only the verdict is read, so a candidate's run stops there too.
+    Inner runs go to the end, because the next level reads their masks.
+    Returns the winning run's choice vector, with `guess` and `banned` left
+    holding the winner, or None with both restored.
     """
-    taken = run[1]
-    demand = sum(instance._low)
+    low = instance._low
+    n = len(taken)
+    spare = n - sum(low)  # residents that may stay unmatched in a filled run
     for i in range(start, len(candidates) - need + 1):
         e, r, at = candidates[i]
-        # Deleting a pair h never held repeats `run` (the never-held rule in
-        # min_ep_exact); at the last level that is a failure already seen.
+        # Deleting a pair h never held repeats the prefix's run (the
+        # never-held rule in min_ep_exact); at the last level that is a
+        # failure already seen.
         bit = 1 << at
         held = taken[r] & bit
         if not held and need == 1:
             continue
+        if held:  # the prefix's run, resumed at r with the pair deleted
+            if cursor.entered < r and not cursor.admit(instance, low, banned, r, spare):
+                return None
+            child = cursor.copy()
         banned[r] |= bit
         guess.append(e)
-        child = _deferred_acceptance(instance, instance._low, banned) if held else run
         if need == 1:
-            if _filled(child[0], demand):
-                return child[0]
+            if child.admit(instance, low, banned, n, spare):
+                return child.choice
         else:
-            found = _extend_guess(instance, candidates, guess, banned, child, i + 1, need - 1)
+            if held:
+                child.admit(instance, low, banned, n, n)
+            found = _extend_guess(instance, candidates, guess, banned,
+                                  child.taken if held else taken, cursor.copy(), i + 1, need - 1)
             if found is not None:
                 return found
         guess.pop()
@@ -544,6 +624,18 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
       step for step, and it is reused; at the last level it is a failure
       already seen.
 
+    The other guesses resume a run rather than start one (`_extend_guess`):
+    residents enter deferred acceptance in index order, and the state
+    before resident r enters does not depend on bans at r or later, so a
+    guess's run copies its prefix's run at the banned pair's resident and
+    goes on from there.  A last-level run stops at the first resident that
+    falls off its list past the n - sum(low) that may stay unmatched; so
+    does the prefix's run on its way to r, and then every guess left in
+    that step fails.  None of this changes a result: the copy is the run
+    from scratch step for step, a resident that falls off its list stays
+    unmatched, and the matching deferred acceptance ends in does not
+    depend on the order residents enter in.  No run outlives its level.
+
     `guesses_examined` counts guesses in the paper's order, by size and
     then lexicographically over all acceptable pairs, up to and including
     the winner, whether or not deferred acceptance ran on them.
@@ -567,12 +659,14 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
                 candidates.append((e, r, at))
             e += 1
     guess: list[int] = []
-    root = _deferred_acceptance(instance, low)
-    choice = root[0] if _filled(root[0], sum(low)) else None
+    n = len(options)
+    root, taken = _deferred_acceptance(instance, low)
+    choice = root if _filled(root, sum(low)) else None
     level = 0
     while choice is None and level < min(max_level, len(candidates)):
         level += 1
-        choice = _extend_guess(instance, candidates, guess, [0] * len(options), root, 0, level)
+        choice = _extend_guess(instance, candidates, guess, [0] * n, taken,
+                               _Run(n, len(low)), 0, level)
     if choice is None:
         # Unreachable without a level cap: a feasible instance always succeeds
         # once the guess covers an optimal matching's envy-pairs.

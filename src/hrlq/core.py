@@ -11,8 +11,8 @@ identically ordered results.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 Pair = tuple[str, str]
 
@@ -50,7 +50,10 @@ class Instance:
     ordering produced by this package.  Construction validates all
     invariants (quota sanity, strict duplicate-free lists, mutual
     acceptability) and raises :class:`InvalidInstanceError` listing every
-    violation at once.
+    violation at once.  Containers of the wrong kind (a `str`, or anything
+    not iterable, where names belong; prefs or quotas that are not a
+    mapping) are reported first, on their own, since nothing can be read
+    from them.
     """
 
     residents: tuple[str, ...]
@@ -71,12 +74,27 @@ class Instance:
     #   _acc_h[h]  h's preference list; _low, _up  quota vectors
 
     def __post_init__(self) -> None:
-        residents, hospitals = tuple(self.residents), tuple(self.hospitals)
+        # A container of the wrong kind is reported before anything is read from it.
+        residents, hospitals = _members(self.residents), _members(self.hospitals)
+        out = [_not_names(what, given) for what, given, read in (
+            ("residents", self.residents, residents), ("hospitals", self.hospitals, hospitals)
+        ) if read is None]
+        out += [f"{what} must be a mapping, got {type(given).__name__}" for what, given in (
+            ("resident_prefs", self.resident_prefs), ("hospital_prefs", self.hospital_prefs),
+            ("quotas", self.quotas),
+        ) if not isinstance(given, Mapping)]
+        if out:
+            raise InvalidInstanceError(out)
         # Dense indices in declaration order; a repeated name keeps its first.
         ridx = {r: i for i, r in enumerate(dict.fromkeys(residents))}
         hidx = {h: j for j, h in enumerate(dict.fromkeys(hospitals))}
-        rprefs = {r: tuple(self.resident_prefs.get(r, ())) for r in ridx}
-        hprefs = {h: tuple(self.hospital_prefs.get(h, ())) for h in hidx}
+        rprefs = {r: _members(self.resident_prefs.get(r, ())) for r in ridx}
+        hprefs = {h: _members(self.hospital_prefs.get(h, ())) for h in hidx}
+        out = [_not_names(f"preference list of {owner}", given[owner])
+               for given, read in ((self.resident_prefs, rprefs), (self.hospital_prefs, hprefs))
+               for owner, listed in read.items() if listed is None]
+        if out:
+            raise InvalidInstanceError(out)
         quotas = {h: _quota(self.quotas.get(h)) for h in hidx}
 
         # A name is one token of the .hrlq grammar: split at whitespace, cut at ':' and '#'.
@@ -142,6 +160,25 @@ class Instance:
         object.__setattr__(self, "_acc_h", acc_h)
         object.__setattr__(self, "_low", tuple(low for low, _ in quotas.values()))
         object.__setattr__(self, "_up", tuple(up for _, up in quotas.values()))
+
+
+def _members(given) -> tuple | None:
+    """`given`'s members as a tuple, or None when it is not a collection: a str, or not iterable.
+
+    A str iterates over its characters, so a name given where a collection
+    of names belongs would otherwise be read as one name per character.
+    """
+    if isinstance(given, str):
+        return None
+    try:
+        return tuple(given)
+    except TypeError:
+        return None
+
+
+def _not_names(what: str, given) -> str:
+    """The violation for `given`, named `what`, where a collection of names belongs."""
+    return f"{what} must be a collection of names, got {type(given).__name__}"
 
 
 def _repeats(names: tuple) -> list:

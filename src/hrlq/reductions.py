@@ -30,7 +30,7 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .core import Instance, Matching, Pair, validate_instance
+from .core import Instance, Matching, Pair, _members, validate_instance
 
 
 class ReductionError(ValueError):
@@ -69,7 +69,7 @@ class SourceGraph:
     def __post_init__(self) -> None:
         if _plain_int(self.n, "vertex count n") < 1:
             raise ReductionError(f"graph needs at least one vertex, got n={self.n}")
-        object.__setattr__(self, "edges", tuple(map(_pair, self.edges)))
+        object.__setattr__(self, "edges", tuple(map(_pair, _collection(self.edges, "edges"))))
         seen = set()
         for i, j in self.edges:
             if not 1 <= i < j <= self.n:
@@ -146,6 +146,14 @@ def _plain_int(value: int, what: str) -> int:
     if type(value) is not int:
         raise ReductionError(f"{what} must be an int, got {value!r}")
     return value
+
+
+def _collection(given, what: str) -> tuple:
+    """`given`'s members; a str or a value that is not iterable is refused, as in `Instance`."""
+    members = _members(given)
+    if members is None:
+        raise ReductionError(f"{what} must be a collection, got {type(given).__name__}")
+    return members
 
 
 def _pair(edge: tuple[int, int]) -> tuple[int, int]:
@@ -251,7 +259,7 @@ def _with_vertex_layer(
 
 def _vertex_set(graph: SourceGraph, vertices: Iterable[int], what: str) -> set[int]:
     """A certificate's vertices as a set, all of them in 1..n."""
-    chosen = {_plain_int(v, f"{what} vertex") for v in vertices}
+    chosen = {_plain_int(v, f"{what} vertex") for v in _collection(vertices, what)}
     bad = [v for v in sorted(chosen) if not 1 <= v <= graph.n]
     if bad:
         raise ReductionError(f"{what} names unknown vertices: {bad}")

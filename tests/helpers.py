@@ -2,7 +2,8 @@
 chains, a by-name rebuild of the compiled tables, a reference recount of envy
 and blocking pairs, the oracles' picks and the search's leaf state, a
 product-space enumeration of feasible matchings, a textbook deferred
-acceptance and a paper-order Min-EP search."""
+acceptance, a check of resumed deferred-acceptance runs and a paper-order
+Min-EP search."""
 
 from __future__ import annotations
 
@@ -318,6 +319,57 @@ def textbook_da(
                 assigned.pop(r, None)
             for r in holds[h]:
                 assigned[r] = h
+
+
+def check_resumed_runs(instance: hrlq.Instance, rng: random.Random) -> int:
+    """Check deferred acceptance resumed at each resident against a full run; return the runs.
+
+    At the lower and at the upper quotas, for each entry point r, a run is
+    admitted up to r under random bans, then resumed twice, each time from
+    a fresh copy after the bans of residents r and later are drawn again.
+    Each copy's `choice` and `taken` must equal those of a full run under
+    the final bans, and its matching `textbook_da`'s.  At the lower quotas
+    a run that stops once more residents have fallen off than may stay
+    unmatched, admitted up to r and resumed from a copy as `min_ep_exact`'s
+    last level runs, must give the verdict `_filled` gives the full run.
+    """
+    algorithms = hrlq.algorithms
+    n = len(instance.residents)
+    positions = [(r, k) for r in range(n) for k in range(len(instance._options[r]) - 1)]
+
+    def bans() -> list[int]:
+        banned = [0] * n
+        for r, k in positions:
+            if rng.random() < 0.25:
+                banned[r] |= 1 << k
+        return banned
+
+    runs = 0
+    for bound, caps in enumerate((instance._low, instance._up)):
+        named_caps = {h: quota[bound] for h, quota in instance.quotas.items()}
+        for r in range(n + 1):
+            banned = bans()
+            cursor = algorithms._Run(n, len(caps))
+            cursor.admit(instance, caps, banned, r, n)
+            for _ in range(2):  # two resumed copies: the first may not disturb the cursor
+                banned[r:] = bans()[r:]
+                full = algorithms._deferred_acceptance(instance, caps, banned)
+                resumed = cursor.copy()
+                resumed.admit(instance, caps, banned, n, n)
+                assert (resumed.choice, resumed.taken) == full, (bound, r)
+                dropped = {(instance.residents[i], instance.resident_prefs[instance.residents[i]][k])
+                           for i, k in positions if banned[i] >> k & 1}
+                named = {instance.residents[i]: instance.hospitals[h]
+                         for i, h in enumerate(full[0]) if h >= 0}
+                assert named == textbook_da(instance, named_caps, dropped), (bound, r)
+                if bound == 0:
+                    spare = n - sum(caps)
+                    stopped = algorithms._Run(n, len(caps))
+                    verdict = (stopped.admit(instance, caps, banned, r, spare)
+                               and stopped.copy().admit(instance, caps, banned, n, spare))
+                    assert verdict == algorithms._filled(full[0], sum(caps)), r
+                runs += 1
+    return runs
 
 
 def paper_min_ep(instance: hrlq.Instance, level_cap: int | None = None) -> hrlq.SolveResult:

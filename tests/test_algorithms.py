@@ -13,6 +13,7 @@ import hrlq
 from helpers import (
     chain_instance,
     check_leaf_state,
+    check_resumed_runs,
     check_tables_by_name,
     choice_pairs,
     exhaustive_two_by_two,
@@ -106,6 +107,12 @@ class TestKernelAgainstTextbook:
                     named = {inst.residents[r]: inst.hospitals[h]
                              for r, h in enumerate(choice) if h >= 0}
                     assert named == textbook_da(inst, caps, dropped)
+
+    def test_resumed_runs_equal_full_runs(self):
+        # min_ep_exact copies a run at the banned pair's resident and resumes it there.
+        rng = random.Random(36)
+        runs = sum(check_resumed_runs(inst, rng) for inst in self.FAMILY[-300:])
+        assert runs > 2000
 
     def test_never_held_pair_repeats_the_run(self):
         # The lemma min_ep_exact's reuse rule rests on: deleting a pair whose

@@ -78,6 +78,42 @@ class TestValidation:
             hrlq.validate_instance(["r"], ["h"], {"r": ["h"]}, {"h": ["r"]}, {"h": quota})
         assert exc.value.violations == ("missing or malformed quota for h",)
 
+    # A str is not a collection of names: read as one, "h1" would be the names h and 1.
+    @pytest.mark.parametrize("residents, hospitals, resident_prefs, hospital_prefs, quotas, violations", [
+        (["r"], ["h"], {"r": "h"}, {"h": ["r"]}, {"h": (0, 1)},
+         ["preference list of r must be a collection of names, got str"]),
+        (["r"], ["h1"], {"r": "h1"}, {"h1": ["r"]}, {"h1": (0, 1)},
+         ["preference list of r must be a collection of names, got str"]),
+        (["r"], ["h"], {"r": ["h"]}, {"h": "r"}, {"h": (0, 1)},
+         ["preference list of h must be a collection of names, got str"]),
+        (["r"], ["h"], {"r": 5}, {"h": None}, {"h": (0, 1)},
+         ["preference list of r must be a collection of names, got int",
+          "preference list of h must be a collection of names, got NoneType"]),
+        ("rr", ["h"], {}, {}, {"h": (0, 1)}, ["residents must be a collection of names, got str"]),
+        (["r"], "h1", {}, {}, {}, ["hospitals must be a collection of names, got str"]),
+        (None, 7, {}, {}, {}, ["residents must be a collection of names, got NoneType",
+                               "hospitals must be a collection of names, got int"]),
+    ])
+    def test_a_str_or_non_iterable_is_not_a_collection_of_names(
+            self, residents, hospitals, resident_prefs, hospital_prefs, quotas, violations):
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(residents, hospitals, resident_prefs, hospital_prefs, quotas)
+        assert exc.value.violations == tuple(violations)
+
+    @pytest.mark.parametrize("resident_prefs, hospital_prefs, quotas, violations", [
+        ({"r": ["h"]}, {"h": ["r"]}, [("h", (0, 1))], ["quotas must be a mapping, got list"]),
+        ([("r", ["h"])], {"h": ["r"]}, {"h": (0, 1)}, ["resident_prefs must be a mapping, got list"]),
+        ({"r": ["h"]}, None, {"h": (0, 1)}, ["hospital_prefs must be a mapping, got NoneType"]),
+        (None, "h", None, ["resident_prefs must be a mapping, got NoneType",
+                           "hospital_prefs must be a mapping, got str",
+                           "quotas must be a mapping, got NoneType"]),
+    ])
+    def test_prefs_and_quotas_must_be_mappings(self, resident_prefs, hospital_prefs, quotas,
+                                               violations):
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(["r"], ["h"], resident_prefs, hospital_prefs, quotas)
+        assert exc.value.violations == tuple(violations)
+
     @pytest.mark.parametrize("residents, hospitals, resident_prefs, hospital_prefs, quotas, violation", [
         (["r"], ["h", "h"], {"r": []}, {"h": []}, {"h": (0, 1)}, "duplicate hospital name h"),
         (["x"], ["x"], {"x": []}, {"x": []}, {"x": (0, 1)},

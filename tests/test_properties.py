@@ -1,7 +1,7 @@
 """Property tests over generated instances and graphs: format round trips, the exact
-solver against the oracle and the paper-order reference, the search's
-path-kept cut and leaf score against a recount, envy against blocking,
-byte-stable output.
+solver against the oracle and the paper-order reference, resumed deferred
+acceptance against a full run, the search's path-kept cut and leaf score
+against a recount, envy against blocking, byte-stable output.
 
 Examples are derandomized and the example database is off, so every run
 checks the same inputs.
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrlq
-from helpers import check_leaf_state, paper_min_ep, random_instance
+from helpers import check_leaf_state, check_resumed_runs, paper_min_ep, random_instance
 
 FIXED = settings(derandomize=True, database=None, max_examples=50, deadline=None)
 
@@ -114,6 +114,14 @@ def test_min_ep_exact_equals_the_paper_order_reference(instance):
     if not hrlq.exists_feasible(instance):
         return
     assert _outcome(hrlq.min_ep_exact, instance) == _outcome(paper_min_ep, instance)
+
+
+# The bans come from a drawn seed: st.randoms() draws data for every call,
+# which is more than a health check allows.
+@FIXED
+@given(INSTANCES, st.integers(0, 2**32 - 1).map(Random))
+def test_resumed_deferred_acceptance_equals_a_full_run(instance, rng):
+    check_resumed_runs(instance, rng)
 
 
 @FIXED

@@ -54,6 +54,11 @@ class TestSourceGraph:
                 hrlq.SourceGraph(3, [edge])
         with pytest.raises(hrlq.ReductionError, match="vertex count n must be an int, got 2.5"):
             hrlq.SourceGraph(2.5, [(1, 2)])
+        # The edges are a collection of pairs: not None, and not a str of digits.
+        for edges, kind in [(None, "NoneType"), ("12", "str"), (12, "int")]:
+            with pytest.raises(hrlq.ReductionError,
+                               match=f"^edges must be a collection, got {kind}$"):
+                hrlq.SourceGraph(3, edges)
 
     def test_rejects_bad_k(self):
         with pytest.raises(hrlq.ReductionError):
@@ -268,6 +273,11 @@ class TestCertificatesAgainstInstances:
         # A vertex is a plain int: nothing is rounded, and True is not vertex 1.
         for vertices in ([1.7, 2.2], [1, 2.0], [True, 2], ["1", "2"]):
             with pytest.raises(hrlq.ReductionError, match=f"{what} vertex must be an int"):
+                certify(TRIANGLE, params, vertices)
+        # A certificate is a collection of vertices: not None, and not a str of digits.
+        for vertices, kind in [(None, "NoneType"), ("12", "str"), (1, "int")]:
+            with pytest.raises(hrlq.ReductionError,
+                               match=f"^{what} must be a collection, got {kind}$"):
                 certify(TRIANGLE, params, vertices)
 
     def test_bad_parameters_still_rejected(self):
