@@ -107,6 +107,16 @@ class _Run:
                chain they set off has settled
     fallen     how many of them fell off the end of their lists; such a
                resident stays unmatched for the rest of the run
+
+    Each resident enters after the chains set off before it have settled
+    (McVitie and Wilson's order).  Any order ends in the resident-optimal
+    stable matching, so a finished run's `choice` does not depend on it;
+    `taken` does (a hospital may hold a resident before a better one comes,
+    or refuse it at once), but one fixed order gives one `taken`.  The
+    state just before r enters depends only on the residents before r and
+    their bans, so `min_ep_exact` copies a run there and resumes it.
+    Banning as well a pair whose bit is clear in `taken` repeats the run
+    step for step up to where it ended, so it finishes or stops the same.
     """
 
     __slots__ = ("choice", "taken", "held", "entered", "fallen")
@@ -132,7 +142,7 @@ class _Run:
         pair at position k of r's list from both lists.  Only the bans of
         the residents admitted here are read.  Returns whether at most
         `limit` residents have fallen off; once more have, it returns at
-        once and leaves the run unfinished, not to be admitted to again.
+        once and leaves the run stopped, not to be admitted to again.
         """
         options, acc_h = instance._options, instance._acc_h
         choice, taken, held = self.choice, self.taken, self.held
@@ -170,34 +180,6 @@ class _Run:
         return fallen <= limit
 
 
-def _deferred_acceptance(
-    instance: Instance, caps: tuple[int, ...], banned: list[int] | None = None
-) -> tuple[list[int], list[int]]:
-    """Resident-proposing DA on the index tables: one `_Run` admitting every resident.
-
-    Returns the run's `choice` and `taken`.  Residents enter in index
-    order, each after the chains set off before it have settled (McVitie
-    and Wilson's order).  Any proposal order ends in the resident-optimal
-    stable matching, so `choice` does not depend on the order.  `taken`
-    does (a hospital may hold a resident before a better one comes, or
-    refuse it at once), but one fixed order gives one `taken`.  The state
-    just before resident r enters depends only on the residents before r
-    and their bans, which lets `min_ep_exact` resume a run there.  Banning
-    as well a pair whose bit is clear in the returned mask gives back the
-    identical run, in this order as in any fixed one, which `min_ep_exact`
-    relies on.
-    """
-    n = len(instance._options)
-    run = _Run(n, len(caps))
-    run.admit(instance, caps, banned or [0] * n, n, n)
-    return run.choice, run.taken
-
-
-def _filled(choice: list[int], demand: int) -> bool:
-    """Yokoi's test on a DA run capped at the lower quotas: all `demand` seats are filled."""
-    return len(choice) - choice.count(-1) == demand
-
-
 def deferred_acceptance(instance: Instance) -> Matching:
     """Resident-proposing deferred acceptance against the upper quotas.
 
@@ -205,7 +187,10 @@ def deferred_acceptance(instance: Instance) -> Matching:
     reject by preference only; the result is the unique resident-optimal
     stable matching for the capacities, so it has no blocking pairs.
     """
-    return _matching(instance, _deferred_acceptance(instance, instance._up)[0])
+    n = len(instance._options)
+    run = _Run(n, len(instance._up))
+    run.admit(instance, instance._up, [0] * n, n, n)
+    return _matching(instance, run.choice)
 
 
 def reduced_capacity_instance(instance: Instance) -> Instance:
@@ -547,47 +532,38 @@ def _extend_guess(
     list), in edge order, so their residents never decrease, and sets of
     them are tried in lexicographic order.  `banned` holds the pairs of
     `guess` as per-resident masks of list positions, and `taken` is the
-    masks of the run with them deleted, which failed.  `cursor` belongs to
-    this call: the same run, admitted up to some resident no later than
-    `candidates[start]`'s.  Before a held candidate of resident r, the
-    cursor is admitted up to r under the prefix's bans; the candidate's run
-    is a copy of it, given the new ban and admitted from r on.  That is the
-    run from scratch step for step, since the state before r enters does
-    not depend on bans at r or later.
-
-    A resident that falls off its list stays unmatched, so a run with more
-    fallen residents than n - sum(low) fails.  The cursor stops there, and
-    the call returns: every guess left to it bans only pairs of r or later
-    residents, so its run holds the same fallen residents.  At the last
-    level only the verdict is read, so a candidate's run stops there too.
-    Inner runs go to the end, because the next level reads their masks.
-    Returns the winning run's choice vector, with `guess` and `banned` left
-    holding the winner, or None with both restored.
+    masks of the run with them deleted, which failed, finished or stopped.
+    Every run stops once more than n - sum(low) residents have fallen off.
+    `cursor` belongs to this call: the same run, admitted up to some
+    resident no later than `candidates[start]`'s.  Before each candidate of
+    resident r that is not skipped, the cursor is admitted up to r under
+    the prefix's bans, and the call returns once it stops: every guess left
+    bans only pairs of r or later residents, so its run stops as well.  A
+    held candidate's run is a copy of the cursor, given the new ban and
+    admitted from r on: the run from scratch step for step, since the state
+    before r enters does not depend on bans at r or later.  Returns the
+    winning run's choice vector, with `guess` and `banned` left holding the
+    winner, or None with both restored.
     """
     low = instance._low
     n = len(taken)
     spare = n - sum(low)  # residents that may stay unmatched in a filled run
     for i in range(start, len(candidates) - need + 1):
         e, r, at = candidates[i]
-        # Deleting a pair h never held repeats the prefix's run (the
-        # never-held rule in min_ep_exact); at the last level that is a
-        # failure already seen.
         bit = 1 << at
         held = taken[r] & bit
         if not held and need == 1:
-            continue
-        if held:  # the prefix's run, resumed at r with the pair deleted
-            if cursor.entered < r and not cursor.admit(instance, low, banned, r, spare):
-                return None
-            child = cursor.copy()
+            continue  # the never-held rule: the prefix's run, a failure already seen
+        if cursor.entered < r and not cursor.admit(instance, low, banned, r, spare):
+            return None
         banned[r] |= bit
         guess.append(e)
-        if need == 1:
+        if held:  # the prefix's run, resumed at r with the pair deleted
+            child = cursor.copy()
+            # Only a last-level run can pass: every smaller guess failed a level earlier.
             if child.admit(instance, low, banned, n, spare):
                 return child.choice
-        else:
-            if held:
-                child.admit(instance, low, banned, n, n)
+        if need > 1:
             found = _extend_guess(instance, candidates, guess, banned,
                                   child.taken if held else taken, cursor.copy(), i + 1, need - 1)
             if found is not None:
@@ -621,20 +597,21 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
       that bans it.  If h never held r there, r either never reached h or
       was refused on the spot, which moves only r's pointer, exactly as
       deleting (r, h) does.  So deleting (r, h) as well repeats that run
-      step for step, and it is reused; at the last level it is a failure
-      already seen.
+      step for step, up to where it ended, and it is reused; at the last
+      level it is a failure already seen.
 
-    The other guesses resume a run rather than start one (`_extend_guess`):
-    residents enter deferred acceptance in index order, and the state
-    before resident r enters does not depend on bans at r or later, so a
-    guess's run copies its prefix's run at the banned pair's resident and
-    goes on from there.  A last-level run stops at the first resident that
-    falls off its list past the n - sum(low) that may stay unmatched; so
-    does the prefix's run on its way to r, and then every guess left in
-    that step fails.  None of this changes a result: the copy is the run
-    from scratch step for step, a resident that falls off its list stays
-    unmatched, and the matching deferred acceptance ends in does not
-    depend on the order residents enter in.  No run outlives its level.
+    Every run, the root (`yokoi_envy_free`'s run) and each guess's alike,
+    stops at the first resident that falls off its list past the n -
+    sum(low) that may stay unmatched, for a fallen resident stays unmatched
+    and the run fails; a stopped run's masks serve the never-held rule as a
+    finished run's do.  The other guesses resume a run rather than start
+    one (`_extend_guess`): residents enter deferred acceptance in index
+    order, and the state before resident r enters does not depend on bans
+    at r or later, so a guess's run copies its prefix's run at the banned
+    pair's resident and goes on from there; when the prefix's run stops on
+    its way to r, every guess left in that step fails.  None of this
+    changes a result: the copy is the run from scratch step for step.  No
+    run outlives its level.
 
     `guesses_examined` counts guesses in the paper's order, by size and
     then lexicographically over all acceptable pairs, up to and including
@@ -660,12 +637,12 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
             e += 1
     guess: list[int] = []
     n = len(options)
-    root, taken = _deferred_acceptance(instance, low)
-    choice = root if _filled(root, sum(low)) else None
+    root = _Run(n, len(low))  # yokoi_envy_free's run
+    choice = root.choice if root.admit(instance, low, [0] * n, n, n - sum(low)) else None
     level = 0
     while choice is None and level < min(max_level, len(candidates)):
         level += 1
-        choice = _extend_guess(instance, candidates, guess, [0] * n, taken,
+        choice = _extend_guess(instance, candidates, guess, [0] * n, root.taken,
                                _Run(n, len(low)), 0, level)
     if choice is None:
         # Unreachable without a level cap: a feasible instance always succeeds

@@ -52,8 +52,8 @@ class Instance:
     acceptability) and raises :class:`InvalidInstanceError` listing every
     violation at once.  Containers of the wrong kind (a `str`, or anything
     not iterable, where names belong; prefs or quotas that are not a
-    mapping) are reported first, on their own, since nothing can be read
-    from them.
+    mapping) and members of the wrong kind (a name that is not a `str`) are
+    reported first, on their own, since nothing can be read from them.
     """
 
     residents: tuple[str, ...]
@@ -76,9 +76,9 @@ class Instance:
     def __post_init__(self) -> None:
         # A container of the wrong kind is reported before anything is read from it.
         residents, hospitals = _members(self.residents), _members(self.hospitals)
-        out = [_not_names(what, given) for what, given, read in (
+        out = [v for what, given, read in (
             ("residents", self.residents, residents), ("hospitals", self.hospitals, hospitals)
-        ) if read is None]
+        ) for v in _not_names(what, given, read)]
         out += [f"{what} must be a mapping, got {type(given).__name__}" for what, given in (
             ("resident_prefs", self.resident_prefs), ("hospital_prefs", self.hospital_prefs),
             ("quotas", self.quotas),
@@ -90,9 +90,9 @@ class Instance:
         hidx = {h: j for j, h in enumerate(dict.fromkeys(hospitals))}
         rprefs = {r: _members(self.resident_prefs.get(r, ())) for r in ridx}
         hprefs = {h: _members(self.hospital_prefs.get(h, ())) for h in hidx}
-        out = [_not_names(f"preference list of {owner}", given[owner])
-               for given, read in ((self.resident_prefs, rprefs), (self.hospital_prefs, hprefs))
-               for owner, listed in read.items() if listed is None]
+        out = [v for given, read in ((self.resident_prefs, rprefs), (self.hospital_prefs, hprefs))
+               for owner, listed in read.items()
+               for v in _not_names(f"preference list of {owner}", given.get(owner), listed)]
         if out:
             raise InvalidInstanceError(out)
         quotas = {h: _quota(self.quotas.get(h)) for h in hidx}
@@ -101,8 +101,7 @@ class Instance:
         out = [
             f"malformed name {name!r}: empty, or contains whitespace, ':' or '#'"
             for name in residents + hospitals
-            if not (isinstance(name, str) and name.split() == [name]
-                    and ":" not in name and "#" not in name)
+            if not (name.split() == [name] and ":" not in name and "#" not in name)
         ]
         out += [f"duplicate resident name {r}" for r in _repeats(residents)]
         out += [f"duplicate hospital name {h}" for h in _repeats(hospitals)]
@@ -176,9 +175,26 @@ def _members(given) -> tuple | None:
         return None
 
 
-def _not_names(what: str, given) -> str:
-    """The violation for `given`, named `what`, where a collection of names belongs."""
-    return f"{what} must be a collection of names, got {type(given).__name__}"
+def _not_names(what: str, given, read: tuple | None) -> list[str]:
+    """The violations of `given`, named `what` and read as `read`, where `str` names belong."""
+    if read is None:
+        return [f"{what} must be a collection of names, got {type(given).__name__}"]
+    return [f"{what} must hold only names, got {type(name).__name__} {name!r}"
+            for name in read if not isinstance(name, str)]
+
+
+def _pairs(given, error: type[ValueError]) -> list[tuple]:
+    """`given`'s pairs, each a collection of two `str` as `_members` reads it, or else `error`."""
+    members = _members(given)
+    if members is None:
+        raise error(f"pairs must be a collection, got {type(given).__name__}")
+    out = []
+    for pair in members:
+        names = _members(pair)
+        if names is None or len(names) != 2 or not all(isinstance(n, str) for n in names):
+            raise error(f"pair must be two names, got {pair!r}")
+        out.append(names)
+    return out
 
 
 def _repeats(names: tuple) -> list:
@@ -259,7 +275,7 @@ def make_matching(instance: Instance, pairs: Iterable[Pair]) -> Matching:
     """Build a Matching from (resident, hospital) pairs, validated against the instance."""
     errors: list[str] = []
     assignment: dict[str, str] = {}
-    for r, h in pairs:
+    for r, h in _pairs(pairs, InvalidMatchingError):
         if r not in instance.resident_index:
             errors.append(f"unknown resident {r}")
             continue
@@ -280,10 +296,19 @@ def make_matching(instance: Instance, pairs: Iterable[Pair]) -> Matching:
 
 
 def _choice(instance: Instance, matching: Matching) -> list[int]:
-    """The matching as a hospital index per resident index, -1 for unmatched."""
+    """The matching as a hospital index per resident index; a pair the instance lacks is refused.
+
+    Every reader of a `Matching`, which may be built directly, goes through here.
+    """
     ridx, hidx = instance.resident_index, instance.hospital_index
     choice = [-1] * len(instance.residents)
     for r, h in matching.assignment.items():
+        if r not in ridx:
+            raise InvalidMatchingError(f"unknown resident {r}")
+        if not isinstance(h, str) or h not in hidx:
+            raise InvalidMatchingError(f"unknown hospital {h}")
+        if h not in instance.resident_prefs[r]:
+            raise InvalidMatchingError(f"unacceptable pair ({r},{h})")
         choice[ridx[r]] = hidx[h]
     return choice
 
@@ -368,11 +393,8 @@ def _named(instance: Instance, pairs: list[tuple[int, int]]) -> tuple[Pair, ...]
 
 def is_feasible(instance: Instance, matching: Matching) -> bool:
     """True iff every hospital's occupancy lies in its quota interval."""
-    counts = Counter(matching.assignment.values())
-    for h, (low, up) in instance.quotas.items():
-        if not low <= counts[h] <= up:
-            return False
-    return True
+    counts = Counter(_choice(instance, matching))
+    return all(low <= counts[j] <= up for j, (low, up) in enumerate(instance.quotas.values()))
 
 
 def envy_pairs(instance: Instance, matching: Matching) -> tuple[Pair, ...]:
@@ -400,10 +422,10 @@ def is_envy_free(instance: Instance, matching: Matching) -> bool:
 
 def analyze(instance: Instance, matching: Matching) -> EnvyReport:
     """Full envy/blocking/feasibility report for a matching."""
-    counts = Counter(matching.assignment.values())
-    deficient = tuple(h for h in instance.hospitals if counts[h] < instance.quotas[h][0])
-    over = tuple(h for h in instance.hospitals if counts[h] > instance.quotas[h][1])
     choice = _choice(instance, matching)
+    counts = Counter(choice)
+    deficient = tuple(h for j, h in enumerate(instance.hospitals) if counts[j] < instance._low[j])
+    over = tuple(h for j, h in enumerate(instance.hospitals) if counts[j] > instance._up[j])
     eps = _named(instance, _envy(instance, choice))
     return EnvyReport(
         envy_pairs=eps,
@@ -425,7 +447,7 @@ def without_edges(instance: Instance, pairs: Iterable[Pair]) -> Instance:
     positions in deferred acceptance.  Tests and benchmark probes use it as
     the reference that shortcut is checked against.
     """
-    drop = {tuple(p) for p in pairs}
+    drop = set(_pairs(pairs, ValueError))
     unknown = drop - set(instance.edges)
     if unknown:
         names = ", ".join(f"({r},{h})" for r, h in sorted(unknown))

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import re
 
-from .core import Instance, InvalidMatchingError, Matching, make_matching, validate_instance
+from .core import (
+    Instance, InvalidMatchingError, Matching, _choice, make_matching, validate_instance,
+)
 from .reductions import SourceGraph
 
 _QUOTA_RE = re.compile(r"^\[([0-9]+),([0-9]+)\]$")
@@ -195,9 +197,7 @@ def parse_matching(text: str, instance: Instance) -> Matching:
 
 def serialize_matching(instance: Instance, matching: Matching) -> str:
     """Canonical .match form: matched residents in index order."""
-    lines = [
-        f"match {r} {matching.assignment[r]}"
-        for r in instance.residents
-        if r in matching.assignment
-    ]
+    residents, hospitals = instance.residents, instance.hospitals
+    lines = [f"match {residents[r]} {hospitals[h]}"
+             for r, h in enumerate(_choice(instance, matching)) if h >= 0]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -2,8 +2,8 @@
 chains, a by-name rebuild of the compiled tables, a reference recount of envy
 and blocking pairs, the oracles' picks and the search's leaf state, a
 product-space enumeration of feasible matchings, a textbook deferred
-acceptance, a check of resumed deferred-acceptance runs and a paper-order
-Min-EP search."""
+acceptance, a full deferred-acceptance run, a check of resumed runs and a
+paper-order Min-EP search."""
 
 from __future__ import annotations
 
@@ -321,6 +321,14 @@ def textbook_da(
                 assigned[r] = h
 
 
+def full_run(instance: hrlq.Instance, caps: tuple[int, ...], banned: list[int] | None = None):
+    """A `_Run` that has admitted every resident at `caps` under `banned` (none by default)."""
+    n = len(instance.residents)
+    run = hrlq.algorithms._Run(n, len(caps))
+    run.admit(instance, caps, banned or [0] * n, n, n)
+    return run
+
+
 def check_resumed_runs(instance: hrlq.Instance, rng: random.Random) -> int:
     """Check deferred acceptance resumed at each resident against a full run; return the runs.
 
@@ -331,7 +339,8 @@ def check_resumed_runs(instance: hrlq.Instance, rng: random.Random) -> int:
     the final bans, and its matching `textbook_da`'s.  At the lower quotas
     a run that stops once more residents have fallen off than may stay
     unmatched, admitted up to r and resumed from a copy as `min_ep_exact`'s
-    last level runs, must give the verdict `_filled` gives the full run.
+    runs, must give the verdict of a plain count: the full run matches
+    exactly sum(low) residents.
     """
     algorithms = hrlq.algorithms
     n = len(instance.residents)
@@ -353,21 +362,22 @@ def check_resumed_runs(instance: hrlq.Instance, rng: random.Random) -> int:
             cursor.admit(instance, caps, banned, r, n)
             for _ in range(2):  # two resumed copies: the first may not disturb the cursor
                 banned[r:] = bans()[r:]
-                full = algorithms._deferred_acceptance(instance, caps, banned)
+                full = full_run(instance, caps, banned)
                 resumed = cursor.copy()
                 resumed.admit(instance, caps, banned, n, n)
-                assert (resumed.choice, resumed.taken) == full, (bound, r)
+                assert (resumed.choice, resumed.taken) == (full.choice, full.taken), (bound, r)
                 dropped = {(instance.residents[i], instance.resident_prefs[instance.residents[i]][k])
                            for i, k in positions if banned[i] >> k & 1}
                 named = {instance.residents[i]: instance.hospitals[h]
-                         for i, h in enumerate(full[0]) if h >= 0}
+                         for i, h in enumerate(full.choice) if h >= 0}
                 assert named == textbook_da(instance, named_caps, dropped), (bound, r)
                 if bound == 0:
                     spare = n - sum(caps)
                     stopped = algorithms._Run(n, len(caps))
                     verdict = (stopped.admit(instance, caps, banned, r, spare)
                                and stopped.copy().admit(instance, caps, banned, n, spare))
-                    assert verdict == algorithms._filled(full[0], sum(caps)), r
+                    matched = sum(h >= 0 for h in full.choice)
+                    assert verdict == (matched == sum(caps)), r
                 runs += 1
     return runs
 

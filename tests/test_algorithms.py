@@ -17,6 +17,7 @@ from helpers import (
     check_tables_by_name,
     choice_pairs,
     exhaustive_two_by_two,
+    full_run,
     has_envy_free_feasible,
     instance_a,
     instance_b,
@@ -30,7 +31,6 @@ from helpers import (
 
 IA = instance_a()
 IB = instance_b()
-_deferred_acceptance = hrlq.algorithms._deferred_acceptance
 
 
 def _banned_masks(inst, pairs):
@@ -103,7 +103,7 @@ class TestKernelAgainstTextbook:
                 cap_vector = tuple(caps[h] for h in inst.hospitals)
                 for _ in range(3):
                     dropped = {pair for pair in inst.edges if rng.random() < 0.3}
-                    choice = _deferred_acceptance(inst, cap_vector, _banned_masks(inst, dropped))[0]
+                    choice = full_run(inst, cap_vector, _banned_masks(inst, dropped)).choice
                     named = {inst.residents[r]: inst.hospitals[h]
                              for r, h in enumerate(choice) if h >= 0}
                     assert named == textbook_da(inst, caps, dropped)
@@ -116,27 +116,41 @@ class TestKernelAgainstTextbook:
 
     def test_never_held_pair_repeats_the_run(self):
         # The lemma min_ep_exact's reuse rule rests on: deleting a pair whose
-        # hospital never held the resident gives back the identical run.
+        # hospital never held the resident gives back the identical run, and
+        # a run stopped past n - sum(low) fallen residents stops the same.
         rng = random.Random(34)
         refused = 0  # never-held pairs r proposed to and was refused at: what the rule adds
+        stopped = 0  # runs at the lower quotas that stopped
         family = random_feasible_instances(35, 120, max_residents=8, max_hospitals=5, max_upper=3)
+
+        def run_with(inst, caps, limit, banned):
+            n = len(inst.residents)
+            run = hrlq.algorithms._Run(n, len(caps))
+            return run.admit(inst, caps, banned, n, limit), run
+
         for inst in family:
-            for caps in (inst._low, inst._up):
+            n = len(inst.residents)
+            # Full runs at the lower and the upper quotas, and runs at the
+            # lower quotas that stop as min_ep_exact's do.
+            for caps, limit in ((inst._low, n), (inst._up, n), (inst._low, n - sum(inst._low))):
                 for _ in range(3):
                     dropped = {pair for pair in inst.edges if rng.random() < 0.25}
-                    banned = _banned_masks(inst, dropped)
-                    run = _deferred_acceptance(inst, caps, banned)
-                    choice, taken = run
+                    verdict, run = run_with(inst, caps, limit, _banned_masks(inst, dropped))
+                    state = (verdict, run.choice, run.taken, run.entered, run.fallen)
+                    stopped += not verdict
+                    choice, taken = run.choice, run.taken
                     for r, h in inst.edges:
                         i, j = inst.resident_index[r], inst.hospital_index[h]
                         at = inst.resident_prefs[r].index(h)
                         if (r, h) in dropped or taken[i] >> at & 1:
                             continue
-                        more = _banned_masks(inst, dropped | {(r, h)})
-                        assert _deferred_acceptance(inst, caps, more) == run
+                        more_bans = _banned_masks(inst, dropped | {(r, h)})
+                        again, more = run_with(inst, caps, limit, more_bans)
+                        assert (again, more.choice, more.taken, more.entered, more.fallen) == state
                         if caps[j] and (choice[i] < 0 or at < taken[i].bit_length() - 1):
                             refused += 1
         assert refused > 0
+        assert stopped > 0
 
 
 class TestNegativeLimits:

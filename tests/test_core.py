@@ -100,6 +100,22 @@ class TestValidation:
             hrlq.validate_instance(residents, hospitals, resident_prefs, hospital_prefs, quotas)
         assert exc.value.violations == tuple(violations)
 
+    # Names are hashed once they pass, so a member that is no str is refused before that.
+    @pytest.mark.parametrize("residents, hospitals, resident_prefs, hospital_prefs, violations", [
+        ([["a"]], ["h"], {}, {}, ["residents must hold only names, got list ['a']"]),
+        (["r"], [{"h"}, 5], {}, {}, ["hospitals must hold only names, got set {'h'}",
+                                     "hospitals must hold only names, got int 5"]),
+        (["r"], ["h"], {"r": [["h"]]}, {"h": ["r", None]},
+         ["preference list of r must hold only names, got list ['h']",
+          "preference list of h must hold only names, got NoneType None"]),
+    ])
+    def test_a_member_that_is_not_a_str_is_not_a_name(
+            self, residents, hospitals, resident_prefs, hospital_prefs, violations):
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(residents, hospitals, resident_prefs, hospital_prefs,
+                                   {"h": (0, 1)})
+        assert exc.value.violations == tuple(violations)
+
     @pytest.mark.parametrize("resident_prefs, hospital_prefs, quotas, violations", [
         ({"r": ["h"]}, {"h": ["r"]}, [("h", (0, 1))], ["quotas must be a mapping, got list"]),
         ([("r", ["h"])], {"h": ["r"]}, {"h": (0, 1)}, ["resident_prefs must be a mapping, got list"]),
@@ -212,6 +228,40 @@ class TestValidation:
             hrlq.make_matching(IA, [("zz", "h1")])
         with pytest.raises(hrlq.InvalidMatchingError, match="unknown hospital zz"):
             hrlq.make_matching(IA, [("r1", "zz")])
+
+    # A pair is a collection of two str, and a str is no collection: "rh" is not (r, h).
+    @pytest.mark.parametrize("pairs, message", [
+        (None, "pairs must be a collection, got NoneType"),
+        ("rh", "pairs must be a collection, got str"),
+        ([("r1",)], "pair must be two names, got ('r1',)"),
+        (["r1h1"], "pair must be two names, got 'r1h1'"),
+        ([("r1", "h1", "h2")], "pair must be two names, got ('r1', 'h1', 'h2')"),
+        ([(["r1"], "h1")], "pair must be two names, got (['r1'], 'h1')"),
+    ])
+    def test_pairs_of_the_wrong_kind(self, pairs, message):
+        with pytest.raises(hrlq.InvalidMatchingError) as exc:
+            hrlq.make_matching(IA, pairs)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            hrlq.without_edges(IA, pairs)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+    # A Matching built directly is checked where it is read: every reader goes through one
+    # check.  Unchecked, an unacceptable pair (r2,h2) read as feasible with no envy.
+    @pytest.mark.parametrize("assignment, message", [
+        ({"zz": "h1"}, "unknown resident zz"),
+        ({"r1": "zz"}, "unknown hospital zz"),
+        ({"r2": "h1", "r1": ["h2"]}, "unknown hospital ['h2']"),
+        ({"r1": "h1", "r2": "h2"}, "unacceptable pair (r2,h2)"),
+    ])
+    @pytest.mark.parametrize("reader", [
+        hrlq.is_feasible, hrlq.envy_pairs, hrlq.envy_residents, hrlq.blocking_pairs,
+        hrlq.analyze, hrlq.serialize_matching,
+    ], ids=lambda f: f.__name__)
+    def test_a_matching_naming_what_the_instance_lacks(self, reader, assignment, message):
+        with pytest.raises(hrlq.InvalidMatchingError) as exc:
+            reader(IA, hrlq.Matching(assignment))
+        assert str(exc.value) == message
 
 
 class TestCompiledTables:
