@@ -93,24 +93,46 @@ def _matching(instance: Instance, choice: list[int]) -> Matching:
     return Matching({residents[r]: hospitals[h] for r, h in enumerate(choice) if h >= 0})
 
 
+def _choice_of(instance: Instance, held: list[int]) -> list[int]:
+    """The choice vector a run's masks describe: r's hospital index, -1 where r holds no seat."""
+    choice = [-1] * len(instance._options)
+    for h, ranks in enumerate(held):
+        listed = instance._acc_h[h]
+        while ranks:  # worst occupant first, so the mask shrinks as it goes
+            rank = ranks.bit_length() - 1
+            choice[listed[rank]] = h
+            ranks ^= 1 << rank
+    return choice
+
+
 class _Run:
     """A deferred-acceptance run that admits residents one at a time, in index order.
 
-    choice[r]  r's hospital index; -1 while r is unmatched or has not entered
     taken[r]   bitmask with bit k set when the hospital at position k of r's
                list held r at some point of the run, even if it later
                displaced r; a displaced resident proposes again from just
                past its highest set bit
-    held[h]    the ranks, in h's own list, of h's occupants, so h's worst
-               occupant is the largest rank
+    held[h]    bitmask with bit k set when the resident at rank k of h's
+               own list holds one of h's seats: the ranks in one list are
+               distinct, so h has `held[h].bit_count()` occupants and its
+               worst is rank `held[h].bit_length() - 1`
     entered    residents 0..entered-1 have entered, and every displacement
-               chain they set off has settled
-    fallen     how many of them fell off the end of their lists; such a
-               resident stays unmatched for the rest of the run
+               chain they set off has settled; in a stopped run, the
+               resident whose entry set off the chain that stopped it
+    fallen     how many residents fell off the end of their lists; such a
+               resident stays unmatched for the rest of the run.  In a
+               stopped run, the count that passed the limit
+
+    The run keeps no choice vector: a resident's seat is its rank's bit in
+    one hospital's mask, and `_choice_of` reads the vector off `held` once,
+    for the matching a solver returns.  A displaced resident proposes on at
+    once, so between calls to `admit` no resident is in flight, except in a
+    stopped run, where the one in flight is the resident that fell, and it
+    holds no seat.
 
     Each resident enters after the chains set off before it have settled
     (McVitie and Wilson's order).  Any order ends in the resident-optimal
-    stable matching, so a finished run's `choice` does not depend on it;
+    stable matching, so a finished run's `held` does not depend on it;
     `taken` does (a hospital may hold a resident before a better one comes,
     or refuse it at once), but one fixed order gives one `taken`.  The
     state just before r enters depends only on the residents before r and
@@ -119,18 +141,16 @@ class _Run:
     step for step up to where it ended, so it finishes or stops the same.
     """
 
-    __slots__ = ("choice", "taken", "held", "entered", "fallen")
+    __slots__ = ("taken", "held", "entered", "fallen")
 
     def __init__(self, n_residents: int, n_hospitals: int):
-        self.choice = [-1] * n_residents
         self.taken = [0] * n_residents
-        self.held: list[list[int]] = [[] for _ in range(n_hospitals)]
+        self.held = [0] * n_hospitals
         self.entered = self.fallen = 0
 
     def copy(self) -> _Run:
         run = _Run.__new__(_Run)
-        run.choice, run.taken = self.choice.copy(), self.taken.copy()
-        run.held = [ranks.copy() for ranks in self.held]
+        run.taken, run.held = self.taken.copy(), self.held.copy()
         run.entered, run.fallen = self.entered, self.fallen
         return run
 
@@ -142,12 +162,14 @@ class _Run:
         pair at position k of r's list from both lists.  Only the bans of
         the residents admitted here are read.  Returns whether at most
         `limit` residents have fallen off; once more have, it returns at
-        once and leaves the run stopped, not to be admitted to again.
+        once and leaves the run stopped, not to be admitted to again, with
+        `entered` and `fallen` saying where it stopped.
         """
         options, acc_h = instance._options, instance._acc_h
-        choice, taken, held = self.choice, self.taken, self.held
+        taken, held = self.taken, self.held
         fallen = self.fallen
-        for r in range(self.entered, stop):
+        for entrant in range(self.entered, stop):
+            r = entrant
             while r >= 0:  # r proposes; the resident it displaces, if any, goes next
                 prefs = options[r]
                 ban = banned[r]
@@ -157,23 +179,21 @@ class _Run:
                     if not cap or ban and ban >> k & 1:
                         continue
                     ranks = held[h]
-                    if len(ranks) < cap:
-                        ranks.append(rank)
+                    if ranks.bit_count() < cap:
+                        held[h] = ranks | 1 << rank
                         displaced = -1
                         break
-                    worst = ranks[0] if cap == 1 else max(ranks)
+                    worst = ranks.bit_length() - 1
                     if rank < worst:
-                        ranks.remove(worst)
-                        ranks.append(rank)
+                        held[h] = ranks ^ (1 << worst | 1 << rank)
                         displaced = acc_h[h][worst]
                         break
                 else:  # falling through the list leaves r unmatched for good
-                    choice[r] = -1
                     fallen += 1
                     if fallen > limit:
+                        self.entered, self.fallen = entrant, fallen
                         return False
                     break
-                choice[r] = h
                 taken[r] |= 1 << k
                 r = displaced
         self.entered, self.fallen = stop, fallen
@@ -190,7 +210,7 @@ def deferred_acceptance(instance: Instance) -> Matching:
     n = len(instance._options)
     run = _Run(n, len(instance._up))
     run.admit(instance, instance._up, [0] * n, n, n)
-    return _matching(instance, run.choice)
+    return _matching(instance, _choice_of(instance, run.held))
 
 
 def reduced_capacity_instance(instance: Instance) -> Instance:
@@ -227,7 +247,7 @@ def yokoi_envy_free(instance: Instance) -> Matching | None:
     # At most sum(low) residents find a seat, so the run fails once more
     # than n - sum(low) have fallen off their lists, and stops there.
     if run.admit(instance, low, [0] * n, n, n - sum(low)):
-        return _matching(instance, run.choice)
+        return _matching(instance, _choice_of(instance, run.held))
     return None
 
 
@@ -525,7 +545,7 @@ def _extend_guess(
     cursor: _Run,
     start: int,
     need: int,
-) -> list[int] | None:
+) -> _Run | None:
     """Extend `guess` by the first `need` candidates from `start` on that pass Yokoi's test.
 
     Candidates are (edge, resident, position of the pair in the resident's
@@ -542,8 +562,8 @@ def _extend_guess(
     held candidate's run is a copy of the cursor, given the new ban and
     admitted from r on: the run from scratch step for step, since the state
     before r enters does not depend on bans at r or later.  Returns the
-    winning run's choice vector, with `guess` and `banned` left holding the
-    winner, or None with both restored.
+    winning run, with `guess` and `banned` left holding the winner, or None
+    with both restored.
     """
     low = instance._low
     n = len(taken)
@@ -562,7 +582,7 @@ def _extend_guess(
             child = cursor.copy()
             # Only a last-level run can pass: every smaller guess failed a level earlier.
             if child.admit(instance, low, banned, n, spare):
-                return child.choice
+                return child
         if need > 1:
             found = _extend_guess(instance, candidates, guess, banned,
                                   child.taken if held else taken, cursor.copy(), i + 1, need - 1)
@@ -638,16 +658,17 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     guess: list[int] = []
     n = len(options)
     root = _Run(n, len(low))  # yokoi_envy_free's run
-    choice = root.choice if root.admit(instance, low, [0] * n, n, n - sum(low)) else None
+    won = root if root.admit(instance, low, [0] * n, n, n - sum(low)) else None
     level = 0
-    while choice is None and level < min(max_level, len(candidates)):
+    while won is None and level < min(max_level, len(candidates)):
         level += 1
-        choice = _extend_guess(instance, candidates, guess, [0] * n, root.taken,
-                               _Run(n, len(low)), 0, level)
-    if choice is None:
+        won = _extend_guess(instance, candidates, guess, [0] * n, root.taken,
+                            _Run(n, len(low)), 0, level)
+    if won is None:
         # Unreachable without a level cap: a feasible instance always succeeds
         # once the guess covers an optimal matching's envy-pairs.
         raise LevelCapExceeded(max_level, sum(comb(n_edges, j) for j in range(max_level + 1)))
+    choice = _choice_of(instance, won.held)
     return SolveResult(
         matching=_matching(instance, choice),
         objective=len(_envy(instance, choice)),

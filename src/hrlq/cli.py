@@ -33,6 +33,10 @@ EXIT_INPUT_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
 
 
+class _UsageError(Exception):
+    """Options that cannot go together; reported like every other input error."""
+
+
 def _count(text: str) -> int:
     """argparse type for counts: ASCII digits only, as in the files; anything else exits 2."""
     try:
@@ -222,13 +226,10 @@ def _parse_cert(spec: str, expected_kind: str) -> set[int]:
 
 def _cmd_gen(args) -> int:
     if args.cert and not args.out:
-        print("--cert requires --out (the matching file is written next to it)",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise _UsageError("--cert requires --out (the matching file is written next to it)")
     if args.cert and Path(args.out).suffix == ".match":
-        print("--out may not end in .match with --cert (the matching file would overwrite it)",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise _UsageError(
+            "--out may not end in .match with --cert (the matching file would overwrite it)")
     g = _GENERATORS[args.kind]
     graph = formats.parse_graph(_read(args.graph))
     graph = dataclasses.replace(graph, k=args.k)
@@ -286,6 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         core.InvalidMatchingError,
         reductions.ReductionError,
         OSError,
+        _UsageError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

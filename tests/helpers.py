@@ -81,6 +81,36 @@ def random_feasible_instances(seed: int, count: int, **kwargs) -> list[hrlq.Inst
     return out
 
 
+def wide_list_instance(rng: random.Random) -> hrlq.Instance:
+    """A random instance where h1 lists every one of 70-100 residents, all caps above 1.
+
+    Ranks on h1's list reach 69 or more, so a bitmask of them spans more
+    than 64 bits.  h1 is first on most residents' lists and its upper quota
+    is drawn up to the number of residents, so it may hold residents ranked
+    that low.  The other hospitals are on about 30% of the lists, each with a
+    lower quota of 2-20, so deferred acceptance at the lower quotas may fail.
+    """
+    n_res, n_hosp = rng.randint(70, 100), rng.randint(3, 6)
+    residents = [f"r{i}" for i in range(1, n_res + 1)]
+    hospitals = [f"h{j}" for j in range(1, n_hosp + 1)]
+    resident_prefs = {}
+    for r in residents:
+        others = [h for h in hospitals[1:] if rng.random() < 0.3]
+        rng.shuffle(others)
+        at = 0 if rng.random() < 0.7 else rng.randint(0, len(others))
+        resident_prefs[r] = tuple(others[:at] + ["h1"] + others[at:])
+    hospital_prefs = {}
+    for h in hospitals:
+        order = [r for r in residents if h in resident_prefs[r]]
+        rng.shuffle(order)
+        hospital_prefs[h] = tuple(order)
+    quotas = {}
+    for h in hospitals:
+        low = rng.randint(2, 20)
+        quotas[h] = (low, rng.randint(low, n_res if h == "h1" else 40))
+    return hrlq.validate_instance(residents, hospitals, resident_prefs, hospital_prefs, quotas)
+
+
 def chain_instance(links: int, open_end: int = -1) -> hrlq.Instance:
     """A chain of `links` residents whose only feasible matching is forced link by link.
 
@@ -321,6 +351,11 @@ def textbook_da(
                 assigned[r] = h
 
 
+def run_choice(instance: hrlq.Instance, run) -> list[int]:
+    """A `_Run`'s choice vector, as the solvers read it off the run's masks."""
+    return hrlq.algorithms._choice_of(instance, run.held)
+
+
 def full_run(instance: hrlq.Instance, caps: tuple[int, ...], banned: list[int] | None = None):
     """A `_Run` that has admitted every resident at `caps` under `banned` (none by default)."""
     n = len(instance.residents)
@@ -335,7 +370,7 @@ def check_resumed_runs(instance: hrlq.Instance, rng: random.Random) -> int:
     At the lower and at the upper quotas, for each entry point r, a run is
     admitted up to r under random bans, then resumed twice, each time from
     a fresh copy after the bans of residents r and later are drawn again.
-    Each copy's `choice` and `taken` must equal those of a full run under
+    Each copy's choice and `taken` must equal those of a full run under
     the final bans, and its matching `textbook_da`'s.  At the lower quotas
     a run that stops once more residents have fallen off than may stay
     unmatched, admitted up to r and resumed from a copy as `min_ep_exact`'s
@@ -365,18 +400,20 @@ def check_resumed_runs(instance: hrlq.Instance, rng: random.Random) -> int:
                 full = full_run(instance, caps, banned)
                 resumed = cursor.copy()
                 resumed.admit(instance, caps, banned, n, n)
-                assert (resumed.choice, resumed.taken) == (full.choice, full.taken), (bound, r)
+                choice = run_choice(instance, full)
+                resumed_state = (run_choice(instance, resumed), resumed.taken)
+                assert resumed_state == (choice, full.taken), (bound, r)
                 dropped = {(instance.residents[i], instance.resident_prefs[instance.residents[i]][k])
                            for i, k in positions if banned[i] >> k & 1}
                 named = {instance.residents[i]: instance.hospitals[h]
-                         for i, h in enumerate(full.choice) if h >= 0}
+                         for i, h in enumerate(choice) if h >= 0}
                 assert named == textbook_da(instance, named_caps, dropped), (bound, r)
                 if bound == 0:
                     spare = n - sum(caps)
                     stopped = algorithms._Run(n, len(caps))
                     verdict = (stopped.admit(instance, caps, banned, r, spare)
                                and stopped.copy().admit(instance, caps, banned, n, spare))
-                    matched = sum(h >= 0 for h in full.choice)
+                    matched = sum(h >= 0 for h in choice)
                     assert verdict == (matched == sum(caps)), r
                 runs += 1
     return runs

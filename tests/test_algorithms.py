@@ -26,7 +26,9 @@ from helpers import (
     product_space_choices,
     random_feasible_instances,
     random_instance,
+    run_choice,
     textbook_da,
+    wide_list_instance,
 )
 
 IA = instance_a()
@@ -103,7 +105,8 @@ class TestKernelAgainstTextbook:
                 cap_vector = tuple(caps[h] for h in inst.hospitals)
                 for _ in range(3):
                     dropped = {pair for pair in inst.edges if rng.random() < 0.3}
-                    choice = full_run(inst, cap_vector, _banned_masks(inst, dropped)).choice
+                    run = full_run(inst, cap_vector, _banned_masks(inst, dropped))
+                    choice = run_choice(inst, run)
                     named = {inst.residents[r]: inst.hospitals[h]
                              for r, h in enumerate(choice) if h >= 0}
                     assert named == textbook_da(inst, caps, dropped)
@@ -118,6 +121,8 @@ class TestKernelAgainstTextbook:
         # The lemma min_ep_exact's reuse rule rests on: deleting a pair whose
         # hospital never held the resident gives back the identical run, and
         # a run stopped past n - sum(low) fallen residents stops the same.
+        # Each run's `entered` and `fallen` are checked on their own too, so
+        # the comparison of a stopped run's two fields means something.
         rng = random.Random(34)
         refused = 0  # never-held pairs r proposed to and was refused at: what the rule adds
         stopped = 0  # runs at the lower quotas that stopped
@@ -135,10 +140,22 @@ class TestKernelAgainstTextbook:
             for caps, limit in ((inst._low, n), (inst._up, n), (inst._low, n - sum(inst._low))):
                 for _ in range(3):
                     dropped = {pair for pair in inst.edges if rng.random() < 0.25}
-                    verdict, run = run_with(inst, caps, limit, _banned_masks(inst, dropped))
-                    state = (verdict, run.choice, run.taken, run.entered, run.fallen)
-                    stopped += not verdict
-                    choice, taken = run.choice, run.taken
+                    banned = _banned_masks(inst, dropped)
+                    verdict, run = run_with(inst, caps, limit, banned)
+                    choice, taken = run_choice(inst, run), run.taken
+                    state = (verdict, choice, taken, run.entered, run.fallen)
+                    if verdict:
+                        assert (run.entered, run.fallen) == (n, choice.count(-1))
+                    else:
+                        # Stopped in the chain that resident `entered` set off,
+                        # when `fallen` passed the limit; only the resident that
+                        # fell was in flight.
+                        stopped += 1
+                        assert run.fallen == limit + 1
+                        assert choice.count(-1) == run.fallen + n - 1 - run.entered
+                        before = hrlq.algorithms._Run(n, len(caps))
+                        assert before.admit(inst, caps, banned, run.entered, limit)
+                        assert not before.admit(inst, caps, banned, run.entered + 1, limit)
                     for r, h in inst.edges:
                         i, j = inst.resident_index[r], inst.hospital_index[h]
                         at = inst.resident_prefs[r].index(h)
@@ -146,10 +163,57 @@ class TestKernelAgainstTextbook:
                             continue
                         more_bans = _banned_masks(inst, dropped | {(r, h)})
                         again, more = run_with(inst, caps, limit, more_bans)
-                        assert (again, more.choice, more.taken, more.entered, more.fallen) == state
+                        assert (again, run_choice(inst, more), more.taken,
+                                more.entered, more.fallen) == state
                         if caps[j] and (choice[i] < 0 or at < taken[i].bit_length() - 1):
                             refused += 1
         assert refused > 0
+        assert stopped > 0
+
+
+class TestWideMasks:
+    """`_Run.held` where a hospital's list is longer than 64, so its masks span several digits."""
+
+    FAMILY = [wide_list_instance(random.Random(f"wide:{i}")) for i in range(12)]
+
+    @staticmethod
+    def check_masks(inst, caps, run) -> list[int]:
+        """Check the run's masks against its derived choice and caps; return that choice."""
+        choice = run_choice(inst, run)
+        for h, ranks in enumerate(run.held):
+            assert ranks.bit_count() <= caps[h]
+            listed = inst.hospital_prefs[inst.hospitals[h]]
+            seated = {listed.index(inst.residents[r]) for r, j in enumerate(choice) if j == h}
+            assert {k for k in range(ranks.bit_length()) if ranks >> k & 1} == seated, h
+        return choice
+
+    def test_masks_at_every_admit_boundary(self):
+        rng = random.Random(37)
+        wide = stopped = 0  # boundaries where some mask is past 64 bits; runs that stopped
+        for inst in self.FAMILY:
+            n = len(inst.residents)
+            assert max(map(len, inst.hospital_prefs.values())) > 64
+            for bound, caps in enumerate((inst._low, inst._up)):
+                named_caps = {h: quota[bound] for h, quota in inst.quotas.items()}
+                # The lower quotas also with min_ep_exact's stop.
+                limits = (n, n - sum(caps)) if bound == 0 else (n,)
+                for limit in limits:
+                    for _ in range(2):
+                        dropped = {pair for pair in inst.edges if rng.random() < 0.3}
+                        banned = _banned_masks(inst, dropped)
+                        run = hrlq.algorithms._Run(n, len(caps))
+                        for stop in range(1, n + 1):
+                            verdict = run.admit(inst, caps, banned, stop, limit)
+                            choice = self.check_masks(inst, caps, run)
+                            wide += max(run.held).bit_length() > 64
+                            if not verdict:
+                                stopped += 1
+                                break
+                        else:
+                            named = {inst.residents[r]: inst.hospitals[h]
+                                     for r, h in enumerate(choice) if h >= 0}
+                            assert named == textbook_da(inst, named_caps, dropped)
+        assert wide > 0
         assert stopped > 0
 
 

@@ -254,10 +254,12 @@ class TestGen:
     def test_cert_without_out_is_an_error(self, capsys, tmp_path):
         graph_path = tmp_path / "triangle.g"
         graph_path.write_text(TRIANGLE_G)
-        code, _, err = run(capsys, "gen", "vc2ep", "--graph", graph_path,
-                           "--k", "2", "--cert", "cover:v1,v2")
-        assert code == 2
+        code, out, err = run(capsys, "gen", "vc2ep", "--graph", graph_path,
+                             "--k", "2", "--cert", "cover:v1,v2")
+        assert (code, out) == (2, "")
         assert "--cert requires --out" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("kind, cert", [("vc2ep", "cover:v1,v2"), ("clique2er", "clique:v1,v2")])
     def test_cert_would_overwrite_out(self, capsys, tmp_path, kind, cert):
@@ -267,6 +269,8 @@ class TestGen:
                              "--out", tmp_path / "t.match", "--cert", cert)
         assert (code, out) == (2, "")
         assert "--out may not end in .match" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["triangle.g"]
 
     def test_clique2er_to_stdout(self, capsys, tmp_path):
