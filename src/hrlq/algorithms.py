@@ -15,7 +15,7 @@ from math import comb
 from operator import itemgetter
 from typing import Iterator
 
-from .core import Instance, Matching, Pair, _envy, _envy_scan
+from .core import Instance, Matching, Pair, _envy, _envy_scan, _matching
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -85,12 +85,6 @@ def _check_limit(value: int, what: str) -> None:
         raise ValueError(f"{what} must be an int, got {value!r}")
     if value < 0:
         raise ValueError(f"{what} must be non-negative, got {value}")
-
-
-def _matching(instance: Instance, choice: list[int]) -> Matching:
-    """The Matching for a hospital index per resident (-1 for unmatched)."""
-    residents, hospitals = instance.residents, instance.hospitals
-    return Matching({residents[r]: hospitals[h] for r, h in enumerate(choice) if h >= 0})
 
 
 def _choice_of(instance: Instance, held: list[int]) -> list[int]:
@@ -251,21 +245,20 @@ def yokoi_envy_free(instance: Instance) -> Matching | None:
     return None
 
 
-def _no_state(occ: list[int]) -> tuple:
-    """The frontier occupancy at a level whose frontier is empty."""
-    return ()
-
-
 def _frontier_reader(spans: list[tuple[int, int, int]], i: int):
     """The reader of the frontier occupancy at level i.
 
     `spans` holds (first lister, last lister, h) for the hospitals h with
     a positive lower quota.  The frontier F_i holds those listed both by a
     resident <= i and by a resident > i; the reader maps the occupancy
-    vector to its entries on F_i.
+    vector to its entries on F_i.  It is built only when level i takes a
+    memo key, and then F_i is never empty: either i's option frees a slot
+    of a hospital that has a positive lower quota, that i lists and that
+    passed the last-lister check, so a resident after i lists it; or the
+    option fills j while i covers no slot, so the cover gives a slot of j
+    to a resident after i.
     """
-    frontier = [h for first, last, h in spans if first <= i < last]
-    return itemgetter(*frontier) if frontier else _no_state
+    return itemgetter(*[h for first, last, h in spans if first <= i < last])
 
 
 def _augment(acc_h: tuple, hospital: int, start: int, cover: list[int]) -> bool:

@@ -2,11 +2,12 @@
 
 Subcommands:
 
-    solve --alg {da|yokoi|min-ep|brute-ep|brute-er} --in FILE [--out FILE]
-    verify --in FILE MATCHING
+    solve --alg {da|yokoi|min-ep|brute-ep|brute-er} --in FILE [--out FILE] [--json]
+          [--budget N] [--level-cap N]
+    verify --in FILE [--json] MATCHING
     gen vc2ep --graph FILE --k K [--gadget-l L] [--out FILE] [--cert cover:v1,v2]
     gen clique2er --graph FILE --k K [--copies T] [--out FILE] [--cert clique:v1,v2]
-    oracle --in FILE
+    oracle --in FILE [--budget N] [--json]
 
 Exit codes: 0 solution produced / verification done, 1 no solution
 (no envy-free matching, infeasible), 2 input error, 3 budget or level cap

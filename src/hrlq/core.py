@@ -29,7 +29,7 @@ class InvalidInstanceError(ValueError):
 
 
 class InvalidMatchingError(ValueError):
-    """A matching names unknown vertices, unacceptable pairs, or reuses a resident."""
+    """A matching names unknown vertices or unacceptable pairs, reuses a resident, or is not a mapping."""
 
 
 def _quota(value) -> tuple[int, int] | None:
@@ -223,12 +223,17 @@ class Matching:
 
     Built via :func:`make_matching` (or by the solvers), the assignment dict
     iterates in resident-index order, which keeps downstream output
-    deterministic.
+    deterministic.  A Matching built directly is checked where it is read:
+    `pairs()` refuses an assignment that is not a mapping, and every reader
+    checks the pairs against its instance with `_choice`.
     """
 
     assignment: Mapping[str, str]
 
     def pairs(self) -> tuple[Pair, ...]:
+        if not isinstance(self.assignment, Mapping):
+            raise InvalidMatchingError(
+                f"assignment must be a mapping, got {type(self.assignment).__name__}")
         return tuple(self.assignment.items())
 
     def __len__(self) -> int:
@@ -273,44 +278,45 @@ def validate_instance(
 
 def make_matching(instance: Instance, pairs: Iterable[Pair]) -> Matching:
     """Build a Matching from (resident, hospital) pairs, validated against the instance."""
+    return _matching(instance, _choice(instance, _pairs(pairs, InvalidMatchingError)))
+
+
+def _choice(instance: Instance, pairs: Iterable[Pair]) -> list[int]:
+    """The pairs as a hospital index per resident index (-1 for unmatched), checked.
+
+    The one check of a matching: `make_matching` runs it on the pairs it is
+    given, and every reader of a `Matching`, which may be built directly, on
+    its `pairs()`.  A pair is refused when it names a resident or hospital
+    the instance lacks, when the instance does not accept it, or when its
+    resident is already assigned; every refusal, in order, goes into one
+    InvalidMatchingError.
+    """
+    ridx, hidx, prefs = instance.resident_index, instance.hospital_index, instance.resident_prefs
+    choice = [-1] * len(ridx)
     errors: list[str] = []
-    assignment: dict[str, str] = {}
-    for r, h in _pairs(pairs, InvalidMatchingError):
-        if r not in instance.resident_index:
+    for r, h in pairs:
+        if r not in ridx:
             errors.append(f"unknown resident {r}")
-            continue
-        if h not in instance.hospital_index:
+        elif not isinstance(h, str) or h not in hidx:
             errors.append(f"unknown hospital {h}")
-            continue
-        if h not in instance.resident_prefs[r]:
+        elif h not in prefs[r]:
             errors.append(f"unacceptable pair ({r},{h})")
-            continue
-        if r in assignment:
+        elif choice[ridx[r]] >= 0:
             errors.append(f"resident {r} assigned more than once")
-            continue
-        assignment[r] = h
+        else:
+            choice[ridx[r]] = hidx[h]
     if errors:
         raise InvalidMatchingError("; ".join(errors))
-    ordered = dict(sorted(assignment.items(), key=lambda kv: instance.resident_index[kv[0]]))
-    return Matching(ordered)
-
-
-def _choice(instance: Instance, matching: Matching) -> list[int]:
-    """The matching as a hospital index per resident index; a pair the instance lacks is refused.
-
-    Every reader of a `Matching`, which may be built directly, goes through here.
-    """
-    ridx, hidx = instance.resident_index, instance.hospital_index
-    choice = [-1] * len(instance.residents)
-    for r, h in matching.assignment.items():
-        if r not in ridx:
-            raise InvalidMatchingError(f"unknown resident {r}")
-        if not isinstance(h, str) or h not in hidx:
-            raise InvalidMatchingError(f"unknown hospital {h}")
-        if h not in instance.resident_prefs[r]:
-            raise InvalidMatchingError(f"unacceptable pair ({r},{h})")
-        choice[ridx[r]] = hidx[h]
     return choice
+
+
+def _matching(instance: Instance, choice: list[int]) -> Matching:
+    """The Matching for a hospital index per resident index (-1 for unmatched).
+
+    The one builder of a Matching: its assignment iterates in resident-index order.
+    """
+    residents, hospitals = instance.residents, instance.hospitals
+    return Matching({residents[r]: hospitals[h] for r, h in enumerate(choice) if h >= 0})
 
 
 def _envy_scan(
@@ -393,7 +399,7 @@ def _named(instance: Instance, pairs: list[tuple[int, int]]) -> tuple[Pair, ...]
 
 def is_feasible(instance: Instance, matching: Matching) -> bool:
     """True iff every hospital's occupancy lies in its quota interval."""
-    counts = Counter(_choice(instance, matching))
+    counts = Counter(_choice(instance, matching.pairs()))
     return all(low <= counts[j] <= up for j, (low, up) in enumerate(instance.quotas.values()))
 
 
@@ -403,7 +409,7 @@ def envy_pairs(instance: Instance, matching: Matching) -> tuple[Pair, ...]:
     Unmatched residents prefer every acceptable hospital to staying
     unmatched.  Output is sorted by (resident index, hospital index).
     """
-    return _named(instance, _envy(instance, _choice(instance, matching)))
+    return _named(instance, _envy(instance, _choice(instance, matching.pairs())))
 
 
 def envy_residents(instance: Instance, matching: Matching) -> tuple[str, ...]:
@@ -413,7 +419,7 @@ def envy_residents(instance: Instance, matching: Matching) -> tuple[str, ...]:
 
 def blocking_pairs(instance: Instance, matching: Matching) -> tuple[Pair, ...]:
     """Classical blocking pairs: envy-pairs plus wasteful pairs at under-subscribed hospitals."""
-    return _named(instance, _envy(instance, _choice(instance, matching), wasteful=True))
+    return _named(instance, _envy(instance, _choice(instance, matching.pairs()), wasteful=True))
 
 
 def is_envy_free(instance: Instance, matching: Matching) -> bool:
@@ -422,7 +428,7 @@ def is_envy_free(instance: Instance, matching: Matching) -> bool:
 
 def analyze(instance: Instance, matching: Matching) -> EnvyReport:
     """Full envy/blocking/feasibility report for a matching."""
-    choice = _choice(instance, matching)
+    choice = _choice(instance, matching.pairs())
     counts = Counter(choice)
     deficient = tuple(h for j, h in enumerate(instance.hospitals) if counts[j] < instance._low[j])
     over = tuple(h for j, h in enumerate(instance.hospitals) if counts[j] > instance._up[j])

@@ -48,8 +48,6 @@ def _content_lines(text: str):
 
 def parse_instance(text: str) -> Instance:
     """Parse an .hrlq document into a validated Instance."""
-    residents: list[str] = []
-    hospitals: list[str] = []
     resident_prefs: dict[str, tuple[str, ...]] = {}
     hospital_prefs: dict[str, tuple[str, ...]] = {}
     quotas: dict[str, tuple[int, int]] = {}
@@ -69,7 +67,6 @@ def parse_instance(text: str) -> Instance:
             if name in decl_line:
                 raise ParseError(f"{name} already declared on line {decl_line[name]}", lineno)
             decl_line[name] = lineno
-            residents.append(name)
             resident_prefs[name] = prefs
         elif len(fields) == 3 and fields[0] == "hospital":
             name = fields[1]
@@ -85,27 +82,28 @@ def parse_instance(text: str) -> Instance:
             if name in decl_line:
                 raise ParseError(f"{name} already declared on line {decl_line[name]}", lineno)
             decl_line[name] = lineno
-            hospitals.append(name)
             hospital_prefs[name] = prefs
             quotas[name] = (low, up)
         else:
             raise ParseError(f"unrecognized declaration: {line!r}", lineno)
 
-    for name in residents:
-        for h in resident_prefs[name]:
+    # A name is declared once, so the keys of the lists are the declarations, in order.
+    for name, prefs in resident_prefs.items():
+        for h in prefs:
             if h not in quotas:
                 raise ParseError(
                     f"preference list of resident {name} names undeclared hospital {h}",
                     decl_line[name],
                 )
-    for name in hospitals:
-        for r in hospital_prefs[name]:
+    for name, prefs in hospital_prefs.items():
+        for r in prefs:
             if r not in resident_prefs:
                 raise ParseError(
                     f"preference list of hospital {name} names undeclared resident {r}",
                     decl_line[name],
                 )
-    return validate_instance(residents, hospitals, resident_prefs, hospital_prefs, quotas)
+    return validate_instance(resident_prefs.keys(), hospital_prefs.keys(),
+                             resident_prefs, hospital_prefs, quotas)
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -136,8 +134,7 @@ def parse_graph(text: str) -> SourceGraph:
     """
     n = None
     declared_m = 0
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()  # `edges` as a set, for the duplicate check
+    edges: dict[tuple[int, int], None] = {}  # a dict keeps the order and finds a repeat
     for lineno, line in _content_lines(text):
         fields = line.split()
         if fields[0] == "p":
@@ -162,10 +159,9 @@ def parse_graph(text: str) -> SourceGraph:
                 raise ParseError("edge endpoints must be integers", lineno) from None
             if not 1 <= i < j <= n:
                 raise ParseError(f"edge ({i},{j}) is not 1 <= i < j <= {n}", lineno)
-            if (i, j) in seen:
+            if (i, j) in edges:
                 raise ParseError(f"duplicate edge ({i},{j})", lineno)
-            seen.add((i, j))
-            edges.append((i, j))
+            edges[i, j] = None
         else:
             raise ParseError(f"unrecognized line: {line!r}", lineno)
     if n is None:
@@ -199,5 +195,5 @@ def serialize_matching(instance: Instance, matching: Matching) -> str:
     """Canonical .match form: matched residents in index order."""
     residents, hospitals = instance.residents, instance.hospitals
     lines = [f"match {residents[r]} {hospitals[h]}"
-             for r, h in enumerate(_choice(instance, matching)) if h >= 0]
+             for r, h in enumerate(_choice(instance, matching.pairs())) if h >= 0]
     return "\n".join(lines) + ("\n" if lines else "")

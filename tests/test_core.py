@@ -228,6 +228,14 @@ class TestValidation:
             hrlq.make_matching(IA, [("zz", "h1")])
         with pytest.raises(hrlq.InvalidMatchingError, match="unknown hospital zz"):
             hrlq.make_matching(IA, [("r1", "zz")])
+        # Every violation is reported, one per pair, in the order of the pairs.
+        with pytest.raises(hrlq.InvalidMatchingError) as exc:
+            hrlq.make_matching(
+                IA, [("zz", "h1"), ("r1", "zz"), ("r2", "h2"), ("r1", "h1"), ("r1", "h1")])
+        assert str(exc.value) == (
+            "unknown resident zz; unknown hospital zz; unacceptable pair (r2,h2); "
+            "resident r1 assigned more than once"
+        )
 
     # A pair is a collection of two str, and a str is no collection: "rh" is not (r, h).
     @pytest.mark.parametrize("pairs, message", [
@@ -247,12 +255,16 @@ class TestValidation:
         assert type(exc.value) is ValueError and str(exc.value) == message
 
     # A Matching built directly is checked where it is read: every reader goes through one
-    # check.  Unchecked, an unacceptable pair (r2,h2) read as feasible with no envy.
+    # check, make_matching's, and reports every violation.  Unchecked, an unacceptable
+    # pair (r2,h2) read as feasible with no envy.
     @pytest.mark.parametrize("assignment, message", [
         ({"zz": "h1"}, "unknown resident zz"),
         ({"r1": "zz"}, "unknown hospital zz"),
         ({"r2": "h1", "r1": ["h2"]}, "unknown hospital ['h2']"),
         ({"r1": "h1", "r2": "h2"}, "unacceptable pair (r2,h2)"),
+        ({"zz": "h1", "r1": "zz"}, "unknown resident zz; unknown hospital zz"),
+        ([("r1", "h1")], "assignment must be a mapping, got list"),
+        (None, "assignment must be a mapping, got NoneType"),
     ])
     @pytest.mark.parametrize("reader", [
         hrlq.is_feasible, hrlq.envy_pairs, hrlq.envy_residents, hrlq.blocking_pairs,
@@ -420,7 +432,7 @@ class TestReferenceRecount:
         # The brute oracles' leaf counter, on a cut recounted by name,
         # unbounded and with every pair of stop values up to one past the
         # exact counts.
-        choice = hrlq.core._choice(inst, m)
+        choice = hrlq.core._choice(inst, m.pairs())
         cut = worst_occupant_ranks(inst, choice)
         exact = (len(envy), len({r for r, _ in envy}))
         assert hrlq.core._envy_scan(inst._options, choice, cut, 10**9, 10**9) == exact
