@@ -9,13 +9,12 @@ the independent cross-check for the exact route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from math import comb
 from operator import itemgetter
-from typing import Iterator
 
-from .core import Instance, Matching, Pair, _envy, _envy_scan, _matching
+from .core import Instance, Matching, Pair, _envy, _envy_scan, _matching, _Record
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -50,8 +49,7 @@ class ObjectiveKind(Enum):
     ENVY_FREE = "envy-free"
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(_Record):
     """Search statistics.
 
     guesses_examined  min_ep_exact: edge sets up to and including the winner
@@ -65,18 +63,29 @@ class SolveStats:
     guess             min_ep_exact: the winning deleted pairs; () elsewhere
     """
 
-    guesses_examined: int = 0
-    level: int = 0
-    nodes: int = 0
-    guess: tuple[Pair, ...] = ()
+    __match_args__ = ("guesses_examined", "level", "nodes", "guess")
+    guesses_examined: int
+    level: int
+    nodes: int
+    guess: tuple[Pair, ...]
+
+    def __init__(self, guesses_examined: int = 0, level: int = 0, nodes: int = 0,
+                 guess: tuple[Pair, ...] = ()) -> None:
+        self.__dict__.update(guesses_examined=guesses_examined, level=level, nodes=nodes,
+                             guess=guess)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
+    __match_args__ = ("matching", "objective", "objective_kind", "stats")
     matching: Matching
     objective: int
     objective_kind: ObjectiveKind
     stats: SolveStats
+
+    def __init__(self, matching: Matching, objective: int, objective_kind: ObjectiveKind,
+                 stats: SolveStats) -> None:
+        self.__dict__.update(matching=matching, objective=objective,
+                             objective_kind=objective_kind, stats=stats)
 
 
 def _check_limit(value: int, what: str) -> None:

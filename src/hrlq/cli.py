@@ -19,12 +19,11 @@ a single machine-readable document.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import warnings
-from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import algorithms, core, formats, reductions
 
@@ -46,18 +45,18 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
 
 
-# Per `hrlq gen` kind: subcommand help, certificate prefix (also the target's
-# name), the reduction's parameter option and its help, the parameter class,
-# the generator and the certificate builder.
-_Generator = namedtuple("_Generator", "help cert_prefix option option_help params build certify")
+# Per `hrlq gen` kind; `cert_prefix` also names the target in `--k`'s help.
 _GENERATORS = {
-    "vc2ep": _Generator("vertex cover -> min envy-pairs instance", "cover", "--gadget-l",
-                        "gadget length (default n^2+1)", reductions.VCReductionParams,
-                        reductions.vc_to_min_ep, reductions.matching_from_cover),
-    "clique2er": _Generator("clique -> min envy-residents instance", "clique", "--copies",
-                            "residents per source edge (default n+1)",
-                            reductions.CliqueReductionParams, reductions.clique_to_min_er,
-                            reductions.matching_from_clique),
+    "vc2ep": SimpleNamespace(
+        help="vertex cover -> min envy-pairs instance", cert_prefix="cover",
+        option="--gadget-l", option_help="gadget length (default n^2+1)",
+        params=reductions.VCReductionParams, build=reductions.vc_to_min_ep,
+        certify=reductions.matching_from_cover),
+    "clique2er": SimpleNamespace(
+        help="clique -> min envy-residents instance", cert_prefix="clique",
+        option="--copies", option_help="residents per source edge (default n+1)",
+        params=reductions.CliqueReductionParams, build=reductions.clique_to_min_er,
+        certify=reductions.matching_from_clique),
 }
 
 
@@ -118,6 +117,11 @@ def _read(path: str) -> str:
         raise formats.ParseError(f"{path}: not UTF-8 text") from None
 
 
+def _fields(record) -> dict:
+    """A record's fields by name, in declaration order, as --json writes them."""
+    return {name: getattr(record, name) for name in record.__match_args__}
+
+
 def _report(args, doc: dict, lines: list[str]) -> None:
     """Print `doc` as one JSON document under --json, otherwise the text lines."""
     print(json.dumps(doc, indent=2, sort_keys=True) if args.json else "\n".join(lines))
@@ -167,7 +171,7 @@ def _cmd_solve(args) -> int:
         "envy_residents": len(report.envy_residents),
         "blocking_pairs": len(report.blocking_pairs),
         "matching": matching.pairs(),
-        "stats": dataclasses.asdict(result.stats) if result else None,
+        "stats": _fields(result.stats) if result else None,
     }
     rows = [
         ("algorithm", args.alg),
@@ -192,7 +196,7 @@ def _cmd_verify(args) -> int:
     instance = formats.parse_instance(_read(args.infile))
     matching = formats.parse_matching(_read(args.matching), instance)
     report = core.analyze(instance, matching)
-    doc = {"command": "verify", "envy_free": not report.envy_pairs, **dataclasses.asdict(report)}
+    doc = {"command": "verify", "envy_free": not report.envy_pairs, **_fields(report)}
     lines = _aligned([
         *_envy_rows(report),
         ("deficient", " ".join(report.deficient_hospitals) or "-"),
@@ -233,7 +237,7 @@ def _cmd_gen(args) -> int:
             "--out may not end in .match with --cert (the matching file would overwrite it)")
     g = _GENERATORS[args.kind]
     graph = formats.parse_graph(_read(args.graph))
-    graph = dataclasses.replace(graph, k=args.k)
+    graph = reductions.SourceGraph(graph.n, graph.edges, args.k)
     params = g.params(args.param)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", reductions.SeparationBoundWarning)
@@ -263,7 +267,7 @@ def _cmd_oracle(args) -> int:
         doc[key] = {
             "objective": result.objective,
             "matching": result.matching.pairs(),
-            "stats": dataclasses.asdict(result.stats),
+            "stats": _fields(result.stats),
         }
         lines.append(f"{key.replace('_', '-')} objective  {result.objective}")
         lines += formats.serialize_matching(instance, result.matching).splitlines()

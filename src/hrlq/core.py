@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 Pair = tuple[str, str]
 
@@ -41,8 +40,41 @@ def _quota(value) -> tuple[int, int] | None:
     return (low, up) if type(low) is int and type(up) is int else None
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Record:
+    """A frozen record: the fields named in `__match_args__`, set once by `__init__`.
+
+    Each record writes its own `__init__`, which checks its arguments and
+    stores the fields straight into `__dict__`.  Records of the same class
+    are equal when their fields are; a record hashes the tuple of its fields,
+    its repr is `Cls(field=value, ...)`, and any assignment or deletion
+    raises AttributeError.  Pickle and copy restore `__dict__` directly.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Instance(_Record):
     """A validated hospitals/residents instance with quota intervals.
 
     Residents and hospitals keep their stable string names; dense integer
@@ -56,14 +88,15 @@ class Instance:
     reported first, on their own, since nothing can be read from them.
     """
 
+    __match_args__ = ("residents", "hospitals", "resident_prefs", "hospital_prefs", "quotas")
     residents: tuple[str, ...]
     hospitals: tuple[str, ...]
     resident_prefs: Mapping[str, tuple[str, ...]]
     hospital_prefs: Mapping[str, tuple[str, ...]]
     quotas: Mapping[str, tuple[int, int]]
 
-    # Derived tables (set in __post_init__, excluded from eq/repr), built in
-    # the pass that validates: the index maps and each hospital's position
+    # Derived tables (set in __init__, left out of eq/repr), built in the
+    # pass that validates: the index maps and each hospital's position
     # table are the validator's lookup tables, reused to compile.
     #   resident_index, hospital_index  name -> dense index
     #   edges  all acceptable pairs sorted by (resident index, hospital index)
@@ -73,46 +106,53 @@ class Instance:
     #                inside the solvers a pair is r and its position k here
     #   _acc_h[h]  h's preference list; _low, _up  quota vectors
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        residents: Iterable[str],
+        hospitals: Iterable[str],
+        resident_prefs: Mapping[str, Iterable[str]],
+        hospital_prefs: Mapping[str, Iterable[str]],
+        quotas: Mapping[str, tuple[int, int]],
+    ) -> None:
         # A container of the wrong kind is reported before anything is read from it.
-        residents, hospitals = _members(self.residents), _members(self.hospitals)
+        rnames, hnames = _members(residents), _members(hospitals)
         out = [v for what, given, read in (
-            ("residents", self.residents, residents), ("hospitals", self.hospitals, hospitals)
+            ("residents", residents, rnames), ("hospitals", hospitals, hnames)
         ) for v in _not_names(what, given, read)]
         out += [f"{what} must be a mapping, got {type(given).__name__}" for what, given in (
-            ("resident_prefs", self.resident_prefs), ("hospital_prefs", self.hospital_prefs),
-            ("quotas", self.quotas),
+            ("resident_prefs", resident_prefs), ("hospital_prefs", hospital_prefs),
+            ("quotas", quotas),
         ) if not isinstance(given, Mapping)]
         if out:
             raise InvalidInstanceError(out)
         # Dense indices in declaration order; a repeated name keeps its first.
-        ridx = {r: i for i, r in enumerate(dict.fromkeys(residents))}
-        hidx = {h: j for j, h in enumerate(dict.fromkeys(hospitals))}
-        rprefs = {r: _members(self.resident_prefs.get(r, ())) for r in ridx}
-        hprefs = {h: _members(self.hospital_prefs.get(h, ())) for h in hidx}
-        out = [v for given, read in ((self.resident_prefs, rprefs), (self.hospital_prefs, hprefs))
+        ridx = {r: i for i, r in enumerate(dict.fromkeys(rnames))}
+        hidx = {h: j for j, h in enumerate(dict.fromkeys(hnames))}
+        rprefs = {r: _members(resident_prefs.get(r, ())) for r in ridx}
+        hprefs = {h: _members(hospital_prefs.get(h, ())) for h in hidx}
+        out = [v for given, read in ((resident_prefs, rprefs), (hospital_prefs, hprefs))
                for owner, listed in read.items()
                for v in _not_names(f"preference list of {owner}", given.get(owner), listed)]
         if out:
             raise InvalidInstanceError(out)
-        quotas = {h: _quota(self.quotas.get(h)) for h in hidx}
+        bounds = {h: _quota(quotas.get(h)) for h in hidx}
 
         # A name is one token of the .hrlq grammar: split at whitespace, cut at ':' and '#'.
         out = [
             f"malformed name {name!r}: empty, or contains whitespace, ':' or '#'"
-            for name in residents + hospitals
+            for name in rnames + hnames
             if not (name.split() == [name] and ":" not in name and "#" not in name)
         ]
-        out += [f"duplicate resident name {r}" for r in _repeats(residents)]
-        out += [f"duplicate hospital name {h}" for h in _repeats(hospitals)]
+        out += [f"duplicate resident name {r}" for r in _repeats(rnames)]
+        out += [f"duplicate hospital name {h}" for h in _repeats(hnames)]
         out += [f"name {name} used for both a resident and a hospital"
                 for name in sorted(ridx.keys() & hidx.keys())]
         out += [f"preference list for unknown resident {r}"
-                for r in self.resident_prefs if r not in ridx]
+                for r in resident_prefs if r not in ridx]
         out += [f"preference list for unknown hospital {h}"
-                for h in self.hospital_prefs if h not in hidx]
-        out += [f"quota for unknown hospital {h}" for h in self.quotas if h not in hidx]
-        for h, q in quotas.items():
+                for h in hospital_prefs if h not in hidx]
+        out += [f"quota for unknown hospital {h}" for h in quotas if h not in hidx]
+        for h, q in bounds.items():
             if q is None:
                 out.append(f"missing or malformed quota for {h}")
                 continue
@@ -144,21 +184,20 @@ class Instance:
             tuple([(j, rank_h[j][r]) for j in map(hidx.__getitem__, p)] + [(-1, -1)])
             for r, p in rprefs.items()
         )
-        acc_h = tuple(tuple(map(ridx.__getitem__, p)) for p in hprefs.values())
-        object.__setattr__(self, "residents", residents)
-        object.__setattr__(self, "hospitals", hospitals)
-        object.__setattr__(self, "resident_prefs", rprefs)
-        object.__setattr__(self, "hospital_prefs", hprefs)
-        object.__setattr__(self, "quotas", quotas)
-        object.__setattr__(self, "resident_index", ridx)
-        object.__setattr__(self, "hospital_index", hidx)
-        object.__setattr__(self, "edges", tuple(
-            (r, h) for r, p in rprefs.items() for h in sorted(p, key=hidx.__getitem__)
-        ))
-        object.__setattr__(self, "_options", options)
-        object.__setattr__(self, "_acc_h", acc_h)
-        object.__setattr__(self, "_low", tuple(low for low, _ in quotas.values()))
-        object.__setattr__(self, "_up", tuple(up for _, up in quotas.values()))
+        self.__dict__.update(
+            residents=rnames,
+            hospitals=hnames,
+            resident_prefs=rprefs,
+            hospital_prefs=hprefs,
+            quotas=bounds,
+            resident_index=ridx,
+            hospital_index=hidx,
+            edges=tuple((r, h) for r, p in rprefs.items() for h in sorted(p, key=hidx.__getitem__)),
+            _options=options,
+            _acc_h=tuple(tuple(map(ridx.__getitem__, p)) for p in hprefs.values()),
+            _low=tuple(low for low, _ in bounds.values()),
+            _up=tuple(up for _, up in bounds.values()),
+        )
 
 
 def _members(given) -> tuple | None:
@@ -217,18 +256,22 @@ def _positions(listed: tuple, known: dict, kind: str, owner: str, out: list[str]
     return table
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Record):
     """A partial assignment of residents to hospitals.
 
     Built via :func:`make_matching` (or by the solvers), the assignment dict
     iterates in resident-index order, which keeps downstream output
     deterministic.  A Matching built directly is checked where it is read:
     `pairs()` refuses an assignment that is not a mapping, and every reader
-    checks the pairs against its instance with `_choice`.
+    checks the pairs against its instance with `_choice`.  Its length and
+    hash read `pairs()` too.
     """
 
+    __match_args__ = ("assignment",)
     assignment: Mapping[str, str]
+
+    def __init__(self, assignment: Mapping[str, str]) -> None:
+        self.__dict__["assignment"] = assignment
 
     def pairs(self) -> tuple[Pair, ...]:
         if not isinstance(self.assignment, Mapping):
@@ -237,26 +280,49 @@ class Matching:
         return tuple(self.assignment.items())
 
     def __len__(self) -> int:
-        return len(self.assignment)
+        return len(self.pairs())
+
+    def __hash__(self) -> int:
+        # == compares the assignments as mappings, which ignores their order.
+        return hash(frozenset(self.pairs()))
 
 
 EMPTY_MATCHING = Matching({})
 
 
-@dataclass(frozen=True)
-class EnvyReport:
+class EnvyReport(_Record):
     """Envy, blocking, and feasibility verdicts for one (instance, matching) pair.
 
     `envy_residents` has set semantics but is stored sorted by resident index.
     Every envy-pair is also a blocking pair.
     """
 
+    __match_args__ = ("envy_pairs", "envy_residents", "blocking_pairs", "deficient_hospitals",
+                      "over_subscribed_hospitals", "feasible")
     envy_pairs: tuple[Pair, ...]
     envy_residents: tuple[str, ...]
     blocking_pairs: tuple[Pair, ...]
     deficient_hospitals: tuple[str, ...]
     over_subscribed_hospitals: tuple[str, ...]
     feasible: bool
+
+    def __init__(
+        self,
+        envy_pairs: tuple[Pair, ...],
+        envy_residents: tuple[str, ...],
+        blocking_pairs: tuple[Pair, ...],
+        deficient_hospitals: tuple[str, ...],
+        over_subscribed_hospitals: tuple[str, ...],
+        feasible: bool,
+    ) -> None:
+        self.__dict__.update(
+            envy_pairs=envy_pairs,
+            envy_residents=envy_residents,
+            blocking_pairs=blocking_pairs,
+            deficient_hospitals=deficient_hospitals,
+            over_subscribed_hospitals=over_subscribed_hospitals,
+            feasible=feasible,
+        )
 
 
 def validate_instance(

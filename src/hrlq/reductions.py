@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass
 
-from .core import Instance, Matching, Pair, _members, validate_instance
+from .core import Instance, Matching, Pair, _members, _Record, validate_instance
 
 
 class ReductionError(ValueError):
@@ -53,8 +52,7 @@ class SeparationBoundWarning(UserWarning):
     """Generator parameters too small for the yes/no objective gap to hold."""
 
 
-@dataclass(frozen=True)
-class SourceGraph:
+class SourceGraph(_Record):
     """Undirected source graph: vertices 1..n, edges as (i, j) with i < j.
 
     `k` is the target parameter (cover size / clique size); 0 means not yet
@@ -62,56 +60,58 @@ class SourceGraph:
     must be plain ints; each edge is stored as a tuple of the values given.
     """
 
+    __match_args__ = ("n", "edges", "k")
     n: int
     edges: tuple[tuple[int, int], ...]
-    k: int = 0
+    k: int
 
-    def __post_init__(self) -> None:
-        if _plain_int(self.n, "vertex count n") < 1:
-            raise ReductionError(f"graph needs at least one vertex, got n={self.n}")
-        object.__setattr__(self, "edges", tuple(map(_pair, _collection(self.edges, "edges"))))
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]], k: int = 0) -> None:
+        if _plain_int(n, "vertex count n") < 1:
+            raise ReductionError(f"graph needs at least one vertex, got n={n}")
+        edges = tuple(map(_pair, _collection(edges, "edges")))
         seen = set()
-        for i, j in self.edges:
-            if not 1 <= i < j <= self.n:
-                raise ReductionError(f"edge ({i},{j}) is not 1 <= i < j <= {self.n}")
+        for i, j in edges:
+            if not 1 <= i < j <= n:
+                raise ReductionError(f"edge ({i},{j}) is not 1 <= i < j <= {n}")
             if (i, j) in seen:
                 raise ReductionError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
-        if not 0 <= _plain_int(self.k, "target parameter k") <= self.n:
-            raise ReductionError(
-                f"target parameter k={self.k} outside 1..{self.n} (0 leaves it unset)"
-            )
+        if not 0 <= _plain_int(k, "target parameter k") <= n:
+            raise ReductionError(f"target parameter k={k} outside 1..{n} (0 leaves it unset)")
+        self.__dict__.update(n=n, edges=edges, k=k)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class VCReductionParams:
+class VCReductionParams(_Record):
     """gadget_length is the half-length of each side of the edge gadget: a plain
     int >= 2, checked here, or None for n^2 + 1."""
 
-    gadget_length: int | None = None
+    __match_args__ = ("gadget_length",)
+    gadget_length: int | None
 
-    def __post_init__(self) -> None:
-        if self.gadget_length is not None:
-            _check_gadget_length(self.gadget_length)
+    def __init__(self, gadget_length: int | None = None) -> None:
+        if gadget_length is not None:
+            _check_gadget_length(gadget_length)
+        self.__dict__["gadget_length"] = gadget_length
 
     def resolve(self, n: int) -> int:
         return self.gadget_length if self.gadget_length is not None else n * n + 1
 
 
-@dataclass(frozen=True)
-class CliqueReductionParams:
+class CliqueReductionParams(_Record):
     """copies is the number of residents per source edge: a plain int >= 1,
     checked here, or None for n + 1."""
 
-    copies: int | None = None
+    __match_args__ = ("copies",)
+    copies: int | None
 
-    def __post_init__(self) -> None:
-        if self.copies is not None and _plain_int(self.copies, "copies") < 1:
-            raise ReductionError(f"copies must be >= 1, got {self.copies}")
+    def __init__(self, copies: int | None = None) -> None:
+        if copies is not None and _plain_int(copies, "copies") < 1:
+            raise ReductionError(f"copies must be >= 1, got {copies}")
+        self.__dict__["copies"] = copies
 
     def resolve(self, n: int) -> int:
         return self.copies if self.copies is not None else n + 1

@@ -17,6 +17,8 @@ from helpers import chain_instance, instance_a, instance_b, random_feasible_inst
 IA_TEXT = hrlq.serialize_instance(instance_a())
 IB_TEXT = hrlq.serialize_instance(instance_b())
 TRIANGLE_G = "p 3 3\ne 1 2\ne 1 3\ne 2 3\n"
+# A fresh interpreter finds the hrlq these tests import.
+FRESH_ENV = {**os.environ, "PYTHONPATH": str(Path(hrlq.__file__).resolve().parent.parent)}
 
 
 @pytest.fixture
@@ -372,9 +374,8 @@ class TestLongChains:
     def _hrlq(tmp_path, inst, *argv):
         path = tmp_path / "chain.hrlq"
         path.write_text(hrlq.serialize_instance(inst))
-        env = {**os.environ, "PYTHONPATH": str(Path(hrlq.__file__).resolve().parent.parent)}
         return subprocess.run([sys.executable, "-m", "hrlq", *argv, "--in", str(path)],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=FRESH_ENV, capture_output=True, text=True, timeout=120)
 
     def test_oracle(self, tmp_path):
         proc = self._hrlq(tmp_path, chain_instance(2000), "oracle")
@@ -392,6 +393,42 @@ class TestLongChains:
                           "--level-cap", "0")
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: no solution within guess level 0")
+
+
+# Imports one module and prints two lines: the modules the import added, and
+# each module whose top-level code ran exec or eval on a string as it loaded.
+IMPORT_PROBE = """
+import sys
+execs = set()
+
+def hook(event, args):
+    if event == "exec" and args[0].co_filename == "<string>":
+        frame = sys._getframe(1)
+        while frame.f_code.co_name != "<module>":
+            frame = frame.f_back
+        execs.add(frame.f_globals["__name__"])
+
+before = set(sys.modules)
+sys.addaudithook(hook)
+import {module}
+print(" ".join(sorted(set(sys.modules) - before)))
+print(" ".join(sorted(execs)))
+"""
+
+
+class TestStartup:
+    """Every CLI run imports hrlq first: dataclasses would pull in inspect, ast and dis,
+    and exec each record's generated methods, before any work is done."""
+
+    @pytest.mark.parametrize("module", ["hrlq", "hrlq.cli"])
+    def test_imports_neither_dataclasses_nor_inspect_and_runs_no_exec(self, module):
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE.format(module=module)],
+                              env=FRESH_ENV, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        added, execs = (line.split() for line in proc.stdout.split("\n")[:2])
+        assert module in added
+        assert {"dataclasses", "inspect"}.isdisjoint(added)
+        assert [name for name in execs if name.partition(".")[0] == "hrlq"] == []
 
 
 class TestDeterminism:
