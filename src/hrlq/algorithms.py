@@ -14,7 +14,7 @@ from enum import Enum
 from math import comb
 from operator import itemgetter
 
-from .core import Instance, Matching, Pair, _envy, _envy_scan, _matching, _Record
+from .core import Instance, Matching, Pair, _envy, _envy_scan, _matching, _plain_int, _Record
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -88,28 +88,14 @@ class SolveResult(_Record):
                              objective_kind=objective_kind, stats=stats)
 
 
-def _check_limit(value: int, what: str) -> None:
-    """Refuse a node budget or level cap that is not a plain int >= 0."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an int, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{what} must be non-negative, got {value}")
-
-
-def _choice_of(instance: Instance, held: list[int]) -> list[int]:
-    """The choice vector a run's masks describe: r's hospital index, -1 where r holds no seat."""
-    choice = [-1] * len(instance._options)
-    for h, ranks in enumerate(held):
-        listed = instance._acc_h[h]
-        while ranks:  # worst occupant first, so the mask shrinks as it goes
-            rank = ranks.bit_length() - 1
-            choice[listed[rank]] = h
-            ranks ^= 1 << rank
-    return choice
-
-
 class _Run:
     """A deferred-acceptance run that admits residents one at a time, in index order.
+
+    A run is built for one instance, its capacities `caps` (the lower
+    quotas for Yokoi's test, the upper ones for plain deferred acceptance)
+    and its stop `limit`, the residents that may fall off their lists:
+    n - sum(low) at the lower quotas, where at most sum(low) find a seat,
+    and n at the upper ones.  They stay fixed for the run and its copies.
 
     taken[r]   bitmask with bit k set when the hospital at position k of r's
                list held r at some point of the run, even if it later
@@ -127,8 +113,8 @@ class _Run:
                stopped run, the count that passed the limit
 
     The run keeps no choice vector: a resident's seat is its rank's bit in
-    one hospital's mask, and `_choice_of` reads the vector off `held` once,
-    for the matching a solver returns.  A displaced resident proposes on at
+    one hospital's mask, and `choice` reads the vector off `held` once, for
+    the matching a solver returns.  A displaced resident proposes on at
     once, so between calls to `admit` no resident is in flight, except in a
     stopped run, where the one in flight is the resident that fell, and it
     holds no seat.
@@ -144,21 +130,22 @@ class _Run:
     step for step up to where it ended, so it finishes or stops the same.
     """
 
-    __slots__ = ("taken", "held", "entered", "fallen")
+    __slots__ = ("instance", "caps", "limit", "taken", "held", "entered", "fallen")
 
-    def __init__(self, n_residents: int, n_hospitals: int):
-        self.taken = [0] * n_residents
-        self.held = [0] * n_hospitals
+    def __init__(self, instance: Instance, caps: tuple[int, ...], limit: int):
+        self.instance, self.caps, self.limit = instance, caps, limit
+        self.taken = [0] * len(instance._options)
+        self.held = [0] * len(caps)
         self.entered = self.fallen = 0
 
     def copy(self) -> _Run:
         run = _Run.__new__(_Run)
+        run.instance, run.caps, run.limit = self.instance, self.caps, self.limit
         run.taken, run.held = self.taken.copy(), self.held.copy()
         run.entered, run.fallen = self.entered, self.fallen
         return run
 
-    def admit(self, instance: Instance, caps: tuple[int, ...], banned: list[int],
-              stop: int, limit: int) -> bool:
+    def admit(self, banned: list[int], stop: int) -> bool:
         """Admit residents `entered`..stop-1, each once every chain before it has settled.
 
         `banned[r]` is a mask shaped like `taken[r]`; its bit k deletes the
@@ -168,8 +155,8 @@ class _Run:
         once and leaves the run stopped, not to be admitted to again, with
         `entered` and `fallen` saying where it stopped.
         """
-        options, acc_h = instance._options, instance._acc_h
-        taken, held = self.taken, self.held
+        options, acc_h = self.instance._options, self.instance._acc_h
+        caps, limit, taken, held = self.caps, self.limit, self.taken, self.held
         fallen = self.fallen
         for entrant in range(self.entered, stop):
             r = entrant
@@ -202,6 +189,17 @@ class _Run:
         self.entered, self.fallen = stop, fallen
         return fallen <= limit
 
+    def choice(self) -> list[int]:
+        """The choice vector the masks describe: r's hospital index, -1 where r holds no seat."""
+        choice = [-1] * len(self.taken)
+        for h, ranks in enumerate(self.held):
+            listed = self.instance._acc_h[h]
+            while ranks:  # worst occupant first, so the mask shrinks as it goes
+                rank = ranks.bit_length() - 1
+                choice[listed[rank]] = h
+                ranks ^= 1 << rank
+        return choice
+
 
 def deferred_acceptance(instance: Instance) -> Matching:
     """Resident-proposing deferred acceptance against the upper quotas.
@@ -211,9 +209,9 @@ def deferred_acceptance(instance: Instance) -> Matching:
     stable matching for the capacities, so it has no blocking pairs.
     """
     n = len(instance._options)
-    run = _Run(n, len(instance._up))
-    run.admit(instance, instance._up, [0] * n, n, n)
-    return _matching(instance, _choice_of(instance, run.held))
+    run = _Run(instance, instance._up, n)
+    run.admit([0] * n, n)
+    return _matching(instance, run.choice())
 
 
 def reduced_capacity_instance(instance: Instance) -> Instance:
@@ -246,12 +244,8 @@ def yokoi_envy_free(instance: Instance) -> Matching | None:
     None otherwise; that is a regular outcome, not a failure.
     """
     low, n = instance._low, len(instance._options)
-    run = _Run(n, len(low))
-    # At most sum(low) residents find a seat, so the run fails once more
-    # than n - sum(low) have fallen off their lists, and stops there.
-    if run.admit(instance, low, [0] * n, n, n - sum(low)):
-        return _matching(instance, _choice_of(instance, run.held))
-    return None
+    run = _Run(instance, low, n - sum(low))
+    return _matching(instance, run.choice()) if run.admit([0] * n, n) else None
 
 
 def _frontier_reader(spans: list[tuple[int, int, int]], i: int):
@@ -357,7 +351,8 @@ class _FeasibleSearch:
     """
 
     def __init__(self, instance: Instance, node_budget: int):
-        _check_limit(node_budget, "node_budget")
+        if _plain_int(node_budget, "node_budget", ValueError) < 0:
+            raise ValueError(f"node_budget must be non-negative, got {node_budget}")
         self.node_budget = node_budget
         self.nodes = 0
         self.instance = instance
@@ -539,58 +534,51 @@ def _paper_position(n_edges: int, guess: list[int]) -> int:
 
 
 def _extend_guess(
-    instance: Instance,
     candidates: list[tuple[int, int, int]],
-    guess: list[int],
     banned: list[int],
     taken: list[int],
     cursor: _Run,
     start: int,
     need: int,
 ) -> _Run | None:
-    """Extend `guess` by the first `need` candidates from `start` on that pass Yokoi's test.
+    """Add to the guess the first `need` candidates from `start` on that pass Yokoi's test.
 
-    Candidates are (edge, resident, position of the pair in the resident's
-    list), in edge order, so their residents never decrease, and sets of
-    them are tried in lexicographic order.  `banned` holds the pairs of
-    `guess` as per-resident masks of list positions, and `taken` is the
-    masks of the run with them deleted, which failed, finished or stopped.
-    Every run stops once more than n - sum(low) residents have fallen off.
-    `cursor` belongs to this call: the same run, admitted up to some
-    resident no later than `candidates[start]`'s.  Before each candidate of
-    resident r that is not skipped, the cursor is admitted up to r under
-    the prefix's bans, and the call returns once it stops: every guess left
-    bans only pairs of r or later residents, so its run stops as well.  A
-    held candidate's run is a copy of the cursor, given the new ban and
-    admitted from r on: the run from scratch step for step, since the state
-    before r enters does not depend on bans at r or later.  Returns the
-    winning run, with `guess` and `banned` left holding the winner, or None
-    with both restored.
+    The guess is `banned`: per-resident masks of list positions, a bit for
+    each deleted pair.  Candidates are (edge, resident, position of the
+    pair in the resident's list), in edge order, so their residents never
+    decrease, and sets of them are tried in lexicographic order.  `taken`
+    is the masks of the guess's run, which failed, finished or stopped.
+    `cursor` belongs to this call: the same run, built at the lower quotas
+    with `min_ep_exact`'s stop, admitted up to some resident no later than
+    `candidates[start]`'s.  Before each candidate of resident r that is not
+    skipped, the cursor is admitted up to r under the prefix's bans, and
+    the call returns once it stops: every guess left bans only pairs of r
+    or later residents, so its run stops as well.  A held candidate's run
+    is a copy of the cursor, given the new ban and admitted from r on: the
+    run from scratch step for step, since the state before r enters does
+    not depend on bans at r or later.  Returns the winning run, with
+    `banned` left holding the winner, or None with `banned` as it was.
     """
-    low = instance._low
     n = len(taken)
-    spare = n - sum(low)  # residents that may stay unmatched in a filled run
     for i in range(start, len(candidates) - need + 1):
-        e, r, at = candidates[i]
+        _, r, at = candidates[i]
         bit = 1 << at
         held = taken[r] & bit
         if not held and need == 1:
             continue  # the never-held rule: the prefix's run, a failure already seen
-        if cursor.entered < r and not cursor.admit(instance, low, banned, r, spare):
+        if cursor.entered < r and not cursor.admit(banned, r):
             return None
         banned[r] |= bit
-        guess.append(e)
         if held:  # the prefix's run, resumed at r with the pair deleted
             child = cursor.copy()
             # Only a last-level run can pass: every smaller guess failed a level earlier.
-            if child.admit(instance, low, banned, n, spare):
+            if child.admit(banned, n):
                 return child
         if need > 1:
-            found = _extend_guess(instance, candidates, guess, banned,
-                                  child.taken if held else taken, cursor.copy(), i + 1, need - 1)
+            found = _extend_guess(candidates, banned, child.taken if held else taken,
+                                  cursor.copy(), i + 1, need - 1)
             if found is not None:
                 return found
-        guess.pop()
         banned[r] &= ~bit
     return None
 
@@ -603,10 +591,11 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     procedure on the trimmed instance.  The first success is reported; its
     guess set is therefore the lexicographically smallest winner at the
     optimal level.  Levels start at 0, so the reported objective is tight.
-    A guess is passed to deferred acceptance as per-resident masks of
-    banned list positions; no trimmed instance is built.  Two rules settle
-    most guesses without running deferred acceptance, and neither changes
-    the order or the result:
+    A guess is only its bans: per-resident masks of list positions, which
+    deferred acceptance skips; no trimmed instance is built, and the winner
+    is read off the masks in edge order.  Two rules settle most guesses
+    without running deferred acceptance, and neither changes the order or
+    the result:
 
     * Candidate pairs.  A winning guess at the optimal level is exactly the
       set of envy pairs of the matching it yields (a smaller set would win a
@@ -623,17 +612,19 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
       level it is a failure already seen.
 
     Every run, the root (`yokoi_envy_free`'s run) and each guess's alike,
-    stops at the first resident that falls off its list past the n -
-    sum(low) that may stay unmatched, for a fallen resident stays unmatched
-    and the run fails; a stopped run's masks serve the never-held rule as a
-    finished run's do.  The other guesses resume a run rather than start
-    one (`_extend_guess`): residents enter deferred acceptance in index
-    order, and the state before resident r enters does not depend on bans
-    at r or later, so a guess's run copies its prefix's run at the banned
-    pair's resident and goes on from there; when the prefix's run stops on
-    its way to r, every guess left in that step fails.  None of this
+    is built with the stop limit n - sum(low), the residents that may stay
+    unmatched, and stops at the first resident that falls off its list
+    past it, for a fallen resident stays unmatched and the run fails; a
+    stopped run's masks serve the never-held rule as a finished run's do.
+    The other guesses resume a run rather than start one (`_extend_guess`):
+    residents enter deferred acceptance in index order, and the state
+    before resident r enters does not depend on bans at r or later, so a
+    guess's run copies its prefix's run at the banned pair's resident and
+    goes on from there; when the prefix's run stops on its way to r, every
+    guess left in that step fails.  None of this
     changes a result: the copy is the run from scratch step for step.  No
-    run outlives its level.
+    run outlives its level, and one `banned` list serves the root and every
+    level, for a level that fails clears every bit it set.
 
     `guesses_examined` counts guesses in the paper's order, by size and
     then lexicographically over all acceptable pairs, up to and including
@@ -643,8 +634,8 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     LevelCapExceeded when level_cap is given and exhausted, and ValueError
     when level_cap is neither None nor an int >= 0.
     """
-    if level_cap is not None:
-        _check_limit(level_cap, "level_cap")
+    if level_cap is not None and _plain_int(level_cap, "level_cap", ValueError) < 0:
+        raise ValueError(f"level_cap must be non-negative, got {level_cap}")
     if not exists_feasible(instance):
         raise Infeasible("no feasible matching exists")
     options, acc_h, low = instance._options, instance._acc_h, instance._low
@@ -657,20 +648,21 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
             if low[h] and rank < len(acc_h[h]) - 1:
                 candidates.append((e, r, at))
             e += 1
-    guess: list[int] = []
     n = len(options)
-    root = _Run(n, len(low))  # yokoi_envy_free's run
-    won = root if root.admit(instance, low, [0] * n, n, n - sum(low)) else None
+    banned = [0] * n  # the guess; a failed level clears every bit it set
+    root = _Run(instance, low, n - sum(low))  # yokoi_envy_free's run
+    won = root if root.admit(banned, n) else None
     level = 0
     while won is None and level < min(max_level, len(candidates)):
         level += 1
-        won = _extend_guess(instance, candidates, guess, [0] * n, root.taken,
-                            _Run(n, len(low)), 0, level)
+        cursor = _Run(instance, low, root.limit)
+        won = _extend_guess(candidates, banned, root.taken, cursor, 0, level)
     if won is None:
         # Unreachable without a level cap: a feasible instance always succeeds
         # once the guess covers an optimal matching's envy-pairs.
         raise LevelCapExceeded(max_level, sum(comb(n_edges, j) for j in range(max_level + 1)))
-    choice = _choice_of(instance, won.held)
+    guess = [e for e, r, at in candidates if banned[r] >> at & 1]
+    choice = won.choice()
     return SolveResult(
         matching=_matching(instance, choice),
         objective=len(_envy(instance, choice)),

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os.path
 import sys
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import algorithms, core, formats, reductions
@@ -112,9 +112,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError:
         raise formats.ParseError(f"{path}: not UTF-8 text") from None
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
 
 
 def _fields(record) -> dict:
@@ -187,7 +193,7 @@ def _cmd_solve(args) -> int:
             rows.append(("guess", " ".join(f"({r},{h})" for r, h in stats.guess)))
     listing = formats.serialize_matching(instance, matching)
     if args.out:
-        Path(args.out).write_text(listing, encoding="utf-8")
+        _write(args.out, listing)
     _report(args, doc, [*_aligned(rows), *listing.splitlines()])
     return EXIT_OK
 
@@ -232,7 +238,7 @@ def _parse_cert(spec: str, expected_kind: str) -> set[int]:
 def _cmd_gen(args) -> int:
     if args.cert and not args.out:
         raise _UsageError("--cert requires --out (the matching file is written next to it)")
-    if args.cert and Path(args.out).suffix == ".match":
+    if args.cert and os.path.splitext(args.out)[1] == ".match":
         raise _UsageError(
             "--out may not end in .match with --cert (the matching file would overwrite it)")
     g = _GENERATORS[args.kind]
@@ -250,13 +256,13 @@ def _cmd_gen(args) -> int:
 
     text = formats.serialize_instance(instance)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         print(text, end="")
     if cert_matching is not None:
-        Path(args.out).with_suffix(".match").write_text(
-            formats.serialize_matching(instance, cert_matching), encoding="utf-8"
-        )
+        # Next to --out, with its extension replaced or, where it has none, added.
+        _write(os.path.splitext(args.out)[0] + ".match",
+               formats.serialize_matching(instance, cert_matching))
     return EXIT_OK
 
 

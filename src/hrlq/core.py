@@ -40,6 +40,13 @@ def _quota(value) -> tuple[int, int] | None:
     return (low, up) if type(low) is int and type(up) is int else None
 
 
+def _plain_int(value: int, what: str, error: type[Exception]) -> int:
+    """`value` if it is a plain int; anything else, `bool` too, raises `error`, as in `_quota`."""
+    if type(value) is not int:
+        raise error(f"{what} must be an int, got {value!r}")
+    return value
+
+
 class _Record:
     """A frozen record: the fields named in `__match_args__`, set once by `__init__`.
 

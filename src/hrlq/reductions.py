@@ -29,7 +29,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable
 
-from .core import Instance, Matching, Pair, _members, _Record, validate_instance
+from .core import Instance, Matching, Pair, _members, _plain_int, _Record, validate_instance
 
 
 class ReductionError(ValueError):
@@ -66,7 +66,7 @@ class SourceGraph(_Record):
     k: int
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], k: int = 0) -> None:
-        if _plain_int(n, "vertex count n") < 1:
+        if _plain_int(n, "vertex count n", ReductionError) < 1:
             raise ReductionError(f"graph needs at least one vertex, got n={n}")
         edges = tuple(map(_pair, _collection(edges, "edges")))
         seen = set()
@@ -76,7 +76,7 @@ class SourceGraph(_Record):
             if (i, j) in seen:
                 raise ReductionError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
-        if not 0 <= _plain_int(k, "target parameter k") <= n:
+        if not 0 <= _plain_int(k, "target parameter k", ReductionError) <= n:
             raise ReductionError(f"target parameter k={k} outside 1..{n} (0 leaves it unset)")
         self.__dict__.update(n=n, edges=edges, k=k)
 
@@ -109,7 +109,7 @@ class CliqueReductionParams(_Record):
     copies: int | None
 
     def __init__(self, copies: int | None = None) -> None:
-        if copies is not None and _plain_int(copies, "copies") < 1:
+        if copies is not None and _plain_int(copies, "copies", ReductionError) < 1:
             raise ReductionError(f"copies must be >= 1, got {copies}")
         self.__dict__["copies"] = copies
 
@@ -141,13 +141,6 @@ def _e(i: int, j: int, k: int) -> str:
     return f"e{i}_{j}_{k}"
 
 
-def _plain_int(value: int, what: str) -> int:
-    """`value` if it is a plain int; anything else, `bool` too, is refused, as in `core._quota`."""
-    if type(value) is not int:
-        raise ReductionError(f"{what} must be an int, got {value!r}")
-    return value
-
-
 def _collection(given, what: str) -> tuple:
     """`given`'s members; a str or a value that is not iterable is refused, as in `Instance`."""
     members = _members(given)
@@ -161,11 +154,12 @@ def _pair(edge: tuple[int, int]) -> tuple[int, int]:
         i, j = edge
     except (TypeError, ValueError):
         raise ReductionError(f"edge must be a pair of vertices, got {edge!r}") from None
-    return _plain_int(i, "edge endpoint"), _plain_int(j, "edge endpoint")
+    return (_plain_int(i, "edge endpoint", ReductionError),
+            _plain_int(j, "edge endpoint", ReductionError))
 
 
 def _check_gadget_length(length: int) -> None:
-    if _plain_int(length, "gadget_length") < 2:
+    if _plain_int(length, "gadget_length", ReductionError) < 2:
         raise ReductionError(f"gadget_length must be >= 2, got {length}")
 
 
@@ -259,7 +253,7 @@ def _with_vertex_layer(
 
 def _vertex_set(graph: SourceGraph, vertices: Iterable[int], what: str) -> set[int]:
     """A certificate's vertices as a set, all of them in 1..n."""
-    chosen = {_plain_int(v, f"{what} vertex") for v in _collection(vertices, what)}
+    chosen = {_plain_int(v, f"{what} vertex", ReductionError) for v in _collection(vertices, what)}
     bad = [v for v in sorted(chosen) if not 1 <= v <= graph.n]
     if bad:
         raise ReductionError(f"{what} names unknown vertices: {bad}")

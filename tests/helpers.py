@@ -351,16 +351,11 @@ def textbook_da(
                 assigned[r] = h
 
 
-def run_choice(instance: hrlq.Instance, run) -> list[int]:
-    """A `_Run`'s choice vector, as the solvers read it off the run's masks."""
-    return hrlq.algorithms._choice_of(instance, run.held)
-
-
 def full_run(instance: hrlq.Instance, caps: tuple[int, ...], banned: list[int] | None = None):
     """A `_Run` that has admitted every resident at `caps` under `banned` (none by default)."""
     n = len(instance.residents)
-    run = hrlq.algorithms._Run(n, len(caps))
-    run.admit(instance, caps, banned or [0] * n, n, n)
+    run = hrlq.algorithms._Run(instance, caps, n)
+    run.admit(banned or [0] * n, n)
     return run
 
 
@@ -393,15 +388,15 @@ def check_resumed_runs(instance: hrlq.Instance, rng: random.Random) -> int:
         named_caps = {h: quota[bound] for h, quota in instance.quotas.items()}
         for r in range(n + 1):
             banned = bans()
-            cursor = algorithms._Run(n, len(caps))
-            cursor.admit(instance, caps, banned, r, n)
+            cursor = algorithms._Run(instance, caps, n)
+            cursor.admit(banned, r)
             for _ in range(2):  # two resumed copies: the first may not disturb the cursor
                 banned[r:] = bans()[r:]
                 full = full_run(instance, caps, banned)
                 resumed = cursor.copy()
-                resumed.admit(instance, caps, banned, n, n)
-                choice = run_choice(instance, full)
-                resumed_state = (run_choice(instance, resumed), resumed.taken)
+                resumed.admit(banned, n)
+                choice = full.choice()
+                resumed_state = (resumed.choice(), resumed.taken)
                 assert resumed_state == (choice, full.taken), (bound, r)
                 dropped = {(instance.residents[i], instance.resident_prefs[instance.residents[i]][k])
                            for i, k in positions if banned[i] >> k & 1}
@@ -409,10 +404,8 @@ def check_resumed_runs(instance: hrlq.Instance, rng: random.Random) -> int:
                          for i, h in enumerate(choice) if h >= 0}
                 assert named == textbook_da(instance, named_caps, dropped), (bound, r)
                 if bound == 0:
-                    spare = n - sum(caps)
-                    stopped = algorithms._Run(n, len(caps))
-                    verdict = (stopped.admit(instance, caps, banned, r, spare)
-                               and stopped.copy().admit(instance, caps, banned, n, spare))
+                    stopped = algorithms._Run(instance, caps, n - sum(caps))
+                    verdict = stopped.admit(banned, r) and stopped.copy().admit(banned, n)
                     matched = sum(h >= 0 for h in choice)
                     assert verdict == (matched == sum(caps)), r
                 runs += 1

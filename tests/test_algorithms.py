@@ -26,7 +26,6 @@ from helpers import (
     product_space_choices,
     random_feasible_instances,
     random_instance,
-    run_choice,
     textbook_da,
     wide_list_instance,
 )
@@ -106,7 +105,7 @@ class TestKernelAgainstTextbook:
                 for _ in range(3):
                     dropped = {pair for pair in inst.edges if rng.random() < 0.3}
                     run = full_run(inst, cap_vector, _banned_masks(inst, dropped))
-                    choice = run_choice(inst, run)
+                    choice = run.choice()
                     named = {inst.residents[r]: inst.hospitals[h]
                              for r, h in enumerate(choice) if h >= 0}
                     assert named == textbook_da(inst, caps, dropped)
@@ -130,8 +129,8 @@ class TestKernelAgainstTextbook:
 
         def run_with(inst, caps, limit, banned):
             n = len(inst.residents)
-            run = hrlq.algorithms._Run(n, len(caps))
-            return run.admit(inst, caps, banned, n, limit), run
+            run = hrlq.algorithms._Run(inst, caps, limit)
+            return run.admit(banned, n), run
 
         for inst in family:
             n = len(inst.residents)
@@ -142,7 +141,7 @@ class TestKernelAgainstTextbook:
                     dropped = {pair for pair in inst.edges if rng.random() < 0.25}
                     banned = _banned_masks(inst, dropped)
                     verdict, run = run_with(inst, caps, limit, banned)
-                    choice, taken = run_choice(inst, run), run.taken
+                    choice, taken = run.choice(), run.taken
                     state = (verdict, choice, taken, run.entered, run.fallen)
                     if verdict:
                         assert (run.entered, run.fallen) == (n, choice.count(-1))
@@ -153,9 +152,9 @@ class TestKernelAgainstTextbook:
                         stopped += 1
                         assert run.fallen == limit + 1
                         assert choice.count(-1) == run.fallen + n - 1 - run.entered
-                        before = hrlq.algorithms._Run(n, len(caps))
-                        assert before.admit(inst, caps, banned, run.entered, limit)
-                        assert not before.admit(inst, caps, banned, run.entered + 1, limit)
+                        before = hrlq.algorithms._Run(inst, caps, limit)
+                        assert before.admit(banned, run.entered)
+                        assert not before.admit(banned, run.entered + 1)
                     for r, h in inst.edges:
                         i, j = inst.resident_index[r], inst.hospital_index[h]
                         at = inst.resident_prefs[r].index(h)
@@ -163,7 +162,7 @@ class TestKernelAgainstTextbook:
                             continue
                         more_bans = _banned_masks(inst, dropped | {(r, h)})
                         again, more = run_with(inst, caps, limit, more_bans)
-                        assert (again, run_choice(inst, more), more.taken,
+                        assert (again, more.choice(), more.taken,
                                 more.entered, more.fallen) == state
                         if caps[j] and (choice[i] < 0 or at < taken[i].bit_length() - 1):
                             refused += 1
@@ -179,7 +178,7 @@ class TestWideMasks:
     @staticmethod
     def check_masks(inst, caps, run) -> list[int]:
         """Check the run's masks against its derived choice and caps; return that choice."""
-        choice = run_choice(inst, run)
+        choice = run.choice()
         for h, ranks in enumerate(run.held):
             assert ranks.bit_count() <= caps[h]
             listed = inst.hospital_prefs[inst.hospitals[h]]
@@ -201,9 +200,9 @@ class TestWideMasks:
                     for _ in range(2):
                         dropped = {pair for pair in inst.edges if rng.random() < 0.3}
                         banned = _banned_masks(inst, dropped)
-                        run = hrlq.algorithms._Run(n, len(caps))
+                        run = hrlq.algorithms._Run(inst, caps, limit)
                         for stop in range(1, n + 1):
-                            verdict = run.admit(inst, caps, banned, stop, limit)
+                            verdict = run.admit(banned, stop)
                             choice = self.check_masks(inst, caps, run)
                             wide += max(run.held).bit_length() > 64
                             if not verdict:
@@ -727,8 +726,10 @@ class TestMinEpExact:
 
     def test_matches_paper_order_reference(self):
         # Results, guess counts and level-cap payloads must not depend on which
-        # guesses the search settles without running deferred acceptance.
-        family = [IA, IB, *random_feasible_instances(16, 40),
+        # guesses the search settles without running deferred acceptance.  The
+        # path's reduction (optimum 3, 928 guesses) has runs that stop early.
+        family = [IA, IB, _reduction("vc", 3, [(1, 2), (2, 3)], 1, 2),
+                  *random_feasible_instances(16, 40),
                   *random_feasible_instances(17, 120), *random_feasible_instances(18, 30)]
         for inst in family:
             result = hrlq.min_ep_exact(inst)
@@ -740,6 +741,51 @@ class TestMinEpExact:
                     paper_min_ep(inst, level_cap=cap)
                 assert (fast.value.level_cap, fast.value.guesses_examined) == (
                     slow.value.level_cap, slow.value.guesses_examined)
+
+    # Every hospital has quota [1, 1], so r2 must take h3, and then envies
+    # both h2 and h1, which it lists in that order, the reverse of theirs.
+    REVERSED_PAIRS = hrlq.validate_instance(
+        ["r1", "r2", "r3"],
+        ["h1", "h2", "h3"],
+        {"r1": ["h1", "h2"], "r2": ["h2", "h1", "h3"], "r3": ["h2"]},
+        {"h1": ["r2", "r1"], "h2": ["r2", "r1", "r3"], "h3": ["r2"]},
+        {"h1": (1, 1), "h2": (1, 1), "h3": (1, 1)},
+    )
+
+    def test_guess_is_read_off_the_bans_in_edge_order(self):
+        # The winner's two pairs are bits of r2's one ban mask, set by list
+        # position; the guess must still list them in edge order, h1 first.
+        inst = self.REVERSED_PAIRS
+        result = hrlq.min_ep_exact(inst)
+        assert result.stats.guess == (("r2", "h1"), ("r2", "h2"))
+        assert result.matching.assignment == {"r1": "h1", "r2": "h3", "r3": "h2"}
+        assert result == paper_min_ep(inst)
+
+    def test_a_failed_level_leaves_no_ban(self):
+        # min_ep_exact keeps one `banned` list for every level and reads the
+        # winner off it, so a level that fails must clear every bit it set.
+        # Any candidates in edge order will do; here every acceptable pair is one.
+        # In the triangle's reduction (optimum 3) the run a level-2 cursor
+        # resumes stops before the last candidates' residents.
+        algorithms = hrlq.algorithms
+        calls = 0
+        family = [self.REVERSED_PAIRS, _reduction("vc", 3, _TRIANGLE, 2, 2),
+                  *random_feasible_instances(16, 40)]
+        for inst in family:
+            level = hrlq.min_ep_exact(inst).stats.level
+            n, low = len(inst.residents), inst._low
+            candidates = [(e, inst.resident_index[r], inst.resident_prefs[r].index(h))
+                          for e, (r, h) in enumerate(inst.edges)]
+            banned = [0] * n
+            root = algorithms._Run(inst, low, n - sum(low))
+            assert root.admit(banned, n) == (level == 0)
+            for below in range(1, level):
+                cursor = algorithms._Run(inst, low, root.limit)
+                found = algorithms._extend_guess(candidates, banned, root.taken, cursor, 0, below)
+                assert found is None
+                assert banned == [0] * n
+                calls += 1
+        assert calls > 0
 
 
 class TestBruteOracles:

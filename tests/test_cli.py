@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -275,6 +275,24 @@ class TestGen:
         assert err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["triangle.g"]
 
+    @pytest.mark.parametrize("out", ["x.match", ".match", "x.tar.gz", "dir.d/x"])
+    def test_cert_path_follows_pathlib(self, capsys, tmp_path, monkeypatch, out):
+        # The refusal and the certificate's path follow PurePosixPath's suffix rules.
+        monkeypatch.chdir(tmp_path)
+        Path("triangle.g").write_text(TRIANGLE_G)
+        Path("dir.d").mkdir()
+        code, _, err = run(capsys, "gen", "vc2ep", "--graph", "triangle.g", "--k", "2",
+                           "--out", out, "--cert", "cover:v1,v2")
+        written = sorted(str(p) for p in Path().rglob("*") if p.is_file())
+        if PurePosixPath(out).suffix == ".match":
+            assert (code, written) == (2, ["triangle.g"])
+            assert "--out may not end in .match" in err
+        else:
+            cert = str(PurePosixPath(out).with_suffix(".match"))
+            assert (code, err) == (0, "")
+            assert written == sorted(["triangle.g", out, cert])
+            hrlq.parse_matching(Path(cert).read_text(), hrlq.parse_instance(Path(out).read_text()))
+
     def test_clique2er_to_stdout(self, capsys, tmp_path):
         graph_path = tmp_path / "triangle.g"
         graph_path.write_text(TRIANGLE_G)
@@ -429,6 +447,16 @@ class TestStartup:
         assert module in added
         assert {"dataclasses", "inspect"}.isdisjoint(added)
         assert [name for name in execs if name.partition(".")[0] == "hrlq"] == []
+
+    def test_cli_imports_no_pathlib_without_site(self):
+        # Under -S the interpreter imports nothing for site, so every module
+        # pathlib would pull in shows up as the CLI's own.
+        proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE.format(module="hrlq.cli")],
+                              env=FRESH_ENV, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        added = proc.stdout.split("\n")[0].split()
+        assert "hrlq.cli" in added
+        assert {"pathlib", "urllib", "ipaddress"}.isdisjoint(added)
 
 
 class TestDeterminism:
