@@ -104,7 +104,8 @@ class _Run:
     held[h]    bitmask with bit k set when the resident at rank k of h's
                own list holds one of h's seats: the ranks in one list are
                distinct, so h has `held[h].bit_count()` occupants and its
-               worst is rank `held[h].bit_length() - 1`
+               worst is rank `held[h].bit_length() - 1`, -1 when h is
+               empty; so a hospital of capacity 0 refuses every proposal
     entered    residents 0..entered-1 have entered, and every displacement
                chain they set off has settled; in a stopped run, the
                resident whose entry set off the chain that stopped it
@@ -163,13 +164,12 @@ class _Run:
             while r >= 0:  # r proposes; the resident it displaces, if any, goes next
                 prefs = options[r]
                 ban = banned[r]
-                for k in range(taken[r].bit_length(), len(prefs) - 1):  # the (-1, -1) entry is not tried
-                    h, rank = prefs[k]
-                    cap = caps[h]
-                    if not cap or ban and ban >> k & 1:
+                for k in range(taken[r].bit_length(), len(prefs)):
+                    if ban and ban >> k & 1:
                         continue
+                    h, rank = prefs[k]
                     ranks = held[h]
-                    if ranks.bit_count() < cap:
+                    if ranks.bit_count() < caps[h]:
                         held[h] = ranks | 1 << rank
                         displaced = -1
                         break
@@ -315,10 +315,10 @@ def _initial_cover(instance: Instance) -> list[int] | None:
 class _FeasibleSearch:
     """Depth-first enumeration of feasible matchings, without recursion.
 
-    Residents are decided in index order.  Resident i's options are the
-    entries of `Instance._options[i]`: its acceptable hospitals, each with
-    i's rank there, in preference order, then (-1, -1) for staying
-    unmatched; a hospital whose upper quota is full is skipped.  A branch
+    Residents are decided in index order.  Resident i's options are
+    `Instance._options[i]`, its acceptable hospitals in preference order,
+    each with i's rank there, and then (-1, -1) for staying unmatched,
+    which only this search adds; a hospital at its upper quota is skipped.  A branch
     survives only while the undecided residents can still meet the
     remaining lower-quota demand, so dead branches are cut at the node
     where they die.  Three tests decide that, cheapest first:
@@ -371,8 +371,8 @@ class _FeasibleSearch:
         if cover is None:
             return
         acc_h, low, up = instance._acc_h, instance._low, instance._up
-        budget, n = self.node_budget, len(instance._options)
-        options, cut = instance._options, self.cut
+        budget, n, cut = self.node_budget, len(instance._options), self.cut
+        options = [prefs + ((-1, -1),) for prefs in instance._options]  # (-1, -1): unmatched
         last = [max(listed, default=-1) for listed in acc_h]  # h's last lister
         spans = [(min(listed), last[h], h)
                  for h, listed in enumerate(acc_h) if low[h] and len(listed) > 1]
@@ -644,7 +644,7 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     candidates = []  # (e, r, at), read off r's options in edge order (by hospital index)
     e = 0
     for r, prefs in enumerate(options):
-        for h, rank, at in sorted((h, rank, at) for at, (h, rank) in enumerate(prefs[:-1])):
+        for h, rank, at in sorted((h, rank, at) for at, (h, rank) in enumerate(prefs)):
             if low[h] and rank < len(acc_h[h]) - 1:
                 candidates.append((e, r, at))
             e += 1

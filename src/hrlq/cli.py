@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os.path
+import signal
 import sys
 import warnings
 from types import SimpleNamespace
@@ -311,4 +312,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # A reader that closes the pipe early, as `head` does, ends the process
+    # quietly by SIGPIPE, as it ends other filters; it is not an input error.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

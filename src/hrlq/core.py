@@ -10,6 +10,7 @@ identically ordered results.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping
 
@@ -45,6 +46,22 @@ def _plain_int(value: int, what: str, error: type[Exception]) -> int:
     if type(value) is not int:
         raise error(f"{what} must be an int, got {value!r}")
     return value
+
+
+# Python (3.11, and 3.10 from 3.10.7) refuses to write an int of more digits
+# than its limit, and the limit is never below this threshold; older ones have none.
+_ALWAYS_WRITTEN = 10 ** getattr(sys.int_info, "str_digits_check_threshold", 640)
+
+
+def _unwritable(value: int) -> bool:
+    """Whether `str(value)` fails: only an int of more digits than the threshold needs a trial."""
+    if -_ALWAYS_WRITTEN < value < _ALWAYS_WRITTEN:
+        return False
+    try:
+        str(value)
+    except ValueError:
+        return True
+    return False
 
 
 class _Record:
@@ -109,8 +126,7 @@ class Instance(_Record):
     #   edges  all acceptable pairs sorted by (resident index, hospital index)
     # and, by dense index, the four compiled tables the solvers and predicates read:
     #   _options[r]  (h, r's rank in h's list) for each h on r's list, in r's
-    #                order, then (-1, -1), which stands for staying unmatched;
-    #                inside the solvers a pair is r and its position k here
+    #                order; inside the solvers a pair is r and its position k here
     #   _acc_h[h]  h's preference list; _low, _up  quota vectors
 
     def __init__(
@@ -164,6 +180,9 @@ class Instance(_Record):
                 out.append(f"missing or malformed quota for {h}")
                 continue
             low, up = q
+            if _unwritable(low) or _unwritable(up):
+                out.append(f"quota of {h} has too many digits")
+                continue
             if low < 0:
                 out.append(f"negative lower quota at {h}")
             if low > up:
@@ -188,7 +207,7 @@ class Instance(_Record):
         del position
 
         options = tuple(
-            tuple([(j, rank_h[j][r]) for j in map(hidx.__getitem__, p)] + [(-1, -1)])
+            tuple([(j, rank_h[j][r]) for j in map(hidx.__getitem__, p)])
             for r, p in rprefs.items()
         )
         self.__dict__.update(
@@ -229,13 +248,18 @@ def _not_names(what: str, given, read: tuple | None) -> list[str]:
             for name in read if not isinstance(name, str)]
 
 
-def _pairs(given, error: type[ValueError]) -> list[tuple]:
-    """`given`'s pairs, each a collection of two `str` as `_members` reads it, or else `error`."""
+def _collection(given, what: str, error: type[ValueError]) -> tuple:
+    """`given`'s members as `_members` reads them; a str or a non-iterable raises `error`."""
     members = _members(given)
     if members is None:
-        raise error(f"pairs must be a collection, got {type(given).__name__}")
+        raise error(f"{what} must be a collection, got {type(given).__name__}")
+    return members
+
+
+def _pairs(given, error: type[ValueError]) -> list[tuple]:
+    """`given`'s pairs, each a collection of two `str` as `_members` reads it, or else `error`."""
     out = []
-    for pair in members:
+    for pair in _collection(given, "pairs", error):
         names = _members(pair)
         if names is None or len(names) != 2 or not all(isinstance(n, str) for n in names):
             raise error(f"pair must be two names, got {pair!r}")
@@ -406,8 +430,8 @@ def _envy_scan(
     score both run it.  `options` is `Instance._options`; cut[h] is
     the rank, in h's list, of h's worst occupant (-1 when h is empty), and
     (r, h) is an envy pair when h comes before r's own hospital on r's
-    list (the (-1, -1) entry ends an unmatched resident's list) and r's
-    rank at h is below cut[h].  Residents are scanned by index, each one's
+    list (an unmatched resident's scan runs to the end of its list) and
+    r's rank at h is below cut[h].  Residents are scanned by index, each one's
     list in preference order, and every pair found is appended to `found`
     when it is given.  The scan stops once both counts have reached their
     stop values, since neither can fall; so both counts are exact whenever

@@ -29,7 +29,8 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable
 
-from .core import Instance, Matching, Pair, _members, _plain_int, _Record, validate_instance
+from .core import (Instance, Matching, Pair, _collection, _plain_int, _Record, _unwritable,
+                   validate_instance)
 
 
 class ReductionError(ValueError):
@@ -57,7 +58,8 @@ class SourceGraph(_Record):
 
     `k` is the target parameter (cover size / clique size); 0 means not yet
     set, as when parsed from an edge-list file.  `n`, `k` and the endpoints
-    must be plain ints; each edge is stored as a tuple of the values given.
+    must be plain ints that `str` can write; each edge is stored as a tuple
+    of the values given.
     """
 
     __match_args__ = ("n", "edges", "k")
@@ -66,9 +68,9 @@ class SourceGraph(_Record):
     k: int
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], k: int = 0) -> None:
-        if _plain_int(n, "vertex count n", ReductionError) < 1:
+        if _written(n, "vertex count n") < 1:
             raise ReductionError(f"graph needs at least one vertex, got n={n}")
-        edges = tuple(map(_pair, _collection(edges, "edges")))
+        edges = tuple(map(_pair, _collection(edges, "edges", ReductionError)))
         seen = set()
         for i, j in edges:
             if not 1 <= i < j <= n:
@@ -76,7 +78,7 @@ class SourceGraph(_Record):
             if (i, j) in seen:
                 raise ReductionError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
-        if not 0 <= _plain_int(k, "target parameter k", ReductionError) <= n:
+        if not 0 <= _written(k, "target parameter k") <= n:
             raise ReductionError(f"target parameter k={k} outside 1..{n} (0 leaves it unset)")
         self.__dict__.update(n=n, edges=edges, k=k)
 
@@ -141,12 +143,11 @@ def _e(i: int, j: int, k: int) -> str:
     return f"e{i}_{j}_{k}"
 
 
-def _collection(given, what: str) -> tuple:
-    """`given`'s members; a str or a value that is not iterable is refused, as in `Instance`."""
-    members = _members(given)
-    if members is None:
-        raise ReductionError(f"{what} must be a collection, got {type(given).__name__}")
-    return members
+def _written(value: int, what: str) -> int:
+    """`value` if it is a plain int that `str` can write, for `repr` and `serialize_graph` do."""
+    if _unwritable(_plain_int(value, what, ReductionError)):
+        raise ReductionError(f"{what} has too many digits")
+    return value
 
 
 def _pair(edge: tuple[int, int]) -> tuple[int, int]:
@@ -154,8 +155,7 @@ def _pair(edge: tuple[int, int]) -> tuple[int, int]:
         i, j = edge
     except (TypeError, ValueError):
         raise ReductionError(f"edge must be a pair of vertices, got {edge!r}") from None
-    return (_plain_int(i, "edge endpoint", ReductionError),
-            _plain_int(j, "edge endpoint", ReductionError))
+    return _written(i, "edge endpoint"), _written(j, "edge endpoint")
 
 
 def _check_gadget_length(length: int) -> None:
@@ -253,7 +253,8 @@ def _with_vertex_layer(
 
 def _vertex_set(graph: SourceGraph, vertices: Iterable[int], what: str) -> set[int]:
     """A certificate's vertices as a set, all of them in 1..n."""
-    chosen = {_plain_int(v, f"{what} vertex", ReductionError) for v in _collection(vertices, what)}
+    chosen = {_plain_int(v, f"{what} vertex", ReductionError)
+              for v in _collection(vertices, what, ReductionError)}
     bad = [v for v in sorted(chosen) if not 1 <= v <= graph.n]
     if bad:
         raise ReductionError(f"{what} names unknown vertices: {bad}")

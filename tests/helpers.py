@@ -176,7 +176,7 @@ def check_tables_by_name(instance: hrlq.Instance) -> None:
         "hospital_index": {h: hospitals.index(h) for h in hospitals},
         "edges": edges,
         "_options": tuple(
-            tuple((hospitals.index(h), hp[h].index(r)) for h in rp[r]) + ((-1, -1),)
+            tuple((hospitals.index(h), hp[h].index(r)) for h in rp[r])
             for r in residents
         ),
         "_acc_h": tuple(tuple(residents.index(r) for r in hp[h]) for h in hospitals),
@@ -374,7 +374,7 @@ def check_resumed_runs(instance: hrlq.Instance, rng: random.Random) -> int:
     """
     algorithms = hrlq.algorithms
     n = len(instance.residents)
-    positions = [(r, k) for r in range(n) for k in range(len(instance._options[r]) - 1)]
+    positions = [(r, k) for r in range(n) for k in range(len(instance._options[r]))]
 
     def bans() -> list[int]:
         banned = [0] * n

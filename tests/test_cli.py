@@ -413,6 +413,25 @@ class TestLongChains:
         assert proc.stderr.startswith("error: no solution within guess level 0")
 
 
+class TestClosedPipe:
+    def test_reader_closing_early_is_not_an_input_error(self, tmp_path):
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        # Unbuffered, each print is written at once and the parent may exit 0
+        # with its output cut; buffered, the write after the close fails.
+        env = {k: v for k, v in FRESH_ENV.items() if k != "PYTHONUNBUFFERED"}
+        argv = [sys.executable, "-m", "hrlq", "gen", "vc2ep", "--graph", str(graph_path),
+                "--k", "2", "--gadget-l", "300"]  # about 185 KB, more than a pipe holds
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.readline().startswith("resident ")
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert stderr == ""
+        assert code != cli.EXIT_INPUT_ERROR
+
+
 # Imports one module and prints two lines: the modules the import added, and
 # each module whose top-level code ran exec or eval on a string as it loaded.
 IMPORT_PROBE = """

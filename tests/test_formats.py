@@ -1,6 +1,7 @@
 """File grammar round trips and diagnostics."""
 
 import itertools
+import sys
 import time
 
 import pytest
@@ -9,6 +10,11 @@ import hrlq
 from helpers import instance_a
 
 IA = instance_a()
+# Python (3.11, and 3.10 from 3.10.7) refuses to write an int of more digits
+# than its limit, 4300 by default; an older one writes any int, so there is
+# nothing to refuse there.
+limited = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                             reason="no limit on int-to-str conversion")
 
 IA_TEXT = """\
 resident r1: h1 h2
@@ -84,6 +90,22 @@ class TestInstanceFormat:
         with pytest.raises(hrlq.InvalidInstanceError, match="one-sided"):
             hrlq.parse_instance(text)
 
+    @limited
+    @pytest.mark.parametrize("quota", [(0, 10**5000), (-10**5000, 10**5000), (10**5000, 0)],
+                             ids=["upper", "both", "lower-inverted"])
+    def test_quota_that_cannot_be_written_is_refused(self, quota):
+        with pytest.raises(hrlq.InvalidInstanceError) as caught:
+            hrlq.validate_instance(["r"], ["h"], {"r": ["h"]}, {"h": ["r"]}, {"h": quota})
+        assert caught.value.violations == ("quota of h has too many digits",)
+
+    @pytest.mark.parametrize("up", [10**639, 10**640, 10**4299],
+                             ids=["640-digits", "641-digits", "4300-digits"])
+    def test_quota_of_many_digits_round_trips(self, up):
+        # Below 10**640 no trial is needed; 4300 digits are the default limit itself.
+        inst = hrlq.validate_instance(["r"], ["h"], {"r": ["h"]}, {"h": ["r"]}, {"h": (0, up)})
+        assert repr(inst).endswith(f"quotas={{'h': (0, {up})}})")
+        assert hrlq.parse_instance(hrlq.serialize_instance(inst)) == inst
+
     def test_generated_instance_round_trip(self):
         tri = hrlq.SourceGraph(3, [(1, 2), (1, 3), (2, 3)], k=2)
         inst = hrlq.vc_to_min_ep(tri, hrlq.VCReductionParams(10))
@@ -114,6 +136,25 @@ class TestGraphFormat:
         assert elapsed < budget, f"parsing K{n} took {elapsed:.2f}s, budget {budget}s"
         assert graph.m == n * (n - 1) // 2
         assert hrlq.serialize_graph(graph) == text
+
+    @limited
+    @pytest.mark.parametrize("n, edges, k, what", [
+        (10**5000, [], 0, "vertex count n"),
+        (-10**5000, [], 0, "vertex count n"),
+        (3, [(1, 10**5000)], 0, "edge endpoint"),
+        (3, [(-10**5000, 2)], 0, "edge endpoint"),
+        (3, [], 10**5000, "target parameter k"),
+    ], ids=["n", "negative-n", "endpoint", "negative-endpoint", "k"])
+    def test_int_that_cannot_be_written_is_refused(self, n, edges, k, what):
+        with pytest.raises(hrlq.ReductionError) as caught:
+            hrlq.SourceGraph(n, edges, k)
+        assert str(caught.value) == f"{what} has too many digits"
+
+    def test_vertex_count_of_many_digits_round_trips(self):
+        n = 10**4299
+        graph = hrlq.SourceGraph(n, [(1, n)])
+        assert repr(graph) == f"SourceGraph(n={n}, edges=((1, {n}),), k=0)"
+        assert hrlq.parse_graph(hrlq.serialize_graph(graph)) == graph
 
     def test_header_count_mismatch(self):
         with pytest.raises(hrlq.ParseError, match="declares 3 edges but 1"):
