@@ -14,7 +14,8 @@ from enum import Enum
 from math import comb
 from operator import itemgetter
 
-from .core import Instance, Matching, Pair, _envy, _envy_scan, _matching, _plain_int, _Record
+from .core import (Instance, Matching, Pair, _envy, _envy_scan, _matching, _plain_int, _Record,
+                   _shown)
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -301,6 +302,13 @@ def _augment(acc_h: tuple, hospital: int, start: int, cover: list[int]) -> bool:
     return False
 
 
+def _node_budget(node_budget: int) -> int:
+    """`node_budget` if it is a plain int >= 0; anything else raises ValueError."""
+    if _plain_int(node_budget, "node_budget", ValueError) < 0:
+        raise ValueError(f"node_budget must be non-negative, got {_shown(node_budget)}")
+    return node_budget
+
+
 def _initial_cover(instance: Instance) -> list[int] | None:
     """Cover every lower-quota slot with a distinct resident, or None when that is impossible."""
     acc_h = instance._acc_h
@@ -318,7 +326,9 @@ class _FeasibleSearch:
     Residents are decided in index order.  Resident i's options are
     `Instance._options[i]`, its acceptable hospitals in preference order,
     each with i's rank there, and then (-1, -1) for staying unmatched,
-    which only this search adds; a hospital at its upper quota is skipped.  A branch
+    which only this search adds, and only at a level with slack (more
+    residents left than demand), where the count check allows it; a
+    hospital at its upper quota is skipped.  A branch
     survives only while the undecided residents can still meet the
     remaining lower-quota demand, so dead branches are cut at the node
     where they die.  Three tests decide that, cheapest first:
@@ -351,9 +361,7 @@ class _FeasibleSearch:
     """
 
     def __init__(self, instance: Instance, node_budget: int):
-        if _plain_int(node_budget, "node_budget", ValueError) < 0:
-            raise ValueError(f"node_budget must be non-negative, got {node_budget}")
-        self.node_budget = node_budget
+        self.node_budget = _node_budget(node_budget)
         self.nodes = 0
         self.instance = instance
         self.cut = [-1] * len(instance._acc_h)
@@ -371,8 +379,11 @@ class _FeasibleSearch:
         if cover is None:
             return
         acc_h, low, up = instance._acc_h, instance._low, instance._up
-        budget, n, cut = self.node_budget, len(instance._options), self.cut
-        options = [prefs + ((-1, -1),) for prefs in instance._options]  # (-1, -1): unmatched
+        budget, lists, cut = self.node_budget, instance._options, self.cut
+        n = len(lists)
+        # (-1, -1): unmatched.  A level with no slack tries only its list, for
+        # the count check would refuse that entry there.
+        options = [prefs + ((-1, -1),) for prefs in lists]
         last = [max(listed, default=-1) for listed in acc_h]  # h's last lister
         spans = [(min(listed), last[h], h)
                  for h, listed in enumerate(acc_h) if low[h] and len(listed) > 1]
@@ -392,7 +403,7 @@ class _FeasibleSearch:
             yield choice
             return
         i = 0
-        it = iter(options[0])
+        it = iter(options[0] if slack[0] else lists[0])
         while True:
             for j, rank in it:
                 if j >= 0 and occ[j] >= up[j]:
@@ -448,7 +459,7 @@ class _FeasibleSearch:
                 i += 1
                 covers[i] = cover
                 slack[i] = slack[i - 1] - (not fills)
-                it = iter(options[i])
+                it = iter(options[i] if slack[i] else lists[i])
                 break
             else:  # back to the previous resident's next option
                 if i == 0:
@@ -511,14 +522,48 @@ def _brute_optima(instance: Instance, node_budget: int) -> tuple[SolveResult, So
     )
 
 
+def _brute(instance: Instance, node_budget: int, kind: ObjectiveKind) -> SolveResult:
+    """The `kind` optimum of `_brute_optima`, leaving the other one on the instance.
+
+    The optimum not asked for is the instance's spare, kept in its
+    `__dict__` as `_spare`.  Each call pops the spare.  If it is the
+    objective asked for, the call returns it, and raises BudgetExceeded
+    where its search took more nodes than the budget allows, as the search
+    itself would have.  Otherwise the call searches and leaves its own
+    spare.  So consecutive calls for the two objectives on one instance
+    object cost one enumeration, and asking one objective twice costs two.
+    """
+    _node_budget(node_budget)
+    spare = instance.__dict__.pop("_spare", None)
+    if spare is not None and spare.objective_kind is kind:
+        if spare.stats.nodes > node_budget:
+            raise BudgetExceeded(node_budget)
+        return spare
+    ep, er = _brute_optima(instance, node_budget)
+    result, instance.__dict__["_spare"] = (ep, er) if kind is ObjectiveKind.MIN_EP else (er, ep)
+    return result
+
+
 def brute_min_ep(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
-    """Exhaustive minimum-envy-pair oracle; ties broken by enumeration order."""
-    return _brute_optima(instance, node_budget)[0]
+    """Exhaustive minimum-envy-pair oracle; ties broken by enumeration order.
+
+    Its enumeration scores both objectives, and a `brute_min_er` call on
+    the same instance object that comes next takes the Min-ER optimum
+    without searching; see `_brute`.  Results, node counts and budget
+    errors are those of a search of its own.
+    """
+    return _brute(instance, node_budget, ObjectiveKind.MIN_EP)
 
 
 def brute_min_er(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
-    """Exhaustive minimum-envy-resident oracle; ties broken by enumeration order."""
-    return _brute_optima(instance, node_budget)[1]
+    """Exhaustive minimum-envy-resident oracle; ties broken by enumeration order.
+
+    Its enumeration scores both objectives, and a `brute_min_ep` call on
+    the same instance object that comes next takes the Min-EP optimum
+    without searching; see `_brute`.  Results, node counts and budget
+    errors are those of a search of its own.
+    """
+    return _brute(instance, node_budget, ObjectiveKind.MIN_ER)
 
 
 def _paper_position(n_edges: int, guess: list[int]) -> int:
@@ -635,7 +680,7 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     when level_cap is neither None nor an int >= 0.
     """
     if level_cap is not None and _plain_int(level_cap, "level_cap", ValueError) < 0:
-        raise ValueError(f"level_cap must be non-negative, got {level_cap}")
+        raise ValueError(f"level_cap must be non-negative, got {_shown(level_cap)}")
     if not exists_feasible(instance):
         raise Infeasible("no feasible matching exists")
     options, acc_h, low = instance._options, instance._acc_h, instance._low

@@ -44,7 +44,7 @@ def _quota(value) -> tuple[int, int] | None:
 def _plain_int(value: int, what: str, error: type[Exception]) -> int:
     """`value` if it is a plain int; anything else, `bool` too, raises `error`, as in `_quota`."""
     if type(value) is not int:
-        raise error(f"{what} must be an int, got {value!r}")
+        raise error(f"{what} must be an int, got {_shown(value)}")
     return value
 
 
@@ -62,6 +62,14 @@ def _unwritable(value: int) -> bool:
     except ValueError:
         return True
     return False
+
+
+def _shown(value, show=repr) -> str:
+    """`show(value)` for an error message, or a stand-in where an int in it is too long to write."""
+    try:
+        return show(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to write>"
 
 
 class _Record:
@@ -128,6 +136,9 @@ class Instance(_Record):
     #   _options[r]  (h, r's rank in h's list) for each h on r's list, in r's
     #                order; inside the solvers a pair is r and its position k here
     #   _acc_h[h]  h's preference list; _low, _up  quota vectors
+    # The brute oracles may add `_spare` later, the optimum their last call
+    # scored but did not return (see `algorithms._brute`); it is a result
+    # for this instance, so it is as valid in a copy.
 
     def __init__(
         self,
@@ -244,7 +255,7 @@ def _not_names(what: str, given, read: tuple | None) -> list[str]:
     """The violations of `given`, named `what` and read as `read`, where `str` names belong."""
     if read is None:
         return [f"{what} must be a collection of names, got {type(given).__name__}"]
-    return [f"{what} must hold only names, got {type(name).__name__} {name!r}"
+    return [f"{what} must hold only names, got {type(name).__name__} {_shown(name)}"
             for name in read if not isinstance(name, str)]
 
 
@@ -262,7 +273,7 @@ def _pairs(given, error: type[ValueError]) -> list[tuple]:
     for pair in _collection(given, "pairs", error):
         names = _members(pair)
         if names is None or len(names) != 2 or not all(isinstance(n, str) for n in names):
-            raise error(f"pair must be two names, got {pair!r}")
+            raise error(f"pair must be two names, got {_shown(pair)}")
         out.append(names)
     return out
 
@@ -393,9 +404,9 @@ def _choice(instance: Instance, pairs: Iterable[Pair]) -> list[int]:
     errors: list[str] = []
     for r, h in pairs:
         if r not in ridx:
-            errors.append(f"unknown resident {r}")
+            errors.append(f"unknown resident {_shown(r, str)}")
         elif not isinstance(h, str) or h not in hidx:
-            errors.append(f"unknown hospital {h}")
+            errors.append(f"unknown hospital {_shown(h, str)}")
         elif h not in prefs[r]:
             errors.append(f"unacceptable pair ({r},{h})")
         elif choice[ridx[r]] >= 0:

@@ -29,8 +29,8 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable
 
-from .core import (Instance, Matching, Pair, _collection, _plain_int, _Record, _unwritable,
-                   validate_instance)
+from .core import (Instance, Matching, Pair, _collection, _plain_int, _Record, _shown,
+                   _unwritable, validate_instance)
 
 
 class ReductionError(ValueError):
@@ -89,7 +89,7 @@ class SourceGraph(_Record):
 
 class VCReductionParams(_Record):
     """gadget_length is the half-length of each side of the edge gadget: a plain
-    int >= 2, checked here, or None for n^2 + 1."""
+    int >= 2 that `str` can write, checked here, or None for n^2 + 1."""
 
     __match_args__ = ("gadget_length",)
     gadget_length: int | None
@@ -104,14 +104,14 @@ class VCReductionParams(_Record):
 
 
 class CliqueReductionParams(_Record):
-    """copies is the number of residents per source edge: a plain int >= 1,
-    checked here, or None for n + 1."""
+    """copies is the number of residents per source edge: a plain int >= 1
+    that `str` can write, checked here, or None for n + 1."""
 
     __match_args__ = ("copies",)
     copies: int | None
 
     def __init__(self, copies: int | None = None) -> None:
-        if copies is not None and _plain_int(copies, "copies", ReductionError) < 1:
+        if copies is not None and _written(copies, "copies") < 1:
             raise ReductionError(f"copies must be >= 1, got {copies}")
         self.__dict__["copies"] = copies
 
@@ -144,7 +144,7 @@ def _e(i: int, j: int, k: int) -> str:
 
 
 def _written(value: int, what: str) -> int:
-    """`value` if it is a plain int that `str` can write, for `repr` and `serialize_graph` do."""
+    """`value` if it is a plain int that `str` can write, for `repr`, `serialize_graph` and errors do."""
     if _unwritable(_plain_int(value, what, ReductionError)):
         raise ReductionError(f"{what} has too many digits")
     return value
@@ -154,12 +154,12 @@ def _pair(edge: tuple[int, int]) -> tuple[int, int]:
     try:
         i, j = edge
     except (TypeError, ValueError):
-        raise ReductionError(f"edge must be a pair of vertices, got {edge!r}") from None
+        raise ReductionError(f"edge must be a pair of vertices, got {_shown(edge)}") from None
     return _written(i, "edge endpoint"), _written(j, "edge endpoint")
 
 
 def _check_gadget_length(length: int) -> None:
-    if _plain_int(length, "gadget_length", ReductionError) < 2:
+    if _written(length, "gadget_length") < 2:
         raise ReductionError(f"gadget_length must be >= 2, got {length}")
 
 
@@ -253,7 +253,7 @@ def _with_vertex_layer(
 
 def _vertex_set(graph: SourceGraph, vertices: Iterable[int], what: str) -> set[int]:
     """A certificate's vertices as a set, all of them in 1..n."""
-    chosen = {_plain_int(v, f"{what} vertex", ReductionError)
+    chosen = {_written(v, f"{what} vertex")
               for v in _collection(vertices, what, ReductionError)}
     bad = [v for v in sorted(chosen) if not 1 <= v <= graph.n]
     if bad:

@@ -1,11 +1,13 @@
 """Deferred acceptance, the envy-free decision, exact and brute-force solvers."""
 
+import gc
 import hashlib
 import itertools
 import random
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import pytest
 
@@ -831,6 +833,139 @@ class TestBruteOracles:
         )
         with pytest.raises(hrlq.BudgetExceeded):
             hrlq.brute_min_ep(inst, node_budget=5)
+
+
+class TestSpareOptimum:
+    """brute_min_ep and brute_min_er hand each other the optimum their one search scored.
+
+    Each call leaves the optimum it was not asked for on the instance, and
+    the next call on that instance object takes it when it asks for it.
+    """
+
+    # The oracle-enum benchmark family's fixed reduction instances.
+    REDUCTIONS = {
+        "triangle-k1-full": ("vc", 3, _TRIANGLE, 1, None),
+        "four-cycle-k3-full": ("clique", 4, _FOUR_CYCLE, 3, None),
+        "k4-k2-g3": ("vc", 4, _K4, 2, 3),
+        "k4-k1-g4": ("vc", 4, _K4, 1, 4),
+        "k4-k2-g4": ("vc", 4, _K4, 2, 4),
+        "k4-k3-g4": ("vc", 4, _K4, 3, 4),
+        "four-cycle-k2-full": ("vc", 4, _FOUR_CYCLE, 2, None),
+        "c5-k2-g3": ("vc", 5, _C5, 2, 3),
+    }
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The instances of the `_FeasibleSearch` objects built from here on, in order."""
+        built = []
+        search = hrlq.algorithms._FeasibleSearch
+
+        def counting(instance, node_budget):
+            built.append(instance)
+            return search(instance, node_budget)
+
+        monkeypatch.setattr(hrlq.algorithms, "_FeasibleSearch", counting)
+        return built
+
+    @staticmethod
+    def _both(inst, first_ep):
+        """(Min-EP result, Min-ER result), asked in the given order."""
+        if first_ep:
+            ep = hrlq.brute_min_ep(inst)
+            return ep, hrlq.brute_min_er(inst)
+        er = hrlq.brute_min_er(inst)
+        return hrlq.brute_min_ep(inst), er
+
+    @pytest.mark.parametrize("first_ep", [True, False], ids=["ep-then-er", "er-then-ep"])
+    def test_a_pair_builds_one_search(self, searches, first_ep):
+        inst = instance_a()
+        self._both(inst, first_ep)
+        assert searches == [inst]
+        assert "_spare" not in vars(inst)
+
+    @pytest.mark.parametrize("solve", [hrlq.brute_min_ep, hrlq.brute_min_er],
+                             ids=["ep-then-ep", "er-then-er"])
+    def test_one_oracle_twice_builds_two(self, searches, solve):
+        inst = instance_a()
+        assert solve(inst) == solve(inst)
+        assert searches == [inst, inst]
+
+    def test_an_equal_rebuilt_instance_builds_its_own(self, searches):
+        inst, rebuilt = instance_a(), instance_a()
+        assert rebuilt == inst and rebuilt is not inst
+        ep, er = hrlq.brute_min_ep(inst), hrlq.brute_min_er(rebuilt)
+        assert len(searches) == 2 and searches[1] is rebuilt
+        assert (ep, er) == hrlq.algorithms._brute_optima(IA, hrlq.algorithms.DEFAULT_NODE_BUDGET)
+
+    @pytest.mark.parametrize("first_ep", [True, False], ids=["ep-then-er", "er-then-ep"])
+    def test_random_pairs_equal_a_fresh_search(self, first_ep):
+        # Matchings, objectives, kinds and node counts: SolveResult compares them all.
+        for inst in random_feasible_instances(29, 60):
+            fresh = hrlq.algorithms._brute_optima(inst, hrlq.algorithms.DEFAULT_NODE_BUDGET)
+            assert self._both(inst, first_ep) == fresh
+
+    @pytest.mark.parametrize("name", REDUCTIONS)
+    def test_reduction_pairs_equal_a_fresh_search(self, name):
+        inst = _reduction(*self.REDUCTIONS[name])
+        fresh = hrlq.algorithms._brute_optima(inst, hrlq.algorithms.DEFAULT_NODE_BUDGET)
+        assert fresh[0].objective_kind is hrlq.ObjectiveKind.MIN_EP
+        for first_ep in (True, False):
+            assert self._both(inst, first_ep) == fresh
+
+    def test_the_budget_applies_as_if_the_search_ran(self, searches):
+        inst = _reduction(*self.REDUCTIONS["triangle-k1-full"])
+        nodes = hrlq.brute_min_ep(inst).stats.nodes
+        with pytest.raises(hrlq.BudgetExceeded) as caught:
+            hrlq.algorithms._brute_optima(inst, nodes - 1)
+        assert caught.value.node_budget == nodes - 1
+        with pytest.raises(hrlq.BudgetExceeded) as caught:
+            hrlq.brute_min_er(inst, node_budget=nodes - 1)
+        assert caught.value.node_budget == nodes - 1
+        # The spare is taken even when its budget is too small.
+        assert "_spare" not in vars(inst)
+        hrlq.brute_min_ep(inst, node_budget=nodes)
+        assert hrlq.brute_min_er(inst, node_budget=nodes).stats.nodes == nodes
+        # Two brute_min_ep searches and the fresh one; neither brute_min_er call searched.
+        assert searches == [inst, inst, inst]
+
+    @pytest.mark.parametrize("budget, message", [
+        (-1, "node_budget must be non-negative, got -1"),
+        ("5", "node_budget must be an int, got '5'"),
+        (True, "node_budget must be an int, got True"),
+        (-10**5000, "node_budget must be non-negative, got "),
+    ], ids=["-1", "'5'", "True", "-10**5000"])
+    def test_a_bad_budget_is_refused_before_the_spare(self, searches, budget, message):
+        inst = instance_a()
+        hrlq.brute_min_ep(inst)
+        with pytest.raises(ValueError, match=re.escape(message)) as caught:
+            hrlq.brute_min_er(inst, node_budget=budget)
+        assert "Exceeds the limit" not in str(caught.value)
+        # The refused call did not take the spare.
+        hrlq.brute_min_er(inst)
+        assert searches == [inst]
+
+    def test_a_call_that_searches_drops_the_spare(self, searches):
+        inst = _reduction(*self.REDUCTIONS["triangle-k1-full"])
+        hrlq.brute_min_ep(inst)
+        with pytest.raises(hrlq.BudgetExceeded):
+            hrlq.brute_min_ep(inst, node_budget=5)
+        assert "_spare" not in vars(inst)
+        infeasible = hrlq.validate_instance(["r"], ["h"], {"r": ["h"]}, {"h": ["r"]},
+                                            {"h": (2, 2)})
+        with pytest.raises(hrlq.Infeasible):
+            hrlq.brute_min_er(infeasible)
+        assert "_spare" not in vars(infeasible)
+        hrlq.brute_min_er(inst)
+        assert searches == [inst, inst, infeasible, inst]
+
+    def test_no_spare_outlives_its_instance(self):
+        inst = instance_a()
+        result = hrlq.brute_min_ep(inst)
+        refs = weakref.ref(inst), weakref.ref(vars(inst)["_spare"])
+        del inst
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert result.objective == 1
 
 
 class TestYokoiAgainstEnumeration:

@@ -198,6 +198,49 @@ class TestGraphFormat:
             hrlq.parse_graph(text)
 
 
+@limited
+class TestErrorsWithIntsTooLongToWrite:
+    """An int too long for `str` gets the error of the function it reached, never a bare
+    ValueError from writing the message."""
+
+    TRIANGLE = hrlq.SourceGraph(3, [(1, 2), (1, 3), (2, 3)], k=2)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: hrlq.min_ep_exact(IA, level_cap=-10**5000), ValueError,
+         "level_cap must be non-negative, got <int too long to write>"),
+        (lambda: hrlq.brute_min_ep(IA, node_budget=-10**5000), ValueError,
+         "node_budget must be non-negative, got <int too long to write>"),
+        (lambda: hrlq.enumerate_feasible(IA, node_budget=-10**5000), ValueError,
+         "node_budget must be non-negative, got <int too long to write>"),
+        (lambda: hrlq.VCReductionParams(-10**5000), hrlq.ReductionError,
+         "gadget_length has too many digits"),
+        (lambda: hrlq.VCReductionParams(10**5000), hrlq.ReductionError,
+         "gadget_length has too many digits"),
+        (lambda: hrlq.CliqueReductionParams(10**5000), hrlq.ReductionError,
+         "copies has too many digits"),
+        (lambda: hrlq.matching_from_cover(TestErrorsWithIntsTooLongToWrite.TRIANGLE,
+                                          hrlq.VCReductionParams(2), {1, 10**5000}),
+         hrlq.ReductionError, "cover vertex has too many digits"),
+        (lambda: hrlq.matching_from_clique(TestErrorsWithIntsTooLongToWrite.TRIANGLE,
+                                           hrlq.CliqueReductionParams(2), [1, -10**5000]),
+         hrlq.ReductionError, "clique vertex has too many digits"),
+        (lambda: hrlq.SourceGraph(3, [(1, 2, 10**5000)]), hrlq.ReductionError,
+         "edge must be a pair of vertices, got <tuple too long to write>"),
+        (lambda: hrlq.validate_instance([10**5000], [], {}, {}, {}), hrlq.InvalidInstanceError,
+         "invalid instance: residents must hold only names, got int <int too long to write>"),
+        (lambda: hrlq.make_matching(IA, [("r1", 10**5000)]), hrlq.InvalidMatchingError,
+         "pair must be two names, got <tuple too long to write>"),
+        (lambda: hrlq.analyze(IA, hrlq.Matching({10**5000: "h1"})), hrlq.InvalidMatchingError,
+         "unknown resident <int too long to write>"),
+    ], ids=["level_cap", "node_budget", "enumerate_feasible", "negative-gadget_length",
+            "gadget_length", "copies", "cover", "clique", "edge",
+            "resident-name", "pair", "matching"])
+    def test_the_functions_own_error(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message
+
+
 class TestMatchingFormat:
     def test_parse_and_serialize(self):
         m = hrlq.parse_matching("match r2 h1\nmatch r1 h2\n", IA)
