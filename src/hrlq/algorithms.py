@@ -578,6 +578,32 @@ def _paper_position(n_edges: int, guess: list[int]) -> int:
     return position
 
 
+def _candidates(instance: Instance) -> list[tuple[int, int, int]]:
+    """The pairs an optimal winner may delete, as (edge, resident, list position), in edge order.
+
+    A pair (r, h) is a candidate when h has a positive lower quota and
+    ranks some resident below r.  In a tight market (sum(low) = n) it must
+    also come before the last hospital on r's list with a positive lower
+    quota: there every feasible matching seats each resident at such a
+    hospital, so r envies none that it ranks after all of them.
+    """
+    options, acc_h, low = instance._options, instance._acc_h, instance._low
+    tight = sum(low) == len(options)
+    candidates = []
+    e = 0
+    for r, prefs in enumerate(options):
+        end = len(prefs)  # r's candidates lie before position end
+        if tight:  # end: the last position of a hospital with a positive lower quota
+            end -= 1
+            while end >= 0 and not low[prefs[end][0]]:
+                end -= 1
+        for h, rank, at in sorted((h, rank, at) for at, (h, rank) in enumerate(prefs)):
+            if at < end and low[h] and rank < len(acc_h[h]) - 1:
+                candidates.append((e, r, at))
+            e += 1
+    return candidates
+
+
 def _extend_guess(
     candidates: list[tuple[int, int, int]],
     banned: list[int],
@@ -645,8 +671,12 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     * Candidate pairs.  A winning guess at the optimal level is exactly the
       set of envy pairs of the matching it yields (a smaller set would win a
       level earlier), so it holds only pairs (r, h) where h has a positive
-      lower quota and ranks some resident below r.  Only subsets of these
-      candidates are tried.
+      lower quota and ranks some resident below r.  In a tight market, where
+      sum(low) = n, every feasible matching fills each hospital to exactly
+      its lower quota and seats every resident, so r sits at a hospital with
+      a positive lower quota, and envies h only when such a hospital comes
+      after h on r's list; pairs with none after h are dropped too.  Only
+      subsets of these candidates (`_candidates`) are tried.
     * Never-held pairs.  Guesses are extended one pair at a time, each
       prefix keeping, per resident, the mask of list positions whose
       hospitals held it in the prefix's run; a pair's bit there is the bit
@@ -683,17 +713,10 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
         raise ValueError(f"level_cap must be non-negative, got {_shown(level_cap)}")
     if not exists_feasible(instance):
         raise Infeasible("no feasible matching exists")
-    options, acc_h, low = instance._options, instance._acc_h, instance._low
+    low, n = instance._low, len(instance._options)
     n_edges = len(instance.edges)
     max_level = n_edges if level_cap is None else min(level_cap, n_edges)
-    candidates = []  # (e, r, at), read off r's options in edge order (by hospital index)
-    e = 0
-    for r, prefs in enumerate(options):
-        for h, rank, at in sorted((h, rank, at) for at, (h, rank) in enumerate(prefs)):
-            if low[h] and rank < len(acc_h[h]) - 1:
-                candidates.append((e, r, at))
-            e += 1
-    n = len(options)
+    candidates = _candidates(instance)
     banned = [0] * n  # the guess; a failed level clears every bit it set
     root = _Run(instance, low, n - sum(low))  # yokoi_envy_free's run
     won = root if root.admit(banned, n) else None

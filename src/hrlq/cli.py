@@ -246,24 +246,34 @@ def _cmd_gen(args) -> int:
     graph = formats.parse_graph(_read(args.graph))
     graph = reductions.SourceGraph(graph.n, graph.edges, args.k)
     params = g.params(args.param)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", reductions.SeparationBoundWarning)
-        instance = g.build(graph, params)
-        cert_matching = (
-            g.certify(graph, params, _parse_cert(args.cert, g.cert_prefix)) if args.cert else None
-        )
+    cert_vertices = _parse_cert(args.cert, g.cert_prefix) if args.cert else None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", reductions.SeparationBoundWarning)
+            instance = g.build(graph, params)
+            cert_matching = (None if cert_vertices is None
+                             else g.certify(graph, params, cert_vertices))
+        text = formats.serialize_instance(instance)
+        cert_text = (None if cert_matching is None
+                     else formats.serialize_matching(instance, cert_matching))
+    except MemoryError:
+        text = None  # reported once the except clause has freed what the build held
+    if text is None:
+        # The size is the caller's to choose; one too large for this process is
+        # refused like any other input it cannot take, before anything is written.
+        print(f"error: out of memory building {args.kind} for a graph of {graph.n} vertices "
+              f"and {graph.m} edges with {g.option} {params.resolve(graph.n)}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
-    text = formats.serialize_instance(instance)
     if args.out:
         _write(args.out, text)
     else:
         print(text, end="")
-    if cert_matching is not None:
+    if cert_text is not None:
         # Next to --out, with its extension replaced or, where it has none, added.
-        _write(os.path.splitext(args.out)[0] + ".match",
-               formats.serialize_matching(instance, cert_matching))
+        _write(os.path.splitext(args.out)[0] + ".match", cert_text)
     return EXIT_OK
 
 

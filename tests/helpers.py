@@ -81,6 +81,22 @@ def random_feasible_instances(seed: int, count: int, **kwargs) -> list[hrlq.Inst
     return out
 
 
+def random_tight_instance(rng: random.Random, **kwargs) -> hrlq.Instance:
+    """A `random_instance` market made tight: each lower quota equals its upper
+    quota, and together they add up to the number of residents.
+
+    Each resident's slot goes to a random hospital, so some hospitals may get
+    quota [0, 0].  Every feasible matching of such a market seats every
+    resident at a hospital with a positive lower quota.
+    """
+    inst = random_instance(rng, **kwargs)
+    slots = dict.fromkeys(inst.hospitals, 0)
+    for _ in inst.residents:
+        slots[rng.choice(inst.hospitals)] += 1
+    return hrlq.validate_instance(inst.residents, inst.hospitals, inst.resident_prefs,
+                                  inst.hospital_prefs, {h: (s, s) for h, s in slots.items()})
+
+
 def wide_list_instance(rng: random.Random) -> hrlq.Instance:
     """A random instance where h1 lists every one of 70-100 residents, all caps above 1.
 

@@ -108,6 +108,50 @@ def test_clique_no_bound():
         assert min(counts) >= (4 - math.comb(3, 2) + 1) * 5  # = 10
 
 
+K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+C5 = [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)]
+
+
+def _vc_optimum(n, edges, k):
+    """brute Min-EP of the full-strength vertex-cover reduction (gadget n^2 + 1)."""
+    instance = hrlq.vc_to_min_ep(hrlq.SourceGraph(n, edges, k), hrlq.VCReductionParams())
+    return hrlq.brute_min_ep(instance).objective
+
+
+def _clique_optimum(n, edges, k):
+    """brute Min-ER of the full-strength clique reduction (n + 1 copies per edge)."""
+    instance = hrlq.clique_to_min_er(hrlq.SourceGraph(n, edges, k), hrlq.CliqueReductionParams())
+    return hrlq.brute_min_er(instance).objective
+
+
+# K4's smallest vertex cover has 3 vertices, C5's too: k=3 is the yes side,
+# under n^2 + m, and k=2 the no side, above it.
+def test_vertex_cover_separation_on_k4():
+    with _Timer("vc-k4-separation", 10.0):
+        assert _vc_optimum(4, K4, 3) == 6 <= 4 * 4 + 6
+        assert _vc_optimum(4, K4, 2) == 23 >= 4 * 4 + 6 + 1
+
+
+def test_vertex_cover_separation_on_c5():
+    with _Timer("vc-c5-separation", 10.0):
+        assert _vc_optimum(5, C5, 3) == 6 <= 5 * 5 + 5
+        assert _vc_optimum(5, C5, 2) == 32 >= 5 * 5 + 5 + 1
+
+
+# With t = n + 1 copies, the yes bound is (m - C(K,2))*t + n and the no
+# bound (m - C(K,2) + 1)*t.
+def test_clique_yes_bound_on_k4():
+    with _Timer("clique-k4-yes", 10.0):
+        assert _clique_optimum(4, K4, 4) == 0 <= (6 - math.comb(4, 2)) * 5 + 4
+
+
+def test_clique_separation_on_c5():
+    # C5's largest clique is an edge: K=2 is the yes side, K=3 the no side.
+    with _Timer("clique-c5-separation", 10.0):
+        assert _clique_optimum(5, C5, 2) == 24 <= (5 - math.comb(2, 2)) * 6 + 5
+        assert _clique_optimum(5, C5, 3) == 18 >= (5 - math.comb(3, 2) + 1) * 6
+
+
 def test_exact_solver_matches_bruteforce_oracle():
     with _Timer("exact-vs-oracle", 60.0):
         for instance in random_feasible_instances(

@@ -28,6 +28,7 @@ from helpers import (
     product_space_choices,
     random_feasible_instances,
     random_instance,
+    random_tight_instance,
     textbook_da,
     wide_list_instance,
 )
@@ -788,6 +789,59 @@ class TestMinEpExact:
                 assert banned == [0] * n
                 calls += 1
         assert calls > 0
+
+
+def _envy_pairs_at_the_lower_quotas(inst):
+    """The envy pairs of the feasible matchings that fill each hospital to exactly its
+    lower quota, the only ones Yokoi's test returns; in a tight market, of all of them."""
+    pairs = set()
+    for m in hrlq.enumerate_feasible(inst):
+        occupancy = dict.fromkeys(inst.hospitals, 0)
+        for h in m.assignment.values():
+            occupancy[h] += 1
+        if all(occupancy[h] == low for h, (low, _) in inst.quotas.items()):
+            pairs.update(hrlq.envy_pairs(inst, m))
+    return pairs
+
+
+def _candidate_pairs(inst):
+    """`_candidates` as named pairs, after checking each entry's edge, resident and position."""
+    candidates = hrlq.algorithms._candidates(inst)
+    assert [e for e, _, _ in candidates] == sorted({e for e, _, _ in candidates})
+    pairs = set()
+    for e, r, at in candidates:
+        resident = inst.residents[r]
+        assert inst.edges[e] == (resident, inst.resident_prefs[resident][at])
+        pairs.add(inst.edges[e])
+    return pairs
+
+
+class TestCandidates:
+    """`min_ep_exact` guesses only candidates, and a winner is the envy pairs of a
+    matching that fills every lower quota exactly, so each such pair must be one.
+    In a tight market no other pair is left."""
+
+    def test_every_envy_pair_at_the_lower_quotas_is_a_candidate(self):
+        rng = random.Random(25)
+        tight = []
+        while len(tight) < 200:
+            inst = random_tight_instance(rng)
+            if hrlq.exists_feasible(inst):
+                tight.append(inst)
+        for inst in random_feasible_instances(17, 150) + tight:
+            assert _envy_pairs_at_the_lower_quotas(inst) <= _candidate_pairs(inst)
+
+    # Tight markets: every hospital has quota [1, 1], one per resident.
+    @pytest.mark.parametrize("source, count", [
+        (("vc", 3, [(1, 2), (2, 3)], 1, 2), 16),
+        (("vc", 3, _TRIANGLE, 2, 2), 22),
+        (("vc", 4, _FOUR_CYCLE, 2, 2), 33),
+    ])
+    def test_tight_reductions_keep_exactly_the_envy_pairs(self, source, count):
+        inst = _reduction(*source)
+        assert sum(inst._low) == len(inst.residents)
+        assert _candidate_pairs(inst) == _envy_pairs_at_the_lower_quotas(inst)
+        assert len(hrlq.algorithms._candidates(inst)) == count
 
 
 class TestBruteOracles:

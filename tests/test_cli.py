@@ -328,6 +328,39 @@ class TestGen:
         assert (code, out) == (2, "")
         assert err == "error: line 1: graph needs at least one vertex, got n=0\n"
 
+    def test_certificate_is_read_before_the_instance_is_built(self, capsys, tmp_path,
+                                                              monkeypatch):
+        # A malformed certificate is refused at once, whatever the build would cost.
+        def build(graph, params):
+            raise AssertionError("built before the certificate was read")
+
+        monkeypatch.setattr(cli._GENERATORS["vc2ep"], "build", build)
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        code, out, err = run(capsys, "gen", "vc2ep", "--graph", graph_path, "--k", "2",
+                             "--gadget-l", "100000000", "--out", tmp_path / "t.hrlq",
+                             "--cert", "cover:vx")
+        assert (code, out, err) == (2, "", "error: bad certificate vertex 'vx'\n")
+
+    def test_instance_too_large_for_memory_is_input_error(self, tmp_path):
+        # 4*m*L = 1.2e9 gadget vertices do not fit in 400 MB of address space.
+        resource = pytest.importorskip("resource")
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        limit = 400 * 2**20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "hrlq", "gen", "vc2ep", "--graph", str(graph_path),
+             "--k", "2", "--gadget-l", "100000000"],
+            env=FRESH_ENV, preexec_fn=cap_address_space, capture_output=True, text=True,
+            timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: out of memory building vc2ep for a graph of 3 vertices "
+                               "and 3 edges with --gadget-l 100000000\n")
+
     @pytest.mark.parametrize("spec, message", [
         ("cover:v\u00b2", "bad certificate vertex"),
         ("cover:\u2462", "bad certificate vertex"),

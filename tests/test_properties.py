@@ -15,13 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrlq
-from helpers import check_leaf_state, check_resumed_runs, paper_min_ep, random_instance
+from helpers import (check_leaf_state, check_resumed_runs, paper_min_ep, random_instance,
+                     random_tight_instance)
 
 FIXED = settings(derandomize=True, database=None, max_examples=50, deadline=None)
 
 # Instances of the seeded random family (mostly binding lower quotas), one
 # per drawn seed.
 INSTANCES = st.integers(0, 2**32 - 1).map(lambda seed: random_instance(Random(seed), min_residents=0))
+
+# Tight markets, which INSTANCES seldom draws: each lower quota equals its
+# upper quota, and together they add up to the number of residents.
+TIGHT = st.integers(0, 2**32 - 1).map(lambda seed: random_tight_instance(Random(seed)))
 
 # Any name the file grammar accepts: no whitespace, ':' or '#'.  The regex is an
 # independent statement of the rule `Instance` checks with str.split().
@@ -114,6 +119,17 @@ def test_min_ep_exact_equals_the_paper_order_reference(instance):
     if not hrlq.exists_feasible(instance):
         return
     assert _outcome(hrlq.min_ep_exact, instance) == _outcome(paper_min_ep, instance)
+
+
+# In a tight market min_ep_exact also drops the pairs that no hospital with a
+# positive lower quota follows on their resident's list.
+@settings(FIXED, max_examples=200)
+@given(TIGHT)
+def test_min_ep_exact_on_tight_markets_equals_the_reference_and_the_oracle(instance):
+    if not hrlq.exists_feasible(instance):
+        return
+    assert _outcome(hrlq.min_ep_exact, instance) == _outcome(paper_min_ep, instance)
+    assert hrlq.min_ep_exact(instance).objective == hrlq.brute_min_ep(instance).objective
 
 
 # The bans come from a drawn seed: st.randoms() draws data for every call,
