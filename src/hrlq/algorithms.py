@@ -14,8 +14,7 @@ from enum import Enum
 from math import comb
 from operator import itemgetter
 
-from .core import (Instance, Matching, Pair, _envy, _envy_scan, _matching, _plain_int, _Record,
-                   _shown)
+from .core import Instance, Matching, Pair, _envy_scan, _matching, _plain_int, _Record, _shown
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -661,7 +660,12 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     lexicographic order by edge index, and runs the envy-free decision
     procedure on the trimmed instance.  The first success is reported; its
     guess set is therefore the lexicographically smallest winner at the
-    optimal level.  Levels start at 0, so the reported objective is tight.
+    optimal level.  The objective is that level, not a recount: the winning
+    matching M is envy-free once the guess is deleted, so the guess holds
+    every envy pair of M; those pairs are candidates (below), so deleting
+    exactly them wins at level |E(M)|; and no lower level won, so |E(M)|
+    is the level.
+
     A guess is only its bans: per-resident masks of list positions, which
     deferred acceptance skips; no trimmed instance is built, and the winner
     is read off the masks in edge order.  Two rules settle most guesses
@@ -730,10 +734,9 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
         # once the guess covers an optimal matching's envy-pairs.
         raise LevelCapExceeded(max_level, sum(comb(n_edges, j) for j in range(max_level + 1)))
     guess = [e for e, r, at in candidates if banned[r] >> at & 1]
-    choice = won.choice()
     return SolveResult(
-        matching=_matching(instance, choice),
-        objective=len(_envy(instance, choice)),
+        matching=_matching(instance, won.choice()),
+        objective=level,
         objective_kind=ObjectiveKind.MIN_EP,
         stats=SolveStats(
             guesses_examined=_paper_position(n_edges, guess),

@@ -10,7 +10,6 @@ identically ordered results.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping
 
@@ -48,15 +47,8 @@ def _plain_int(value: int, what: str, error: type[Exception]) -> int:
     return value
 
 
-# Python (3.11, and 3.10 from 3.10.7) refuses to write an int of more digits
-# than its limit, and the limit is never below this threshold; older ones have none.
-_ALWAYS_WRITTEN = 10 ** getattr(sys.int_info, "str_digits_check_threshold", 640)
-
-
 def _unwritable(value: int) -> bool:
-    """Whether `str(value)` fails: only an int of more digits than the threshold needs a trial."""
-    if -_ALWAYS_WRITTEN < value < _ALWAYS_WRITTEN:
-        return False
+    """Whether `str(value)` fails, as it does past the interpreter's int-to-str digit limit."""
     try:
         str(value)
     except ValueError:

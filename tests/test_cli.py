@@ -343,11 +343,11 @@ class TestGen:
         assert (code, out, err) == (2, "", "error: bad certificate vertex 'vx'\n")
 
     def test_instance_too_large_for_memory_is_input_error(self, tmp_path):
-        # 4*m*L = 1.2e9 gadget vertices do not fit in 400 MB of address space.
+        # 4*m*L = 1.2e9 gadget vertices do not fit in 128 MB of address space.
         resource = pytest.importorskip("resource")
         graph_path = tmp_path / "triangle.g"
         graph_path.write_text(TRIANGLE_G)
-        limit = 400 * 2**20
+        limit = 128 * 2**20
 
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

@@ -101,7 +101,7 @@ class TestInstanceFormat:
     @pytest.mark.parametrize("up", [10**639, 10**640, 10**4299],
                              ids=["640-digits", "641-digits", "4300-digits"])
     def test_quota_of_many_digits_round_trips(self, up):
-        # Below 10**640 no trial is needed; 4300 digits are the default limit itself.
+        # 640 digits is the lowest limit Python allows; 4300 digits are the default limit itself.
         inst = hrlq.validate_instance(["r"], ["h"], {"r": ["h"]}, {"h": ["r"]}, {"h": (0, up)})
         assert repr(inst).endswith(f"quotas={{'h': (0, {up})}})")
         assert hrlq.parse_instance(hrlq.serialize_instance(inst)) == inst
@@ -239,6 +239,49 @@ class TestErrorsWithIntsTooLongToWrite:
         with pytest.raises(error) as caught:
             call()
         assert str(caught.value) == message
+
+
+@limited
+def test_lowest_int_to_str_limit_writes_640_digits_and_refuses_641():
+    # 640 digits is the lowest limit Python lets a program set, so an int below
+    # 10**640 is always written, whatever the limit.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        fits, too_long = 10**639, 10**640
+        lists = (["r"], ["h"], {"r": ["h"]}, {"h": ["r"]})
+        inst = hrlq.validate_instance(*lists, {"h": (0, fits)})
+        assert hrlq.parse_instance(hrlq.serialize_instance(inst)) == inst
+        assert hrlq.SourceGraph(fits, [(1, fits)]).n == fits
+        assert hrlq.VCReductionParams(fits).gadget_length == fits
+        assert hrlq.CliqueReductionParams(fits).copies == fits
+        # A negative of 640 digits is written too: each record refuses it for its range.
+        with pytest.raises(hrlq.InvalidInstanceError) as caught:
+            hrlq.validate_instance(*lists, {"h": (-fits, 0)})
+        assert caught.value.violations == ("negative lower quota at h",)
+        for call, message in [
+            (lambda: hrlq.SourceGraph(-fits, []), f"graph needs at least one vertex, got n={-fits}"),
+            (lambda: hrlq.VCReductionParams(-fits), f"gadget_length must be >= 2, got {-fits}"),
+            (lambda: hrlq.CliqueReductionParams(-fits), f"copies must be >= 1, got {-fits}"),
+        ]:
+            with pytest.raises(hrlq.ReductionError, match=f"^{message}$"):
+                call()
+
+        for value in (too_long, -too_long):
+            with pytest.raises(hrlq.InvalidInstanceError) as caught:
+                hrlq.validate_instance(*lists, {"h": (min(value, 0), max(value, 0))})
+            assert caught.value.violations == ("quota of h has too many digits",)
+            for call, message in [
+                (lambda: hrlq.SourceGraph(value, []), "vertex count n has too many digits"),
+                (lambda: hrlq.VCReductionParams(value), "gadget_length has too many digits"),
+                (lambda: hrlq.CliqueReductionParams(value), "copies has too many digits"),
+            ]:
+                with pytest.raises(hrlq.ReductionError, match=f"^{message}$"):
+                    call()
+        with pytest.raises(hrlq.ParseError, match="^line 2: quota of h has too many digits$"):
+            hrlq.parse_instance(f"resident r:\nhospital h [0,1{'0' * 640}]:\n")
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestMatchingFormat:
