@@ -301,11 +301,11 @@ def _augment(acc_h: tuple, hospital: int, start: int, cover: list[int]) -> bool:
     return False
 
 
-def _node_budget(node_budget: int) -> int:
-    """`node_budget` if it is a plain int >= 0; anything else raises ValueError."""
-    if _plain_int(node_budget, "node_budget", ValueError) < 0:
-        raise ValueError(f"node_budget must be non-negative, got {_shown(node_budget)}")
-    return node_budget
+def _limit(value: int, what: str) -> int:
+    """`value` if it is a plain int >= 0; anything else raises ValueError naming `what`."""
+    if _plain_int(value, what, ValueError) < 0:
+        raise ValueError(f"{what} must be non-negative, got {_shown(value)}")
+    return value
 
 
 def _initial_cover(instance: Instance) -> list[int] | None:
@@ -360,7 +360,7 @@ class _FeasibleSearch:
     """
 
     def __init__(self, instance: Instance, node_budget: int):
-        self.node_budget = _node_budget(node_budget)
+        self.node_budget = _limit(node_budget, "node_budget")
         self.nodes = 0
         self.instance = instance
         self.cut = [-1] * len(instance._acc_h)
@@ -532,7 +532,7 @@ def _brute(instance: Instance, node_budget: int, kind: ObjectiveKind) -> SolveRe
     spare.  So consecutive calls for the two objectives on one instance
     object cost one enumeration, and asking one objective twice costs two.
     """
-    _node_budget(node_budget)
+    _limit(node_budget, "node_budget")
     spare = instance.__dict__.pop("_spare", None)
     if spare is not None and spare.objective_kind is kind:
         if spare.stats.nodes > node_budget:
@@ -713,8 +713,8 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     LevelCapExceeded when level_cap is given and exhausted, and ValueError
     when level_cap is neither None nor an int >= 0.
     """
-    if level_cap is not None and _plain_int(level_cap, "level_cap", ValueError) < 0:
-        raise ValueError(f"level_cap must be non-negative, got {_shown(level_cap)}")
+    if level_cap is not None:
+        _limit(level_cap, "level_cap")
     if not exists_feasible(instance):
         raise Infeasible("no feasible matching exists")
     low, n = instance._low, len(instance._options)
@@ -725,7 +725,7 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     root = _Run(instance, low, n - sum(low))  # yokoi_envy_free's run
     won = root if root.admit(banned, n) else None
     level = 0
-    while won is None and level < min(max_level, len(candidates)):
+    while won is None and level < max_level:
         level += 1
         cursor = _Run(instance, low, root.limit)
         won = _extend_guess(candidates, banned, root.taken, cursor, 0, level)

@@ -13,7 +13,7 @@ Exit codes: 0 solution produced / verification done, 1 no solution
 (no envy-free matching, infeasible), 2 input error, 3 budget or level cap
 exceeded.  Results go to stdout, diagnostics to stderr.  Output is
 byte-deterministic for fixed inputs and flags; --json switches the report to
-a single machine-readable document.
+a single machine-readable document, exit 1's outcome included.
 """
 
 from __future__ import annotations
@@ -80,6 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="report envy/feasibility of a matching")
     gen = sub.add_parser("gen", help="generate a hardness-reduction instance")
     oracle = sub.add_parser("oracle", help="brute-force both objectives")
+    solve.set_defaults(run=_cmd_solve)
+    verify.set_defaults(run=_cmd_verify)
+    gen.set_defaults(run=_cmd_gen)
+    oracle.set_defaults(run=_cmd_oracle)
 
     solve.add_argument("--alg", required=True, choices=["da", "yokoi", *_SOLVERS])
     for p in (solve, verify, oracle):
@@ -134,6 +138,15 @@ def _report(args, doc: dict, lines: list[str]) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True) if args.json else "\n".join(lines))
 
 
+def _no_solution(args, outcome: str, line: str) -> int:
+    """Report an outcome with no solution, as its `outcome` under --json, otherwise `line`."""
+    doc = {"command": args.command, "outcome": outcome}
+    if args.command == "solve":
+        doc["algorithm"] = args.alg
+    _report(args, doc, [line])
+    return EXIT_NO_SOLUTION
+
+
 def _aligned(rows: list[tuple[str, object]]) -> list[str]:
     width = max(len(k) for k, _ in rows)
     return [f"{k.ljust(width)}  {v}" for k, v in rows]
@@ -157,9 +170,7 @@ def _cmd_solve(args) -> int:
     elif args.alg == "yokoi":
         matching = algorithms.yokoi_envy_free(instance)
         if matching is None:
-            _report(args, {"command": "solve", "algorithm": "yokoi",
-                           "outcome": "no-envy-free-matching"}, ["no envy-free matching"])
-            return EXIT_NO_SOLUTION
+            return _no_solution(args, "no-envy-free-matching", "no envy-free matching")
         result = algorithms.SolveResult(matching, 0, algorithms.ObjectiveKind.ENVY_FREE,
                                         algorithms.SolveStats())
     else:
@@ -295,14 +306,8 @@ def _cmd_oracle(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler = {
-        "solve": _cmd_solve,
-        "verify": _cmd_verify,
-        "gen": _cmd_gen,
-        "oracle": _cmd_oracle,
-    }[args.command]
     try:
-        return handler(args)
+        return args.run(args)
     except (
         formats.ParseError,
         core.InvalidInstanceError,
@@ -314,8 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except algorithms.Infeasible as exc:
-        print(f"infeasible: {exc}")
-        return EXIT_NO_SOLUTION
+        return _no_solution(args, "infeasible", f"infeasible: {exc}")
     except (algorithms.BudgetExceeded, algorithms.LevelCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED

@@ -48,8 +48,9 @@ def _content_lines(text: str):
 
 def parse_instance(text: str) -> Instance:
     """Parse an .hrlq document into a validated Instance."""
-    resident_prefs: dict[str, tuple[str, ...]] = {}
-    hospital_prefs: dict[str, tuple[str, ...]] = {}
+    residents: dict[str, tuple[str, ...]] = {}
+    hospitals: dict[str, tuple[str, ...]] = {}
+    lists = {"resident": residents, "hospital": hospitals}
     quotas: dict[str, tuple[int, int]] = {}
     decl_line: dict[str, int] = {}
 
@@ -62,48 +63,37 @@ def parse_instance(text: str) -> Instance:
         if len(set(prefs)) != len(prefs):
             dup = next(p for i, p in enumerate(prefs) if p in prefs[:i])
             raise ParseError(f"duplicate preference entry {dup}", lineno)
-        if len(fields) == 2 and fields[0] == "resident":
-            name = fields[1]
-            if name in decl_line:
-                raise ParseError(f"{name} already declared on line {decl_line[name]}", lineno)
-            decl_line[name] = lineno
-            resident_prefs[name] = prefs
-        elif len(fields) == 3 and fields[0] == "hospital":
-            name = fields[1]
+        if len(fields) == 3 and fields[0] == "hospital":
             match = _QUOTA_RE.match(fields[2])
             if not match:
                 raise ParseError(f"malformed quota token {fields[2]} (expected [l,u])", lineno)
             try:
                 low, up = int(match.group(1)), int(match.group(2))
             except ValueError:  # more digits than int() converts
-                raise ParseError(f"quota of {name} has too many digits", lineno) from None
+                raise ParseError(f"quota of {fields[1]} has too many digits", lineno) from None
             if low > up:
-                raise ParseError(f"quota inversion at {name}: lower {low} exceeds upper {up}", lineno)
-            if name in decl_line:
-                raise ParseError(f"{name} already declared on line {decl_line[name]}", lineno)
-            decl_line[name] = lineno
-            hospital_prefs[name] = prefs
-            quotas[name] = (low, up)
-        else:
+                raise ParseError(f"quota inversion at {fields[1]}: lower {low} exceeds upper {up}",
+                                 lineno)
+            quotas[fields[1]] = (low, up)  # a repeated name raises below
+        elif len(fields) != 2 or fields[0] != "resident":
             raise ParseError(f"unrecognized declaration: {line!r}", lineno)
+        kind, name = fields[0], fields[1]
+        if name in decl_line:
+            raise ParseError(f"{name} already declared on line {decl_line[name]}", lineno)
+        decl_line[name] = lineno
+        lists[kind][name] = prefs
 
     # A name is declared once, so the keys of the lists are the declarations, in order.
-    for name, prefs in resident_prefs.items():
-        for h in prefs:
-            if h not in quotas:
-                raise ParseError(
-                    f"preference list of resident {name} names undeclared hospital {h}",
-                    decl_line[name],
-                )
-    for name, prefs in hospital_prefs.items():
-        for r in prefs:
-            if r not in resident_prefs:
-                raise ParseError(
-                    f"preference list of hospital {name} names undeclared resident {r}",
-                    decl_line[name],
-                )
-    return validate_instance(resident_prefs.keys(), hospital_prefs.keys(),
-                             resident_prefs, hospital_prefs, quotas)
+    for kind, other in (("resident", "hospital"), ("hospital", "resident")):
+        declared = lists[other]
+        for name, prefs in lists[kind].items():
+            for listed in prefs:
+                if listed not in declared:
+                    raise ParseError(
+                        f"preference list of {kind} {name} names undeclared {other} {listed}",
+                        decl_line[name],
+                    )
+    return validate_instance(residents.keys(), hospitals.keys(), residents, hospitals, quotas)
 
 
 def serialize_instance(instance: Instance) -> str:

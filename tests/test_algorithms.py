@@ -596,8 +596,9 @@ class TestLongChains:
 
     @pytest.mark.parametrize("links", [1200, 3000])
     def test_min_ep_exact(self, links):
-        # With the last hospital open the optimum is links - 1, far beyond
-        # the guess levels reachable, so the search is capped after level 0.
+        # With the last hospital open the optimum is links - 1.  The guess
+        # search recurses once per level and takes seconds already at 160
+        # links, so at these sizes it is capped after level 0.
         with pytest.raises(hrlq.LevelCapExceeded):
             hrlq.min_ep_exact(chain_instance(links), level_cap=0)
         inst = chain_instance(links, open_end=0)

@@ -87,6 +87,14 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--alg", "min-ep", "--in", path)
         assert code == 1
         assert "infeasible" in out
+        # Under --json the outcome is one document too, and stderr stays empty.
+        for alg in ("min-ep", "brute-ep", "brute-er"):
+            code, out, err = run(capsys, "solve", "--alg", alg, "--json", "--in", path)
+            assert (code, err) == (1, "")
+            assert json.loads(out) == {"command": "solve", "algorithm": alg, "outcome": "infeasible"}
+        code, out, err = run(capsys, "oracle", "--json", "--in", path)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"command": "oracle", "outcome": "infeasible"}
 
     def test_level_cap_exceeded(self, capsys, ia_file):
         code, _, err = run(capsys, "solve", "--alg", "min-ep", "--in", ia_file,

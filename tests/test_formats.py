@@ -74,6 +74,12 @@ class TestInstanceFormat:
         ("doctor d: h\n", "line 1: unrecognized declaration"),
         ("resident r [0,1]: h\n", "line 1: unrecognized declaration"),
         ("resident r:\nhospital h [0,1]: ghost\n", "line 2: .* hospital h names undeclared resident ghost"),
+        # Residents and hospitals share one namespace; a line's quota is read before its name.
+        ("resident r:\nhospital r [0,1]:\n", "line 2: r already declared on line 1"),
+        ("hospital h [0,1]:\nhospital h [2,1]:\n", "line 2: quota inversion at h: lower 2 exceeds upper 1"),
+        # Residents' lists are checked before hospitals', wherever they stand in the file.
+        ("hospital h [0,1]: ghost\nresident r: spook\n",
+         "line 2: preference list of resident r names undeclared hospital spook"),
         # Quotas are ASCII digits: no other script, and no more digits than int() reads.
         ("hospital h [\u0661,\u0662]:\n", r"line 1: malformed quota token \[\u0661,\u0662\]"),
         pytest.param(f"resident r:\nhospital h [0,{'9' * 5000}]:\n", "line 2: quota of h has too many digits",
