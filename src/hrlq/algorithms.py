@@ -9,6 +9,7 @@ the independent cross-check for the exact route.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from enum import Enum
 from math import comb
@@ -577,47 +578,95 @@ def _paper_position(n_edges: int, guess: list[int]) -> int:
     return position
 
 
-def _candidates(instance: Instance) -> list[tuple[int, int, int]]:
-    """The pairs an optimal winner may delete, as (edge, resident, list position), in edge order.
+def _candidates(instance: Instance) -> list[tuple[int, int, int, tuple, int]]:
+    """The pairs an optimal winner may delete, in edge order, each with the pairs it forces.
 
-    A pair (r, h) is a candidate when h has a positive lower quota and
-    ranks some resident below r.  In a tight market (sum(low) = n) it must
-    also come before the last hospital on r's list with a positive lower
-    quota: there every feasible matching seats each resident at such a
-    hospital, so r envies none that it ranks after all of them.
+    An entry is (resident, hospital, position of the pair in the resident's
+    list, earlier, later), sorted by resident and hospital index, which is
+    edge order.  A pair (r, h) is a candidate when h has a positive lower
+    quota and ranks some resident below r.  In a tight market
+    (sum(low) = n) every feasible matching fills each hospital to exactly
+    its lower quota and seats every resident at a hospital with a positive
+    one, so two more rules apply (see `min_ep_exact`):
+
+    * r envies no hospital it ranks after all of those, so (r, h) must come
+      before the last of them on r's list;
+    * when low[h] == 1, the pairs (r', h) where h ranks r' above r and h is
+      the first of those on the list of r' are forced by (r, h).  They are
+      candidates; those of earlier residents are in `earlier` as (resident,
+      ban bit), those of later ones in `later` as a mask of candidate
+      indices.  When such an r' has no other hospital with a positive lower
+      quota, it sits at h in every feasible matching, so r envies h in
+      none, and (r, h) is dropped.
     """
     options, acc_h, low = instance._options, instance._acc_h, instance._low
-    tight = sum(low) == len(options)
-    candidates = []
-    e = 0
-    for r, prefs in enumerate(options):
-        end = len(prefs)  # r's candidates lie before position end
-        if tight:  # end: the last position of a hospital with a positive lower quota
-            end -= 1
+    # (r, h) is a candidate when r's rank at h is below bound[h] and its
+    # position on r's list below ends[r].
+    bound = [len(listed) - 1 if q else 0 for listed, q in zip(acc_h, low)]
+    ends = list(map(len, options))
+    firsts = {}  # h -> (rank, resident, position) of each resident whose first such hospital is h
+    if sum(low) == len(options):
+        for r, prefs in enumerate(options):
+            # the first and the last positions of hospitals with a positive lower quota
+            end = len(prefs) - 1
             while end >= 0 and not low[prefs[end][0]]:
                 end -= 1
-        for h, rank, at in sorted((h, rank, at) for at, (h, rank) in enumerate(prefs)):
-            if at < end and low[h] and rank < len(acc_h[h]) - 1:
-                candidates.append((e, r, at))
-            e += 1
+            ends[r] = end
+            first = 0
+            while first < end and not low[prefs[first][0]]:
+                first += 1
+            if end >= 0:
+                h, rank = prefs[first]
+                if low[h] == 1:
+                    if first == end:  # r sits at h in every feasible matching
+                        bound[h] = min(bound[h], rank)
+                    else:
+                        firsts.setdefault(h, []).append((rank, r, first))
+    candidates = [(r, h, at, (), 0) for r, prefs in enumerate(options)
+                  for at, (h, rank) in enumerate(prefs) if at < ends[r] and rank < bound[h]]
+    candidates.sort()
+    # One walk down each such h's list, from just below its best forcing resident.
+    for h, forcing in firsts.items():
+        forcing.sort()
+        listed = acc_h[h]
+        for rank in range(forcing[0][0] + 1, bound[h]):
+            r = listed[rank]
+            i = bisect_left(candidates, (r, h))
+            if i == len(candidates) or candidates[i][:2] != (r, h):
+                continue
+            earlier, later = [], 0
+            for above, q, at in forcing:
+                if above >= rank:
+                    break
+                if q < r:
+                    earlier.append((q, 1 << at))
+                else:
+                    later |= 1 << bisect_left(candidates, (q, h))
+            candidates[i] = (r, h, candidates[i][2], tuple(earlier), later)
     return candidates
 
 
 def _extend_guess(
-    candidates: list[tuple[int, int, int]],
+    candidates: list[tuple[int, int, int, tuple, int]],
     banned: list[int],
     taken: list[int],
     cursor: _Run,
     start: int,
     need: int,
+    owed: int,
 ) -> _Run | None:
     """Add to the guess the first `need` candidates from `start` on that pass Yokoi's test.
 
     The guess is `banned`: per-resident masks of list positions, a bit for
-    each deleted pair.  Candidates are (edge, resident, position of the
-    pair in the resident's list), in edge order, so their residents never
-    decrease, and sets of them are tried in lexicographic order.  `taken`
-    is the masks of the guess's run, which failed, finished or stopped.
+    each deleted pair.  Candidates are `_candidates`' entries, in edge
+    order, so their residents never decrease, and sets of them are tried in
+    lexicographic order.  `owed` is the mask of the candidate indices that
+    the guess's pairs force and it does not hold yet, all from `start` on.
+    A candidate is skipped when an earlier pair it forces is not in the
+    guess, or when it would leave more owed than the `need` - 1 pairs still
+    to come, and the loop ends at the first owed index, for a guess that
+    passes it can never hold it.  `taken` is the masks of the guess's run,
+    which failed, finished or stopped.
     `cursor` belongs to this call: the same run, built at the lower quotas
     with `min_ep_exact`'s stop, admitted up to some resident no later than
     `candidates[start]`'s.  Before each candidate of resident r that is not
@@ -630,12 +679,22 @@ def _extend_guess(
     `banned` left holding the winner, or None with `banned` as it was.
     """
     n = len(taken)
-    for i in range(start, len(candidates) - need + 1):
-        _, r, at = candidates[i]
+    stop = len(candidates) - need + 1
+    if owed:
+        stop = min(stop, (owed & -owed).bit_length())
+    for i in range(start, stop):
+        r, _, at, earlier, later = candidates[i]
         bit = 1 << at
         held = taken[r] & bit
         if not held and need == 1:
             continue  # the never-held rule: the prefix's run, a failure already seen
+        if earlier and not all(banned[q] & b for q, b in earlier):
+            continue  # a forced pair before i is not in the guess
+        owes = owed | later
+        if owes:
+            owes &= ~(1 << i)
+            if owes.bit_count() >= need:
+                continue  # more forced pairs than the guess has room for
         if cursor.entered < r and not cursor.admit(banned, r):
             return None
         banned[r] |= bit
@@ -646,7 +705,7 @@ def _extend_guess(
                 return child
         if need > 1:
             found = _extend_guess(candidates, banned, child.taken if held else taken,
-                                  cursor.copy(), i + 1, need - 1)
+                                  cursor.copy(), i + 1, need - 1, owes)
             if found is not None:
                 return found
         banned[r] &= ~bit
@@ -668,9 +727,9 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
 
     A guess is only its bans: per-resident masks of list positions, which
     deferred acceptance skips; no trimmed instance is built, and the winner
-    is read off the masks in edge order.  Two rules settle most guesses
-    without running deferred acceptance, and neither changes the order or
-    the result:
+    is read off the masks in edge order.  Three rules settle most guesses
+    without running deferred acceptance, and none changes the order of the
+    guesses left or the result:
 
     * Candidate pairs.  A winning guess at the optimal level is exactly the
       set of envy pairs of the matching it yields (a smaller set would win a
@@ -681,6 +740,17 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
       a positive lower quota, and envies h only when such a hospital comes
       after h on r's list; pairs with none after h are dropped too.  Only
       subsets of these candidates (`_candidates`) are tried.
+    * Forced pairs.  In a tight market, take a candidate (r, h) with
+      low[h] == 1, and a resident r' that h ranks above r and whose first
+      hospital with a positive lower quota is h.  If r envies h in a
+      feasible matching, h holds one resident, worse than r, so r' is not
+      at h; r' sits at a hospital with a positive lower quota, so after h
+      on its list; so r' envies h too.  Every envy set that holds (r, h)
+      therefore holds (r', h), and a guess that holds (r, h) without it is
+      no winner: it is skipped, with every guess that extends it, and so is
+      one whose pairs force more than it has room for.  When r' has no
+      other hospital with a positive lower quota, r' sits at h in every
+      feasible matching, r envies h in none, and (r, h) is no candidate.
     * Never-held pairs.  Guesses are extended one pair at a time, each
       prefix keeping, per resident, the mask of list positions whose
       hospitals held it in the prefix's run; a pair's bit there is the bit
@@ -728,19 +798,21 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     while won is None and level < max_level:
         level += 1
         cursor = _Run(instance, low, root.limit)
-        won = _extend_guess(candidates, banned, root.taken, cursor, 0, level)
+        won = _extend_guess(candidates, banned, root.taken, cursor, 0, level, 0)
     if won is None:
         # Unreachable without a level cap: a feasible instance always succeeds
         # once the guess covers an optimal matching's envy-pairs.
         raise LevelCapExceeded(max_level, sum(comb(n_edges, j) for j in range(max_level + 1)))
-    guess = [e for e, r, at in candidates if banned[r] >> at & 1]
+    residents, hospitals = instance.residents, instance.hospitals
+    guess = tuple((residents[r], hospitals[h])
+                  for r, h, at, _, _ in candidates if banned[r] >> at & 1)
     return SolveResult(
         matching=_matching(instance, won.choice()),
         objective=level,
         objective_kind=ObjectiveKind.MIN_EP,
         stats=SolveStats(
-            guesses_examined=_paper_position(n_edges, guess),
+            guesses_examined=_paper_position(n_edges, [instance.edges.index(p) for p in guess]),
             level=level,
-            guess=tuple(instance.edges[e] for e in guess),
+            guess=guess,
         ),
     )

@@ -284,7 +284,11 @@ def _cmd_gen(args) -> int:
         print(text, end="")
     if cert_text is not None:
         # Next to --out, with its extension replaced or, where it has none, added.
-        _write(os.path.splitext(args.out)[0] + ".match", cert_text)
+        try:
+            _write(os.path.splitext(args.out)[0] + ".match", cert_text)
+        except OSError:
+            os.remove(args.out)  # an input error leaves nothing written
+            raise
     return EXIT_OK
 
 

@@ -771,6 +771,8 @@ class TestMinEpExact:
         # Any candidates in edge order will do; here every acceptable pair is one.
         # In the triangle's reduction (optimum 3) the run a level-2 cursor
         # resumes stops before the last candidates' residents.
+        # The candidates `min_ep_exact` builds, which skip guesses for forced
+        # pairs in the tight triangle, must leave no ban either.
         algorithms = hrlq.algorithms
         calls = 0
         family = [self.REVERSED_PAIRS, _reduction("vc", 3, _TRIANGLE, 2, 2),
@@ -778,18 +780,36 @@ class TestMinEpExact:
         for inst in family:
             level = hrlq.min_ep_exact(inst).stats.level
             n, low = len(inst.residents), inst._low
-            candidates = [(e, inst.resident_index[r], inst.resident_prefs[r].index(h))
-                          for e, (r, h) in enumerate(inst.edges)]
+            every_pair = [(inst.resident_index[r], inst.hospital_index[h],
+                           inst.resident_prefs[r].index(h), (), 0) for r, h in inst.edges]
             banned = [0] * n
             root = algorithms._Run(inst, low, n - sum(low))
             assert root.admit(banned, n) == (level == 0)
-            for below in range(1, level):
-                cursor = algorithms._Run(inst, low, root.limit)
-                found = algorithms._extend_guess(candidates, banned, root.taken, cursor, 0, below)
-                assert found is None
-                assert banned == [0] * n
-                calls += 1
+            for candidates in (every_pair, algorithms._candidates(inst)):
+                for below in range(1, level):
+                    cursor = algorithms._Run(inst, low, root.limit)
+                    found = algorithms._extend_guess(candidates, banned, root.taken, cursor,
+                                                     0, below, 0)
+                    assert found is None
+                    assert banned == [0] * n
+                    calls += 1
         assert calls > 0
+
+
+# The tight vc reductions: every hospital has quota [1, 1], one per resident.
+_TIGHT_REDUCTIONS = [("vc", 3, [(1, 2), (2, 3)], 1, 2), ("vc", 3, _TRIANGLE, 2, 2),
+                     ("vc", 4, _FOUR_CYCLE, 2, 2)]
+
+
+def _tight_markets(seed, count):
+    """`count` feasible tight markets from `random_tight_instance`."""
+    rng = random.Random(seed)
+    markets = []
+    while len(markets) < count:
+        inst = random_tight_instance(rng)
+        if hrlq.exists_feasible(inst):
+            markets.append(inst)
+    return markets
 
 
 def _envy_pairs_at_the_lower_quotas(inst):
@@ -806,15 +826,15 @@ def _envy_pairs_at_the_lower_quotas(inst):
 
 
 def _candidate_pairs(inst):
-    """`_candidates` as named pairs, after checking each entry's edge, resident and position."""
+    """`_candidates` as named pairs, after checking each entry's order, resident, hospital
+    and position."""
     candidates = hrlq.algorithms._candidates(inst)
-    assert [e for e, _, _ in candidates] == sorted({e for e, _, _ in candidates})
-    pairs = set()
-    for e, r, at in candidates:
-        resident = inst.residents[r]
-        assert inst.edges[e] == (resident, inst.resident_prefs[resident][at])
-        pairs.add(inst.edges[e])
-    return pairs
+    pairs = [(inst.residents[r], inst.hospitals[h]) for r, h, _, _, _ in candidates]
+    edge_index = [inst.edges.index(pair) for pair in pairs]
+    assert edge_index == sorted(set(edge_index))
+    for (resident, hospital), (_, _, at, _, _) in zip(pairs, candidates):
+        assert inst.resident_prefs[resident][at] == hospital
+    return set(pairs)
 
 
 class TestCandidates:
@@ -823,26 +843,121 @@ class TestCandidates:
     In a tight market no other pair is left."""
 
     def test_every_envy_pair_at_the_lower_quotas_is_a_candidate(self):
-        rng = random.Random(25)
-        tight = []
-        while len(tight) < 200:
-            inst = random_tight_instance(rng)
-            if hrlq.exists_feasible(inst):
-                tight.append(inst)
-        for inst in random_feasible_instances(17, 150) + tight:
+        for inst in random_feasible_instances(17, 150) + _tight_markets(25, 200):
             assert _envy_pairs_at_the_lower_quotas(inst) <= _candidate_pairs(inst)
 
-    # Tight markets: every hospital has quota [1, 1], one per resident.
-    @pytest.mark.parametrize("source, count", [
-        (("vc", 3, [(1, 2), (2, 3)], 1, 2), 16),
-        (("vc", 3, _TRIANGLE, 2, 2), 22),
-        (("vc", 4, _FOUR_CYCLE, 2, 2), 33),
-    ])
+    @pytest.mark.parametrize("source, count", list(zip(_TIGHT_REDUCTIONS, [16, 22, 33])))
     def test_tight_reductions_keep_exactly_the_envy_pairs(self, source, count):
         inst = _reduction(*source)
         assert sum(inst._low) == len(inst.residents)
         assert _candidate_pairs(inst) == _envy_pairs_at_the_lower_quotas(inst)
         assert len(hrlq.algorithms._candidates(inst)) == count
+
+
+def _forced_by_definition(inst):
+    """From the definition, by name, in a tight market: F(r, h) for each pair at a
+    hospital h with lower quota 1, the pairs (r', h) where h ranks r' above r and h
+    is the first hospital with a positive lower quota on the list of r'; and the
+    pairs dropped because such an r' has no other hospital with a positive one."""
+    low = {h: quota[0] for h, quota in inst.quotas.items()}
+    positive = {r: [h for h in prefs if low[h]] for r, prefs in inst.resident_prefs.items()}
+    forced, dropped = {}, set()
+    for h, listed in inst.hospital_prefs.items():
+        if low[h] == 1:
+            for k, r in enumerate(listed):
+                forced[r, h] = {(q, h) for q in listed[:k] if positive[q][:1] == [h]}
+                if any(positive[q] == [h] for q in listed[:k]):
+                    dropped.add((r, h))
+    return forced, dropped
+
+
+def _forced_of_candidates(inst):
+    """The pairs each candidate forces, by name, as `_candidates` lists them: earlier
+    ones as (resident, ban bit), later ones as a mask of candidate indices."""
+    candidates = hrlq.algorithms._candidates(inst)
+    named = [(inst.residents[r], inst.hospitals[h]) for r, h, _, _, _ in candidates]
+    out = {}
+    for i, (r, _, _, earlier, later) in enumerate(candidates):
+        before = set()
+        for q, bit in earlier:
+            assert q < r and bit.bit_count() == 1
+            resident = inst.residents[q]
+            before.add((resident, inst.resident_prefs[resident][bit.bit_length() - 1]))
+        after = {named[j] for j in range(len(candidates)) if later >> j & 1}
+        assert all(j > i and candidates[j][0] > r
+                   for j in range(len(candidates)) if later >> j & 1)
+        out[named[i]] = before | after
+    return out
+
+
+class TestForcedPairs:
+    """In a tight market every envy set that holds a candidate (r, h) with low[h] == 1
+    holds the pairs it forces, so `min_ep_exact` never needs a guess without them."""
+
+    def family(self):
+        return [_reduction(*source) for source in _TIGHT_REDUCTIONS] + _tight_markets(28, 300)
+
+    def test_candidates_carry_exactly_the_forced_pairs(self):
+        with_forced = dropped_seen = 0
+        for inst in self.family():
+            forced, dropped = _forced_by_definition(inst)
+            carried = _forced_of_candidates(inst)
+            assert not carried.keys() & dropped
+            for pair, pairs in carried.items():
+                assert pairs == forced.get(pair, set())
+                assert pairs <= carried.keys()
+                with_forced += bool(pairs)
+            dropped_seen += bool(dropped)
+        assert with_forced > 50 and dropped_seen > 25
+
+    def test_every_envy_set_holding_a_pair_holds_what_it_forces(self):
+        # By enumeration: each feasible matching's envy set is closed under the
+        # candidates' forced pairs and holds no dropped pair.
+        checked = 0
+        for inst in self.family():
+            carried = _forced_of_candidates(inst)
+            _, dropped = _forced_by_definition(inst)
+            for m in hrlq.enumerate_feasible(inst):
+                envy = set(hrlq.envy_pairs(inst, m))
+                assert not envy & dropped
+                for pair in envy:
+                    assert carried[pair] <= envy
+                    checked += bool(carried[pair])
+        assert checked > 500
+
+    def test_every_last_level_guess_holds_what_it_forces(self, monkeypatch):
+        # Deferred acceptance runs at the last level only on guesses that hold
+        # every pair their pairs force by the definition.
+        algorithms = hrlq.algorithms
+        extend, admit = algorithms._extend_guess, algorithms._Run.admit
+        needs, tried = [], []
+
+        def spy_extend(*args):
+            needs.append(args[5])
+            try:
+                return extend(*args)
+            finally:
+                needs.pop()
+
+        def spy_admit(run, banned, stop):
+            if needs and needs[-1] == 1 and stop == len(banned):
+                tried.append((run.instance, banned.copy()))
+            return admit(run, banned, stop)
+
+        monkeypatch.setattr(algorithms, "_extend_guess", spy_extend)
+        monkeypatch.setattr(algorithms._Run, "admit", spy_admit)
+        family = self.family()
+        for inst in family:
+            hrlq.min_ep_exact(inst)
+        forced = {id(inst): _forced_by_definition(inst)[0] for inst in family}
+        holding = 0  # guesses that hold a pair which forces others
+        for inst, banned in tried:
+            guess = {(r, h) for r, h in inst.edges
+                     if banned[inst.resident_index[r]] >> inst.resident_prefs[r].index(h) & 1}
+            owed = [forced[id(inst)].get(pair, set()) for pair in guess]
+            assert all(pairs <= guess for pairs in owed)
+            holding += any(owed)
+        assert len(tried) > 1000 and holding > 100
 
 
 class TestBruteOracles:

@@ -283,6 +283,18 @@ class TestGen:
         assert err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["triangle.g"]
 
+    def test_cert_that_cannot_be_written_leaves_no_instance(self, capsys, tmp_path):
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        (tmp_path / "out.match").mkdir()
+        code, out, err = run(capsys, "gen", "vc2ep", "--graph", graph_path, "--k", "2",
+                             "--out", tmp_path / "out.hrlq", "--cert", "cover:v1,v2")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.match", "triangle.g"]
+        assert not any((tmp_path / "out.match").iterdir())
+
     @pytest.mark.parametrize("out", ["x.match", ".match", "x.tar.gz", "dir.d/x"])
     def test_cert_path_follows_pathlib(self, capsys, tmp_path, monkeypatch, out):
         # The refusal and the certificate's path follow PurePosixPath's suffix rules.

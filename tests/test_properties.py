@@ -28,6 +28,20 @@ INSTANCES = st.integers(0, 2**32 - 1).map(lambda seed: random_instance(Random(se
 # upper quota, and together they add up to the number of residents.
 TIGHT = st.integers(0, 2**32 - 1).map(lambda seed: random_tight_instance(Random(seed)))
 
+
+def _unit_market(seed: int) -> hrlq.Instance:
+    """A tight market of n residents and n hospitals, each with quota [1, 1], as in
+    the vertex-cover reductions: every candidate pair is at a hospital with lower
+    quota 1, where min_ep_exact's forced-pair rule applies."""
+    rng = Random(seed)
+    n = rng.randint(4, 7)
+    inst = random_instance(rng, min_residents=n, max_residents=n, min_hospitals=n, max_hospitals=n)
+    return hrlq.validate_instance(inst.residents, inst.hospitals, inst.resident_prefs,
+                                  inst.hospital_prefs, dict.fromkeys(inst.hospitals, (1, 1)))
+
+
+UNIT = st.integers(0, 2**32 - 1).map(_unit_market)
+
 # Any name the file grammar accepts: no whitespace, ':' or '#'.  The regex is an
 # independent statement of the rule `Instance` checks with str.split().
 NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4).filter(
@@ -130,6 +144,15 @@ def test_min_ep_exact_on_tight_markets_equals_the_reference_and_the_oracle(insta
         return
     assert _outcome(hrlq.min_ep_exact, instance) == _outcome(paper_min_ep, instance)
     assert hrlq.min_ep_exact(instance).objective == hrlq.brute_min_ep(instance).objective
+
+
+# About one drawn market in five needs envy.
+@settings(FIXED, max_examples=200)
+@given(UNIT)
+def test_min_ep_exact_on_unit_quota_markets_equals_the_reference(instance):
+    if not hrlq.exists_feasible(instance):
+        return
+    assert _outcome(hrlq.min_ep_exact, instance) == _outcome(paper_min_ep, instance)
 
 
 # The bans come from a drawn seed: st.randoms() draws data for every call,
