@@ -9,7 +9,6 @@ the independent cross-check for the exact route.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator
 from enum import Enum
 from math import comb
@@ -578,33 +577,32 @@ def _paper_position(n_edges: int, guess: list[int]) -> int:
     return position
 
 
-def _candidates(instance: Instance) -> list[tuple[int, int, int, tuple, int]]:
+def _candidates(instance: Instance) -> list[tuple[int, int, int, int]]:
     """The pairs an optimal winner may delete, in edge order, each with the pairs it forces.
 
     An entry is (resident, hospital, position of the pair in the resident's
-    list, earlier, later), sorted by resident and hospital index, which is
-    edge order.  A pair (r, h) is a candidate when h has a positive lower
-    quota and ranks some resident below r.  In a tight market
-    (sum(low) = n) every feasible matching fills each hospital to exactly
-    its lower quota and seats every resident at a hospital with a positive
-    one, so two more rules apply (see `min_ep_exact`):
+    list, forced), sorted by resident and hospital index, which is edge
+    order.  A pair (r, h) is a candidate when h has a positive lower quota
+    and ranks some resident below r.  In a tight market (sum(low) = n)
+    every feasible matching fills each hospital to exactly its lower quota
+    and seats every resident at a hospital with a positive one, so two more
+    rules apply (see `min_ep_exact`):
 
     * r envies no hospital it ranks after all of those, so (r, h) must come
       before the last of them on r's list;
     * when low[h] == 1, the pairs (r', h) where h ranks r' above r and h is
       the first of those on the list of r' are forced by (r, h).  They are
-      candidates; those of earlier residents are in `earlier` as (resident,
-      ban bit), those of later ones in `later` as a mask of candidate
-      indices.  When such an r' has no other hospital with a positive lower
-      quota, it sits at h in every feasible matching, so r envies h in
-      none, and (r, h) is dropped.
+      candidates, and `forced` is the mask of their candidate indices, 0
+      for a pair that forces none.  When such an r' has no other hospital
+      with a positive lower quota, it sits at h in every feasible matching,
+      so r envies h in none, and (r, h) is dropped.
     """
     options, acc_h, low = instance._options, instance._acc_h, instance._low
     # (r, h) is a candidate when r's rank at h is below bound[h] and its
     # position on r's list below ends[r].
     bound = [len(listed) - 1 if q else 0 for listed, q in zip(acc_h, low)]
     ends = list(map(len, options))
-    firsts = {}  # h -> (rank, resident, position) of each resident whose first such hospital is h
+    firsts = {}  # h -> (rank, resident) of each resident whose first such hospital is h
     if sum(low) == len(options):
         for r, prefs in enumerate(options):
             # the first and the last positions of hospitals with a positive lower quota
@@ -621,38 +619,37 @@ def _candidates(instance: Instance) -> list[tuple[int, int, int, tuple, int]]:
                     if first == end:  # r sits at h in every feasible matching
                         bound[h] = min(bound[h], rank)
                     else:
-                        firsts.setdefault(h, []).append((rank, r, first))
-    candidates = [(r, h, at, (), 0) for r, prefs in enumerate(options)
+                        firsts.setdefault(h, []).append((rank, r))
+    candidates = [(r, h, at, 0) for r, prefs in enumerate(options)
                   for at, (h, rank) in enumerate(prefs) if at < ends[r] and rank < bound[h]]
     candidates.sort()
+    if firsts:
+        index = {(r, h): i for i, (r, h, _, _) in enumerate(candidates)}
     # One walk down each such h's list, from just below its best forcing resident.
     for h, forcing in firsts.items():
         forcing.sort()
         listed = acc_h[h]
         for rank in range(forcing[0][0] + 1, bound[h]):
-            r = listed[rank]
-            i = bisect_left(candidates, (r, h))
-            if i == len(candidates) or candidates[i][:2] != (r, h):
+            i = index.get((listed[rank], h))
+            if i is None:
                 continue
-            earlier, later = [], 0
-            for above, q, at in forcing:
+            forced = 0
+            for above, q in forcing:
                 if above >= rank:
                     break
-                if q < r:
-                    earlier.append((q, 1 << at))
-                else:
-                    later |= 1 << bisect_left(candidates, (q, h))
-            candidates[i] = (r, h, candidates[i][2], tuple(earlier), later)
+                forced |= 1 << index[q, h]
+            candidates[i] = candidates[i][:3] + (forced,)
     return candidates
 
 
 def _extend_guess(
-    candidates: list[tuple[int, int, int, tuple, int]],
+    candidates: list[tuple[int, int, int, int]],
     banned: list[int],
     taken: list[int],
     cursor: _Run,
     start: int,
     need: int,
+    chosen: int,
     owed: int,
 ) -> _Run | None:
     """Add to the guess the first `need` candidates from `start` on that pass Yokoi's test.
@@ -660,13 +657,14 @@ def _extend_guess(
     The guess is `banned`: per-resident masks of list positions, a bit for
     each deleted pair.  Candidates are `_candidates`' entries, in edge
     order, so their residents never decrease, and sets of them are tried in
-    lexicographic order.  `owed` is the mask of the candidate indices that
-    the guess's pairs force and it does not hold yet, all from `start` on.
-    A candidate is skipped when an earlier pair it forces is not in the
-    guess, or when it would leave more owed than the `need` - 1 pairs still
-    to come, and the loop ends at the first owed index, for a guess that
-    passes it can never hold it.  `taken` is the masks of the guess's run,
-    which failed, finished or stopped.
+    lexicographic order.  `chosen` is the guess as a mask of candidate
+    indices, all before `start`, and `owed` the mask of the candidate
+    indices that the guess's pairs force and it does not hold yet, all from
+    `start` on.  A candidate is skipped when an earlier pair it forces is
+    not in `chosen`, or when it would leave more owed than the `need` - 1
+    pairs still to come, and the loop ends at the first owed index, for a
+    guess that passes it can never hold it.  `taken` is the masks of the
+    guess's run, which failed, finished or stopped.
     `cursor` belongs to this call: the same run, built at the lower quotas
     with `min_ep_exact`'s stop, admitted up to some resident no later than
     `candidates[start]`'s.  Before each candidate of resident r that is not
@@ -683,16 +681,16 @@ def _extend_guess(
     if owed:
         stop = min(stop, (owed & -owed).bit_length())
     for i in range(start, stop):
-        r, _, at, earlier, later = candidates[i]
+        r, _, at, forced = candidates[i]
         bit = 1 << at
         held = taken[r] & bit
         if not held and need == 1:
             continue  # the never-held rule: the prefix's run, a failure already seen
-        if earlier and not all(banned[q] & b for q, b in earlier):
+        if forced and forced & ~chosen & ((1 << i) - 1):
             continue  # a forced pair before i is not in the guess
-        owes = owed | later
+        owes = owed | forced
         if owes:
-            owes &= ~(1 << i)
+            owes &= -(2 << i)  # what is owed after i
             if owes.bit_count() >= need:
                 continue  # more forced pairs than the guess has room for
         if cursor.entered < r and not cursor.admit(banned, r):
@@ -705,7 +703,7 @@ def _extend_guess(
                 return child
         if need > 1:
             found = _extend_guess(candidates, banned, child.taken if held else taken,
-                                  cursor.copy(), i + 1, need - 1, owes)
+                                  cursor.copy(), i + 1, need - 1, chosen | 1 << i, owes)
             if found is not None:
                 return found
         banned[r] &= ~bit
@@ -789,23 +787,20 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
         raise Infeasible("no feasible matching exists")
     low, n = instance._low, len(instance._options)
     n_edges = len(instance.edges)
-    max_level = n_edges if level_cap is None else min(level_cap, n_edges)
     candidates = _candidates(instance)
     banned = [0] * n  # the guess; a failed level clears every bit it set
     root = _Run(instance, low, n - sum(low))  # yokoi_envy_free's run
     won = root if root.admit(banned, n) else None
     level = 0
-    while won is None and level < max_level:
+    while won is None:  # a feasible instance wins at its optimum, at most n_edges
+        if level == level_cap:
+            raise LevelCapExceeded(level, sum(comb(n_edges, j) for j in range(level + 1)))
         level += 1
         cursor = _Run(instance, low, root.limit)
-        won = _extend_guess(candidates, banned, root.taken, cursor, 0, level, 0)
-    if won is None:
-        # Unreachable without a level cap: a feasible instance always succeeds
-        # once the guess covers an optimal matching's envy-pairs.
-        raise LevelCapExceeded(max_level, sum(comb(n_edges, j) for j in range(max_level + 1)))
+        won = _extend_guess(candidates, banned, root.taken, cursor, 0, level, 0, 0)
     residents, hospitals = instance.residents, instance.hospitals
     guess = tuple((residents[r], hospitals[h])
-                  for r, h, at, _, _ in candidates if banned[r] >> at & 1)
+                  for r, h, at, _ in candidates if banned[r] >> at & 1)
     return SolveResult(
         matching=_matching(instance, won.choice()),
         objective=level,

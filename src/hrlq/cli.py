@@ -278,17 +278,17 @@ def _cmd_gen(args) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
+    if cert_text is not None:
+        # Next to --out, with its extension replaced or, where it has none, added.
+        # It goes first, once an --out already there has opened unchanged, so a
+        # file that cannot be written fails the run before either file changes.
+        if os.path.exists(args.out):
+            open(args.out, "a").close()
+        _write(os.path.splitext(args.out)[0] + ".match", cert_text)
     if args.out:
         _write(args.out, text)
     else:
         print(text, end="")
-    if cert_text is not None:
-        # Next to --out, with its extension replaced or, where it has none, added.
-        try:
-            _write(os.path.splitext(args.out)[0] + ".match", cert_text)
-        except OSError:
-            os.remove(args.out)  # an input error leaves nothing written
-            raise
     return EXIT_OK
 
 

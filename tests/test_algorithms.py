@@ -694,10 +694,12 @@ class TestMinEpExact:
             hrlq.min_ep_exact(IA, level_cap=0)
 
     def test_level_cap_is_tight(self):
-        # Rerunning below the successful level must fail; at it, succeed.
+        # Rerunning below the successful level must fail; at it, succeed, and so
+        # above it, even past the edge count, which bounds every optimum.
         for inst in random_feasible_instances(16, 40):
             result = hrlq.min_ep_exact(inst)
-            assert hrlq.min_ep_exact(inst, level_cap=result.stats.level) == result
+            for cap in (result.stats.level, len(inst.edges) + 1, 10**100):
+                assert hrlq.min_ep_exact(inst, level_cap=cap) == result
             if result.stats.level > 0:
                 with pytest.raises(hrlq.LevelCapExceeded):
                     hrlq.min_ep_exact(inst, level_cap=result.stats.level - 1)
@@ -781,7 +783,7 @@ class TestMinEpExact:
             level = hrlq.min_ep_exact(inst).stats.level
             n, low = len(inst.residents), inst._low
             every_pair = [(inst.resident_index[r], inst.hospital_index[h],
-                           inst.resident_prefs[r].index(h), (), 0) for r, h in inst.edges]
+                           inst.resident_prefs[r].index(h), 0) for r, h in inst.edges]
             banned = [0] * n
             root = algorithms._Run(inst, low, n - sum(low))
             assert root.admit(banned, n) == (level == 0)
@@ -789,7 +791,7 @@ class TestMinEpExact:
                 for below in range(1, level):
                     cursor = algorithms._Run(inst, low, root.limit)
                     found = algorithms._extend_guess(candidates, banned, root.taken, cursor,
-                                                     0, below, 0)
+                                                     0, below, 0, 0)
                     assert found is None
                     assert banned == [0] * n
                     calls += 1
@@ -829,10 +831,10 @@ def _candidate_pairs(inst):
     """`_candidates` as named pairs, after checking each entry's order, resident, hospital
     and position."""
     candidates = hrlq.algorithms._candidates(inst)
-    pairs = [(inst.residents[r], inst.hospitals[h]) for r, h, _, _, _ in candidates]
+    pairs = [(inst.residents[r], inst.hospitals[h]) for r, h, _, _ in candidates]
     edge_index = [inst.edges.index(pair) for pair in pairs]
     assert edge_index == sorted(set(edge_index))
-    for (resident, hospital), (_, _, at, _, _) in zip(pairs, candidates):
+    for (resident, hospital), (_, _, at, _) in zip(pairs, candidates):
         assert inst.resident_prefs[resident][at] == hospital
     return set(pairs)
 
@@ -872,21 +874,14 @@ def _forced_by_definition(inst):
 
 
 def _forced_of_candidates(inst):
-    """The pairs each candidate forces, by name, as `_candidates` lists them: earlier
-    ones as (resident, ban bit), later ones as a mask of candidate indices."""
+    """The pairs each candidate forces, by name, as `_candidates` lists them: a mask of
+    candidate indices, never the candidate's own."""
     candidates = hrlq.algorithms._candidates(inst)
-    named = [(inst.residents[r], inst.hospitals[h]) for r, h, _, _, _ in candidates]
+    named = [(inst.residents[r], inst.hospitals[h]) for r, h, _, _ in candidates]
     out = {}
-    for i, (r, _, _, earlier, later) in enumerate(candidates):
-        before = set()
-        for q, bit in earlier:
-            assert q < r and bit.bit_count() == 1
-            resident = inst.residents[q]
-            before.add((resident, inst.resident_prefs[resident][bit.bit_length() - 1]))
-        after = {named[j] for j in range(len(candidates)) if later >> j & 1}
-        assert all(j > i and candidates[j][0] > r
-                   for j in range(len(candidates)) if later >> j & 1)
-        out[named[i]] = before | after
+    for i, (_, _, _, forced) in enumerate(candidates):
+        assert 0 <= forced < 1 << len(candidates) and not forced >> i & 1
+        out[named[i]] = {named[j] for j in range(len(candidates)) if forced >> j & 1}
     return out
 
 

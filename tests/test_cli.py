@@ -295,6 +295,31 @@ class TestGen:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.match", "triangle.g"]
         assert not any((tmp_path / "out.match").iterdir())
 
+    def test_cert_that_cannot_be_written_leaves_an_old_instance_as_it_was(self, capsys,
+                                                                           tmp_path):
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        (tmp_path / "out.hrlq").write_text("precious\n")
+        (tmp_path / "out.match").mkdir()
+        code, out, err = run(capsys, "gen", "vc2ep", "--graph", graph_path, "--k", "2",
+                             "--out", tmp_path / "out.hrlq", "--cert", "cover:v1,v2")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert (tmp_path / "out.hrlq").read_text() == "precious\n"
+        assert not any((tmp_path / "out.match").iterdir())
+
+    def test_instance_that_cannot_be_written_leaves_no_cert(self, capsys, tmp_path):
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        (tmp_path / "out.hrlq").mkdir()
+        code, out, err = run(capsys, "gen", "vc2ep", "--graph", graph_path, "--k", "2",
+                             "--out", tmp_path / "out.hrlq", "--cert", "cover:v1,v2")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.hrlq", "triangle.g"]
+
     @pytest.mark.parametrize("out", ["x.match", ".match", "x.tar.gz", "dir.d/x"])
     def test_cert_path_follows_pathlib(self, capsys, tmp_path, monkeypatch, out):
         # The refusal and the certificate's path follow PurePosixPath's suffix rules.
