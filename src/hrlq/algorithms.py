@@ -580,13 +580,13 @@ def _paper_position(n_edges: int, guess: list[int]) -> int:
 def _candidates(instance: Instance) -> list[tuple[int, int, int, int]]:
     """The pairs an optimal winner may delete, in edge order, each with the pairs it forces.
 
-    An entry is (resident, hospital, position of the pair in the resident's
-    list, forced), sorted by resident and hospital index, which is edge
-    order.  A pair (r, h) is a candidate when h has a positive lower quota
-    and ranks some resident below r.  In a tight market (sum(low) = n)
-    every feasible matching fills each hospital to exactly its lower quota
-    and seats every resident at a hospital with a positive one, so two more
-    rules apply (see `min_ep_exact`):
+    An entry is (resident, hospital, bit, forced), sorted by resident and
+    hospital index, which is edge order; bit is 1 << the pair's position on
+    the resident's list, the bit that bans it.  A pair (r, h) is a
+    candidate when h has a positive lower quota and ranks some resident
+    below r.  In a tight market (sum(low) = n) every feasible matching fills
+    each hospital to exactly its lower quota and seats every resident at a
+    hospital with a positive one, so two more rules apply (see `min_ep_exact`):
 
     * r envies no hospital it ranks after all of those, so (r, h) must come
       before the last of them on r's list;
@@ -595,14 +595,15 @@ def _candidates(instance: Instance) -> list[tuple[int, int, int, int]]:
       candidates, and `forced` is the mask of their candidate indices, 0
       for a pair that forces none.  When such an r' has no other hospital
       with a positive lower quota, it sits at h in every feasible matching,
-      so r envies h in none, and (r, h) is dropped.
+      so r envies h in none, and (r, h) is dropped.  The forced sets nest
+      down h's list, so one running mask walked down it builds them all.
     """
     options, acc_h, low = instance._options, instance._acc_h, instance._low
     # (r, h) is a candidate when r's rank at h is below bound[h] and its
     # position on r's list below ends[r].
     bound = [len(listed) - 1 if q else 0 for listed, q in zip(acc_h, low)]
     ends = list(map(len, options))
-    firsts = {}  # h -> (rank, resident) of each resident whose first such hospital is h
+    firsts = {}  # h -> the residents whose first such hospital is h, with another after it
     if sum(low) == len(options):
         for r, prefs in enumerate(options):
             # the first and the last positions of hospitals with a positive lower quota
@@ -619,26 +620,25 @@ def _candidates(instance: Instance) -> list[tuple[int, int, int, int]]:
                     if first == end:  # r sits at h in every feasible matching
                         bound[h] = min(bound[h], rank)
                     else:
-                        firsts.setdefault(h, []).append((rank, r))
-    candidates = [(r, h, at, 0) for r, prefs in enumerate(options)
+                        firsts.setdefault(h, set()).add(r)
+    candidates = [(r, h, 1 << at, 0) for r, prefs in enumerate(options)
                   for at, (h, rank) in enumerate(prefs) if at < ends[r] and rank < bound[h]]
     candidates.sort()
     if firsts:
         index = {(r, h): i for i, (r, h, _, _) in enumerate(candidates)}
-    # One walk down each such h's list, from just below its best forcing resident.
+    # One walk down each such h's list; `mask` holds the forcing residents above.
+    # Above bound[h] each is a candidate (its first such position before its
+    # last), and from bound[h] on no pair is one, so the walk needs no stop.
     for h, forcing in firsts.items():
-        forcing.sort()
-        listed = acc_h[h]
-        for rank in range(forcing[0][0] + 1, bound[h]):
-            i = index.get((listed[rank], h))
+        mask = 0
+        for r in acc_h[h]:
+            i = index.get((r, h))
             if i is None:
                 continue
-            forced = 0
-            for above, q in forcing:
-                if above >= rank:
-                    break
-                forced |= 1 << index[q, h]
-            candidates[i] = candidates[i][:3] + (forced,)
+            if mask:
+                candidates[i] = candidates[i][:3] + (mask,)
+            if r in forcing:
+                mask |= 1 << i
     return candidates
 
 
@@ -681,8 +681,7 @@ def _extend_guess(
     if owed:
         stop = min(stop, (owed & -owed).bit_length())
     for i in range(start, stop):
-        r, _, at, forced = candidates[i]
-        bit = 1 << at
+        r, _, bit, forced = candidates[i]
         held = taken[r] & bit
         if not held and need == 1:
             continue  # the never-held rule: the prefix's run, a failure already seen
@@ -800,7 +799,7 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
         won = _extend_guess(candidates, banned, root.taken, cursor, 0, level, 0, 0)
     residents, hospitals = instance.residents, instance.hospitals
     guess = tuple((residents[r], hospitals[h])
-                  for r, h, at, _ in candidates if banned[r] >> at & 1)
+                  for r, h, bit, _ in candidates if banned[r] & bit)
     return SolveResult(
         matching=_matching(instance, won.choice()),
         objective=level,

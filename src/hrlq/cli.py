@@ -90,8 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", required=True, help="instance file (.hrlq)")
 
     solve.add_argument("--out", help="also write the matching here (.match format)")
-    solve.add_argument("--json", action="store_true")
-    solve.add_argument("--budget", type=_count, default=algorithms.DEFAULT_NODE_BUDGET,
+    for p in (solve, oracle):
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--budget", type=_count, default=algorithms.DEFAULT_NODE_BUDGET,
                        help="search-node budget for brute-force algorithms")
     solve.add_argument("--level-cap", type=_count, default=None,
                        help="largest guess level min-ep may try")
@@ -108,9 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=g.option_help)
         p.add_argument("--out", help="instance output file (default stdout)")
         p.add_argument("--cert", help=f"{g.cert_prefix}:v1,v2,... writes the certificate matching")
-
-    oracle.add_argument("--json", action="store_true")
-    oracle.add_argument("--budget", type=_count, default=algorithms.DEFAULT_NODE_BUDGET)
 
     return parser
 
@@ -280,11 +278,17 @@ def _cmd_gen(args) -> int:
 
     if cert_text is not None:
         # Next to --out, with its extension replaced or, where it has none, added.
-        # It goes first, once an --out already there has opened unchanged, so a
-        # file that cannot be written fails the run before either file changes.
-        if os.path.exists(args.out):
-            open(args.out, "a").close()
-        _write(os.path.splitext(args.out)[0] + ".match", cert_text)
+        # It goes first, once --out has opened for append, so a file that cannot
+        # be written fails the run before either file changes; an --out this run
+        # created is removed again (through a link, the file the link names).
+        created = not os.path.exists(args.out)
+        open(args.out, "a").close()
+        try:
+            _write(os.path.splitext(args.out)[0] + ".match", cert_text)
+        except OSError:
+            if created:
+                os.remove(os.path.realpath(args.out))
+            raise
     if args.out:
         _write(args.out, text)
     else:

@@ -783,7 +783,7 @@ class TestMinEpExact:
             level = hrlq.min_ep_exact(inst).stats.level
             n, low = len(inst.residents), inst._low
             every_pair = [(inst.resident_index[r], inst.hospital_index[h],
-                           inst.resident_prefs[r].index(h), 0) for r, h in inst.edges]
+                           1 << inst.resident_prefs[r].index(h), 0) for r, h in inst.edges]
             banned = [0] * n
             root = algorithms._Run(inst, low, n - sum(low))
             assert root.admit(banned, n) == (level == 0)
@@ -829,13 +829,13 @@ def _envy_pairs_at_the_lower_quotas(inst):
 
 def _candidate_pairs(inst):
     """`_candidates` as named pairs, after checking each entry's order, resident, hospital
-    and position."""
+    and ban bit."""
     candidates = hrlq.algorithms._candidates(inst)
     pairs = [(inst.residents[r], inst.hospitals[h]) for r, h, _, _ in candidates]
     edge_index = [inst.edges.index(pair) for pair in pairs]
     assert edge_index == sorted(set(edge_index))
-    for (resident, hospital), (_, _, at, _) in zip(pairs, candidates):
-        assert inst.resident_prefs[resident][at] == hospital
+    for (resident, hospital), (_, _, bit, _) in zip(pairs, candidates):
+        assert bit == 1 << inst.resident_prefs[resident].index(hospital)
     return set(pairs)
 
 

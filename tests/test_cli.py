@@ -309,6 +309,40 @@ class TestGen:
         assert (tmp_path / "out.hrlq").read_text() == "precious\n"
         assert not any((tmp_path / "out.match").iterdir())
 
+    @staticmethod
+    def _link(target, link):
+        try:
+            os.symlink(target, link)
+        except (OSError, NotImplementedError):
+            pytest.skip("symbolic links are refused here")
+
+    def test_out_that_cannot_be_created_leaves_an_old_cert_as_it_was(self, capsys, tmp_path):
+        # --out is a link into a missing directory: it cannot be created, which
+        # must fail the run before the certificate next to it is rewritten.
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        (tmp_path / "out.match").write_text("old\n")
+        self._link(tmp_path / "missing" / "x", tmp_path / "out.hrlq")
+        code, out, err = run(capsys, "gen", "vc2ep", "--graph", graph_path, "--k", "2",
+                             "--out", tmp_path / "out.hrlq", "--cert", "cover:v1,v2")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert (tmp_path / "out.match").read_text() == "old\n"
+
+    def test_cert_that_cannot_be_written_removes_the_out_it_created_through_a_link(
+            self, capsys, tmp_path):
+        graph_path = tmp_path / "triangle.g"
+        graph_path.write_text(TRIANGLE_G)
+        (tmp_path / "out.match").mkdir()
+        self._link(tmp_path / "target.hrlq", tmp_path / "out.hrlq")
+        code, out, err = run(capsys, "gen", "vc2ep", "--graph", graph_path, "--k", "2",
+                             "--out", tmp_path / "out.hrlq", "--cert", "cover:v1,v2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert (tmp_path / "out.hrlq").is_symlink() and not (tmp_path / "target.hrlq").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.hrlq", "out.match", "triangle.g"]
+
     def test_instance_that_cannot_be_written_leaves_no_cert(self, capsys, tmp_path):
         graph_path = tmp_path / "triangle.g"
         graph_path.write_text(TRIANGLE_G)
