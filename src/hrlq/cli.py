@@ -61,9 +61,21 @@ _GENERATORS = {
 }
 
 
-# The solvers `hrlq solve --alg` dispatches on, by name; `da` and `yokoi`,
-# which return a bare matching or None, are handled in `_cmd_solve` itself.
+def _yokoi(instance, args):
+    # `is None`: an empty matching is falsy, and it may be the envy-free one.
+    matching = algorithms.yokoi_envy_free(instance)
+    if matching is None:
+        return None
+    return algorithms.SolveResult(matching, 0, algorithms.ObjectiveKind.ENVY_FREE,
+                                  algorithms.SolveStats())
+
+
+# What `hrlq solve --alg NAME` runs, in `--help`'s order: a SolveResult, None
+# when there is no solution, or, for `da`, the one algorithm with no
+# objective, a bare Matching.  Each reads the option it needs from `args`.
 _SOLVERS = {
+    "da": lambda instance, args: algorithms.deferred_acceptance(instance),
+    "yokoi": _yokoi,
     "min-ep": lambda instance, args: algorithms.min_ep_exact(instance, level_cap=args.level_cap),
     "brute-ep": lambda instance, args: algorithms.brute_min_ep(instance, node_budget=args.budget),
     "brute-er": lambda instance, args: algorithms.brute_min_er(instance, node_budget=args.budget),
@@ -85,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(run=_cmd_gen)
     oracle.set_defaults(run=_cmd_oracle)
 
-    solve.add_argument("--alg", required=True, choices=["da", "yokoi", *_SOLVERS])
+    solve.add_argument("--alg", required=True, choices=_SOLVERS)
     for p in (solve, verify, oracle):
         p.add_argument("--in", dest="infile", required=True, help="instance file (.hrlq)")
 
@@ -114,9 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
+    """A file's text, less one leading byte-order mark, which no format declares."""
     try:
         with open(path, encoding="utf-8") as file:
-            return file.read()
+            return file.read().removeprefix("\ufeff")
     except UnicodeDecodeError:
         raise formats.ParseError(f"{path}: not UTF-8 text") from None
 
@@ -145,66 +158,49 @@ def _no_solution(args, outcome: str, line: str) -> int:
     return EXIT_NO_SOLUTION
 
 
-def _aligned(rows: list[tuple[str, object]]) -> list[str]:
-    width = max(len(k) for k, _ in rows)
-    return [f"{k.ljust(width)}  {v}" for k, v in rows]
+def _rows(fields: dict) -> list[str]:
+    """Aligned text rows: each key with `_` read as a space, a bool as yes/no, None as -."""
+    width = max(map(len, fields))
+    return [f"{key.replace('_', ' ').ljust(width)}  {_shown(value)}"
+            for key, value in fields.items()]
 
 
-def _envy_rows(report: core.EnvyReport) -> list[tuple[str, object]]:
-    return [
-        ("feasible", "yes" if report.feasible else "no"),
-        ("envy free", "no" if report.envy_pairs else "yes"),
-        ("envy pairs", len(report.envy_pairs)),
-        ("envy residents", len(report.envy_residents)),
-        ("blocking pairs", len(report.blocking_pairs)),
-    ]
+def _shown(value) -> object:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return "-" if value is None else value
 
 
-def _cmd_solve(args) -> int:
-    instance = formats.parse_instance(_read(args.infile))
-    result = None
-    if args.alg == "da":
-        matching = algorithms.deferred_acceptance(instance)
-    elif args.alg == "yokoi":
-        matching = algorithms.yokoi_envy_free(instance)
-        if matching is None:
-            return _no_solution(args, "no-envy-free-matching", "no envy-free matching")
-        result = algorithms.SolveResult(matching, 0, algorithms.ObjectiveKind.ENVY_FREE,
-                                        algorithms.SolveStats())
-    else:
-        result = _SOLVERS[args.alg](instance, args)
-        matching = result.matching
-
-    report = core.analyze(instance, matching)
-    doc = {
-        "command": "solve",
-        "algorithm": args.alg,
-        "objective_kind": result.objective_kind.value if result else None,
-        "objective": result.objective if result else None,
+def _envy_counts(report: core.EnvyReport) -> dict:
+    return {
         "feasible": report.feasible,
         "envy_free": not report.envy_pairs,
         "envy_pairs": len(report.envy_pairs),
         "envy_residents": len(report.envy_residents),
         "blocking_pairs": len(report.blocking_pairs),
-        "matching": matching.pairs(),
-        "stats": _fields(result.stats) if result else None,
     }
-    rows = [
-        ("algorithm", args.alg),
-        ("objective kind", result.objective_kind.value if result else "-"),
-        ("objective", result.objective if result else "-"),
-        *_envy_rows(report),
-    ]
-    if result:
-        stats = result.stats
-        rows += [("guesses examined", stats.guesses_examined), ("level", stats.level),
-                 ("nodes", stats.nodes)]
-        if stats.guess:
-            rows.append(("guess", " ".join(f"({r},{h})" for r, h in stats.guess)))
+
+
+def _cmd_solve(args) -> int:
+    instance = formats.parse_instance(_read(args.infile))
+    result = _SOLVERS[args.alg](instance, args)
+    if result is None:
+        return _no_solution(args, "no-envy-free-matching", "no envy-free matching")
+    if isinstance(result, core.Matching):
+        matching, kind, objective, stats = result, None, None, None
+    else:
+        matching, kind, objective = result.matching, result.objective_kind.value, result.objective
+        stats = _fields(result.stats)
+    fields = {"algorithm": args.alg, "objective_kind": kind, "objective": objective,
+              **_envy_counts(core.analyze(instance, matching))}
+    rows = {**fields, **(stats or {})}
+    if guess := rows.pop("guess", ()):
+        rows["guess"] = " ".join(f"({r},{h})" for r, h in guess)
     listing = formats.serialize_matching(instance, matching)
     if args.out:
         _write(args.out, listing)
-    _report(args, doc, [*_aligned(rows), *listing.splitlines()])
+    doc = {"command": "solve", **fields, "matching": matching.pairs(), "stats": stats}
+    _report(args, doc, [*_rows(rows), *listing.splitlines()])
     return EXIT_OK
 
 
@@ -213,11 +209,11 @@ def _cmd_verify(args) -> int:
     matching = formats.parse_matching(_read(args.matching), instance)
     report = core.analyze(instance, matching)
     doc = {"command": "verify", "envy_free": not report.envy_pairs, **_fields(report)}
-    lines = _aligned([
-        *_envy_rows(report),
-        ("deficient", " ".join(report.deficient_hospitals) or "-"),
-        ("over subscribed", " ".join(report.over_subscribed_hospitals) or "-"),
-    ])
+    lines = _rows({
+        **_envy_counts(report),
+        "deficient": " ".join(report.deficient_hospitals) or None,
+        "over_subscribed": " ".join(report.over_subscribed_hospitals) or None,
+    })
     lines += [f"envy-pair {r} {h}" for r, h in report.envy_pairs]
     lines += [f"envy-resident {r}" for r in report.envy_residents]
     lines += [f"blocking-pair {r} {h}" for r, h in report.blocking_pairs]

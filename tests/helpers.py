@@ -35,6 +35,11 @@ def instance_b() -> hrlq.Instance:
     )
 
 
+def instance_c() -> hrlq.Instance:
+    """One resident and a [0,1] hospital: the envy-free matching Yokoi's test finds is empty."""
+    return hrlq.validate_instance(["r1"], ["h1"], {"r1": ["h1"]}, {"h1": ["r1"]}, {"h1": (0, 1)})
+
+
 def random_instance(
     rng: random.Random,
     max_residents: int = 6,

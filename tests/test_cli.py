@@ -12,7 +12,7 @@ import pytest
 import hrlq
 from hrlq import cli
 from hrlq.cli import main
-from helpers import chain_instance, instance_a, instance_b, random_feasible_instances
+from helpers import chain_instance, instance_a, instance_b, instance_c, random_feasible_instances
 
 IA_TEXT = hrlq.serialize_instance(instance_a())
 IB_TEXT = hrlq.serialize_instance(instance_b())
@@ -69,6 +69,14 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--alg", "yokoi", "--in", ib_file)
         assert code == 0
         assert "match r1 h2" in out
+
+    def test_yokoi_empty_matching_is_a_solution(self, capsys, tmp_path):
+        path = tmp_path / "c.hrlq"
+        path.write_text(hrlq.serialize_instance(instance_c()))
+        code, out, _ = run(capsys, "solve", "--alg", "yokoi", "--in", path)
+        assert code == 0
+        assert re.search(r"^objective\s+0$", out, re.M)
+        assert not re.search(r"^match ", out, re.M)
 
     def test_da(self, capsys, ia_file):
         code, out, _ = run(capsys, "solve", "--alg", "da", "--in", ia_file)
@@ -204,6 +212,39 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--in", ia_file, match_path)
         assert code == 2
         assert "unacceptable pair" in err
+
+
+class TestByteOrderMark:
+    """A leading U+FEFF, which some editors write, is no part of a file's text."""
+
+    @pytest.mark.parametrize("text, command", [
+        (IA_TEXT, ["solve", "--alg", "da", "--in"]),
+        (TRIANGLE_G, ["gen", "vc2ep", "--k", "2", "--graph"]),
+        ("match r1 h2\nmatch r2 h1\n", ["verify", "--in", "ia.hrlq"]),
+    ], ids=["hrlq", "g", "match"])
+    def test_file_that_starts_with_the_mark_reads_as_without(self, capsys, tmp_path,
+                                                             monkeypatch, text, command):
+        monkeypatch.chdir(tmp_path)
+        Path("ia.hrlq").write_text(IA_TEXT)
+        Path("plain").write_text(text, encoding="utf-8")
+        Path("marked").write_text("\ufeff" + text, encoding="utf-8")
+        plain = run(capsys, *command, "plain")
+        assert plain[0] == 0
+        assert run(capsys, *command, "marked") == plain
+
+    def test_names_holding_the_mark_are_kept(self, capsys, tmp_path):
+        residents, hospitals = ["r\u200b", "\ufeffr", "r\u00e9"], ["h\u200b", "h\ufeff", "\u00e9"]
+        inst = hrlq.validate_instance(
+            residents, hospitals,
+            {r: [h] for r, h in zip(residents, hospitals)},
+            {h: [r] for r, h in zip(residents, hospitals)},
+            dict.fromkeys(hospitals, (0, 1)),
+        )
+        path = tmp_path / "names.hrlq"
+        path.write_text(hrlq.serialize_instance(inst), encoding="utf-8")
+        code, out, _ = run(capsys, "solve", "--alg", "da", "--in", path)
+        assert code == 0
+        assert out.splitlines()[-3:] == [f"match {r} {h}" for r, h in zip(residents, hospitals)]
 
 
 class TestGen:

@@ -11,7 +11,7 @@ import pytest
 
 import hrlq
 from hrlq.cli import main
-from helpers import instance_a, instance_b
+from helpers import instance_a, instance_b, instance_c
 
 
 def sha256(data: bytes) -> str:
@@ -49,7 +49,8 @@ def test_gadget_matchings_repr():
 
 
 # `verify` reads the instance's min-ep matching; "a" has no envy-free matching,
-# so its yokoi rows are the no-solution report.
+# so its yokoi rows are the no-solution report, and "c"'s envy-free matching
+# is empty, which is still a solution.
 @pytest.mark.parametrize("name, command, code, digest", [
     ("a", "solve --alg da", 0,
      "5e7c42d55ab0c3a2eaa0fd3824b2eae047d665aee97ca35ab306915d0800c83f"),
@@ -107,9 +108,21 @@ def test_gadget_matchings_repr():
      "292bd793e7ca4d0ed31e5364c8d5aeb199affe78a1ff7c2a9f410cca87395ae8"),
     ("b", "oracle --json", 0,
      "1ecea2886cc425c04b61c5944ef803ae5f5585f2fb0563cb7ca85f0a62c44156"),
+    ("c", "solve --alg da", 0,
+     "2cbd0b3446f3a67ca5e4ece7e94e11c22eea2cff6b2d2814cfd0b5b2fe6d6637"),
+    ("c", "solve --alg da --json", 0,
+     "32c7705a22dcf704dfe1bab285a8734ec04fe9c2eed1f45dde0b715b63c12820"),
+    ("c", "solve --alg yokoi", 0,
+     "d5681d67688419870a00e47383551c44d1456f286dc0f6d51503145189033582"),
+    ("c", "solve --alg yokoi --json", 0,
+     "8344f342f1547e54f68ef863bd0d2bde095fc2e67fa27804d247db1496b3d4ad"),
+    ("c", "solve --alg min-ep", 0,
+     "63017d040686e0bcb7ea338528e05ad536f448bdf864d7e3730c0dc5bf8d9a44"),
+    ("c", "solve --alg min-ep --json", 0,
+     "323e299eb0d3eef5f29be10b7e8120eccca7268e7d412a61bf9419d1695424fa"),
 ])
 def test_reports_print_the_recorded_bytes(capsys, tmp_path, name, command, code, digest):
-    inst = {"a": instance_a, "b": instance_b}[name]()
+    inst = {"a": instance_a, "b": instance_b, "c": instance_c}[name]()
     inst_path = tmp_path / "in.hrlq"
     inst_path.write_text(hrlq.serialize_instance(inst))
     argv = command.split()
