@@ -93,9 +93,13 @@ class _Run:
 
     A run is built for one instance, its capacities `caps` (the lower
     quotas for Yokoi's test, the upper ones for plain deferred acceptance)
-    and its stop `limit`, the residents that may fall off their lists:
-    n - sum(low) at the lower quotas, where at most sum(low) find a seat,
-    and n at the upper ones.  They stay fixed for the run and its copies.
+    and its stop `limit`, the residents that may fall off their lists.
+    The instance and caps stay fixed for the run and its copies; each copy
+    takes its own limit.  At the upper quotas the limit is n, and the run
+    goes to the end.  At the lower quotas, where at most sum(low) find a
+    seat, a run that ends with exactly n - sum(low) fallen fills every
+    seat; `yokoi_envy_free` stops past that, and `min_ep_exact` gives its
+    root, its cursors and its guesses' runs the limits it documents.
 
     taken[r]   bitmask with bit k set when the hospital at position k of r's
                list held r at some point of the run, even if it later
@@ -139,9 +143,10 @@ class _Run:
         self.held = [0] * len(caps)
         self.entered = self.fallen = 0
 
-    def copy(self) -> _Run:
+    def copy(self, limit: int) -> _Run:
+        """This run's state, in a run of its own that stops past `limit` fallen residents."""
         run = _Run.__new__(_Run)
-        run.instance, run.caps, run.limit = self.instance, self.caps, self.limit
+        run.instance, run.caps, run.limit = self.instance, self.caps, limit
         run.taken, run.held = self.taken.copy(), self.held.copy()
         run.entered, run.fallen = self.entered, self.fallen
         return run
@@ -645,7 +650,7 @@ def _candidates(instance: Instance) -> list[tuple[int, int, int, int]]:
 def _extend_guess(
     candidates: list[tuple[int, int, int, int]],
     banned: list[int],
-    taken: list[int],
+    prefix: _Run,
     cursor: _Run,
     start: int,
     need: int,
@@ -663,28 +668,36 @@ def _extend_guess(
     `start` on.  A candidate is skipped when an earlier pair it forces is
     not in `chosen`, or when it would leave more owed than the `need` - 1
     pairs still to come, and the loop ends at the first owed index, for a
-    guess that passes it can never hold it.  `taken` is the masks of the
-    guess's run, which failed, finished or stopped.
-    `cursor` belongs to this call: the same run, built at the lower quotas
-    with `min_ep_exact`'s stop, admitted up to some resident no later than
+    guess that passes it can never hold it.
+    `prefix` is the guess's run, admitted to the end: it failed, and each
+    pair still to come lowers its fallen count by at most one, so a
+    candidate's run may leave `room` = n - sum(low) + need - 1 fallen and
+    no more.  A never-held candidate's run is the prefix's, so it is
+    skipped when the prefix leaves more.
+    `cursor` belongs to this call: a run at the lower quotas with the stop
+    n - sum(low), admitted up to some resident no later than
     `candidates[start]`'s.  Before each candidate of resident r that is not
     skipped, the cursor is admitted up to r under the prefix's bans, and
-    the call returns once it stops: every guess left bans only pairs of r
-    or later residents, so its run stops as well.  A held candidate's run
-    is a copy of the cursor, given the new ban and admitted from r on: the
-    run from scratch step for step, since the state before r enters does
-    not depend on bans at r or later.  Returns the winning run, with
-    `banned` left holding the winner, or None with `banned` as it was.
+    the call returns once it stops: a resident that fell before r entered
+    stays unmatched whatever is deleted at r or later, so every guess left
+    fails.  A held candidate's run is a copy of the cursor with the limit
+    `room`, given the new ban and admitted from r on: the run from scratch
+    step for step, since the state before r enters does not depend on bans
+    at r or later.  If it stops, the candidate is skipped with every
+    extension; if it finishes, it is the prefix its extensions read.
+    Returns the winning run, with `banned` left holding the winner, or None
+    with `banned` as it was.
     """
-    n = len(taken)
+    n = len(banned)
+    room = cursor.limit + need - 1
     stop = len(candidates) - need + 1
     if owed:
         stop = min(stop, (owed & -owed).bit_length())
     for i in range(start, stop):
         r, _, bit, forced = candidates[i]
-        held = taken[r] & bit
-        if not held and need == 1:
-            continue  # the never-held rule: the prefix's run, a failure already seen
+        held = prefix.taken[r] & bit
+        if not held and prefix.fallen > room:
+            continue  # the never-held rule: the prefix's run, too many seats short
         if forced and forced & ~chosen & ((1 << i) - 1):
             continue  # a forced pair before i is not in the guess
         owes = owed | forced
@@ -695,14 +708,15 @@ def _extend_guess(
         if cursor.entered < r and not cursor.admit(banned, r):
             return None
         banned[r] |= bit
+        run = prefix
         if held:  # the prefix's run, resumed at r with the pair deleted
-            child = cursor.copy()
-            # Only a last-level run can pass: every smaller guess failed a level earlier.
-            if child.admit(banned, n):
-                return child
-        if need > 1:
-            found = _extend_guess(candidates, banned, child.taken if held else taken,
-                                  cursor.copy(), i + 1, need - 1, chosen | 1 << i, owes)
+            run = cursor.copy(room)
+            # At the last pair room is n - sum(low), so a run that finishes wins.
+            if run.admit(banned, n) and need == 1:
+                return run
+        if need > 1 and run.fallen <= room:  # a stopped run's count is past its limit
+            found = _extend_guess(candidates, banned, run, cursor.copy(cursor.limit),
+                                  i + 1, need - 1, chosen | 1 << i, owes)
             if found is not None:
                 return found
         banned[r] &= ~bit
@@ -724,7 +738,7 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
 
     A guess is only its bans: per-resident masks of list positions, which
     deferred acceptance skips; no trimmed instance is built, and the winner
-    is read off the masks in edge order.  Three rules settle most guesses
+    is read off the masks in edge order.  Four rules settle most guesses
     without running deferred acceptance, and none changes the order of the
     guesses left or the result:
 
@@ -748,29 +762,40 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
       one whose pairs force more than it has room for.  When r' has no
       other hospital with a positive lower quota, r' sits at h in every
       feasible matching, r envies h in none, and (r, h) is no candidate.
+    * Empty seats.  A run at the lower quotas seats n - fallen residents
+      and wins when it fills all sum(low) seats.  Deleting one pair (r, h)
+      changes the seats filled by at most one: let r enter last; its one
+      displacement chain ends in a seat taken or a resident falling off,
+      so the instance seats 0 or 1 more than it does without r, and so
+      does the instance with (r, h) deleted, which without r is the same
+      instance.  So a guess whose run leaves d seats empty needs at least
+      d more pairs, and the first level tried is the count the root run
+      leaves empty.
     * Never-held pairs.  Guesses are extended one pair at a time, each
       prefix keeping, per resident, the mask of list positions whose
       hospitals held it in the prefix's run; a pair's bit there is the bit
       that bans it.  If h never held r there, r either never reached h or
       was refused on the spot, which moves only r's pointer, exactly as
       deleting (r, h) does.  So deleting (r, h) as well repeats that run
-      step for step, up to where it ended, and it is reused; at the last
-      level it is a failure already seen.
+      step for step and leaves the prefix's seats empty; it is reused.
 
-    Every run, the root (`yokoi_envy_free`'s run) and each guess's alike,
-    is built with the stop limit n - sum(low), the residents that may stay
-    unmatched, and stops at the first resident that falls off its list
-    past it, for a fallen resident stays unmatched and the run fails; a
-    stopped run's masks serve the never-held rule as a finished run's do.
-    The other guesses resume a run rather than start one (`_extend_guess`):
+    Each run gets the limit its use allows.  The root (`yokoi_envy_free`'s
+    run) gets n and goes to the end, for its fallen count sets the first
+    level; a level_cap below that level raises at once.  A guess's run
+    with need - 1 pairs still to come gets n - sum(low) + need - 1: if it
+    stops, no extension of the guess wins; if it finishes, it is the
+    prefix run its extensions read, for the never-held rule and the bound.
+    The guesses' runs resume a run rather than start one (`_extend_guess`):
     residents enter deferred acceptance in index order, and the state
     before resident r enters does not depend on bans at r or later, so a
-    guess's run copies its prefix's run at the banned pair's resident and
-    goes on from there; when the prefix's run stops on its way to r, every
-    guess left in that step fails.  None of this
-    changes a result: the copy is the run from scratch step for step.  No
-    run outlives its level, and one `banned` list serves the root and every
-    level, for a level that fails clears every bit it set.
+    guess's run copies a cursor, the prefix's bans admitted up to the
+    banned pair's resident, and goes on from there.  A cursor gets
+    n - sum(low): a resident that falls before r enters stays unmatched
+    whatever is deleted at r or later, so once the cursor stops every guess
+    left in that step fails.  None of this changes a result: the copy is
+    the run from scratch step for step.  No run outlives its level, and one
+    `banned` list serves the root and every level, for a level that fails
+    clears every bit it set.
 
     `guesses_examined` counts guesses in the paper's order, by size and
     then lexicographically over all acceptable pairs, up to and including
@@ -787,16 +812,18 @@ def min_ep_exact(instance: Instance, level_cap: int | None = None) -> SolveResul
     low, n = instance._low, len(instance._options)
     n_edges = len(instance.edges)
     candidates = _candidates(instance)
+    slack = n - sum(low)  # the residents a run that fills every seat leaves unmatched
     banned = [0] * n  # the guess; a failed level clears every bit it set
-    root = _Run(instance, low, n - sum(low))  # yokoi_envy_free's run
-    won = root if root.admit(banned, n) else None
-    level = 0
+    root = _Run(instance, low, n)  # yokoi_envy_free's run, taken to the end
+    root.admit(banned, n)
+    level = root.fallen - slack  # the seats it leaves empty: no smaller guess wins
+    won = None if level else root
     while won is None:  # a feasible instance wins at its optimum, at most n_edges
-        if level == level_cap:
-            raise LevelCapExceeded(level, sum(comb(n_edges, j) for j in range(level + 1)))
-        level += 1
-        cursor = _Run(instance, low, root.limit)
-        won = _extend_guess(candidates, banned, root.taken, cursor, 0, level, 0, 0)
+        if level_cap is not None and level > level_cap:
+            raise LevelCapExceeded(level_cap, sum(comb(n_edges, j) for j in range(level_cap + 1)))
+        won = _extend_guess(candidates, banned, root, _Run(instance, low, slack), 0, level, 0, 0)
+        if won is None:
+            level += 1
     residents, hospitals = instance.residents, instance.hospitals
     guess = tuple((residents[r], hospitals[h])
                   for r, h, bit, _ in candidates if banned[r] & bit)

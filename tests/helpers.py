@@ -102,6 +102,30 @@ def random_tight_instance(rng: random.Random, **kwargs) -> hrlq.Instance:
                                   inst.hospital_prefs, {h: (s, s) for h, s in slots.items()})
 
 
+def tight_market(rng: random.Random, n_res: int, n_hosp: int) -> hrlq.Instance:
+    """A tight market of `n_res` residents listing 2-4 of `n_hosp` hospitals each.
+
+    Every quota is [s, s] with s >= 1, and the s add up to `n_res`.  The
+    draws are those of the benchmark's tight random inputs, so
+    `tight_market(random.Random(f"tight:{n}:{seed}"), n, m)` is its tight
+    n×m market of that seed.
+    """
+    residents = [f"r{i}" for i in range(1, n_res + 1)]
+    hospitals = [f"h{j}" for j in range(1, n_hosp + 1)]
+    resident_prefs = {}
+    accepted: dict[str, list[str]] = {h: [] for h in hospitals}
+    for r in residents:
+        resident_prefs[r] = rng.sample(hospitals, min(n_hosp, rng.randint(2, 4)))
+        for h in resident_prefs[r]:
+            accepted[h].append(r)
+    hospital_prefs = {h: rng.sample(listed, len(listed)) for h, listed in accepted.items()}
+    slots = dict.fromkeys(hospitals, 1)
+    for _ in range(n_res - n_hosp):
+        slots[rng.choice(hospitals)] += 1
+    return hrlq.validate_instance(residents, hospitals, resident_prefs, hospital_prefs,
+                                  {h: (s, s) for h, s in slots.items()})
+
+
 def wide_list_instance(rng: random.Random) -> hrlq.Instance:
     """A random instance where h1 lists every one of 70-100 residents, all caps above 1.
 
@@ -414,7 +438,7 @@ def check_resumed_runs(instance: hrlq.Instance, rng: random.Random) -> int:
             for _ in range(2):  # two resumed copies: the first may not disturb the cursor
                 banned[r:] = bans()[r:]
                 full = full_run(instance, caps, banned)
-                resumed = cursor.copy()
+                resumed = cursor.copy(n)
                 resumed.admit(banned, n)
                 choice = full.choice()
                 resumed_state = (resumed.choice(), resumed.taken)
@@ -426,7 +450,7 @@ def check_resumed_runs(instance: hrlq.Instance, rng: random.Random) -> int:
                 assert named == textbook_da(instance, named_caps, dropped), (bound, r)
                 if bound == 0:
                     stopped = algorithms._Run(instance, caps, n - sum(caps))
-                    verdict = stopped.admit(banned, r) and stopped.copy().admit(banned, n)
+                    verdict = stopped.admit(banned, r) and stopped.copy(stopped.limit).admit(banned, n)
                     matched = sum(h >= 0 for h in choice)
                     assert verdict == (matched == sum(caps)), r
                 runs += 1

@@ -18,6 +18,7 @@ from helpers import (
     naive_envy_pairs,
     random_feasible_instances,
     random_instance,
+    tight_market,
 )
 
 TRIANGLE = hrlq.SourceGraph(3, [(1, 2), (1, 3), (2, 3)], k=2)
@@ -177,6 +178,34 @@ def test_exact_solver_on_the_four_cycle_frontier():
     assert exact.objective == hrlq.brute_min_ep(instance).objective == 5
     assert len(naive_envy_pairs(instance, exact.matching)) == 5
     assert hrlq.is_feasible(instance, exact.matching)
+
+
+# K4 with k=3 and the default gadget: 208 residents and Min-EP 6.  The
+# empty-seat bound brought it to well under 0.1 s from about 6 s.
+def test_exact_solver_on_the_k4_frontier():
+    instance = hrlq.vc_to_min_ep(hrlq.SourceGraph(4, K4, k=3), hrlq.VCReductionParams())
+    assert len(instance.residents) == 208
+    with _Timer("vc-k4-k3-exact", 1.0):
+        exact = hrlq.min_ep_exact(instance)
+    assert exact.objective == hrlq.brute_min_ep(instance).objective == 6
+    assert len(naive_envy_pairs(instance, exact.matching)) == 6
+    assert hrlq.is_feasible(instance, exact.matching)
+
+
+# A tight random market of 40 residents and 12 hospitals with Min-EP 6, too
+# large for the brute oracle.  The empty-seat bound brought it to about 0.1 s
+# from about 10 s.
+def test_exact_solver_on_a_tight_forty_by_twelve_market():
+    instance = tight_market(random.Random("tight:40:2"), 40, 12)
+    assert sum(instance._low) == len(instance.residents) == 40
+    with _Timer("tight-40x12-exact", 1.0):
+        exact = hrlq.min_ep_exact(instance)
+    assert exact.objective == exact.stats.level == 6
+    assert len(naive_envy_pairs(instance, exact.matching)) == 6
+    assert hrlq.is_feasible(instance, exact.matching)
+    # The winning guess deleted, the matching is the envy-free one Yokoi's test finds.
+    trimmed = hrlq.without_edges(instance, exact.stats.guess)
+    assert hrlq.yokoi_envy_free(trimmed) == exact.matching
 
 
 def test_envy_free_decision_matches_enumeration():

@@ -119,6 +119,26 @@ class TestKernelAgainstTextbook:
         runs = sum(check_resumed_runs(inst, rng) for inst in self.FAMILY[-300:])
         assert runs > 2000
 
+    def test_one_more_ban_moves_the_seats_filled_by_at_most_one(self):
+        # min_ep_exact's empty-seat bound: deleting one more pair changes the
+        # number of residents a full run seats, n - fallen, by at most one, at
+        # the lower and at the upper quotas.  Moves of both signs occur, so a
+        # bound one tighter would fail here.
+        rng = random.Random(37)
+        moves = {}  # seats after one more ban minus seats before -> how often
+        for inst in self.FAMILY[-300:]:
+            n = len(inst.residents)
+            for caps in (inst._low, inst._up):
+                for _ in range(2):
+                    dropped = {pair for pair in inst.edges if rng.random() < 0.25}
+                    seated = n - full_run(inst, caps, _banned_masks(inst, dropped)).fallen
+                    for pair in inst.edges:
+                        if pair not in dropped:
+                            run = full_run(inst, caps, _banned_masks(inst, dropped | {pair}))
+                            move = n - run.fallen - seated
+                            moves[move] = moves.get(move, 0) + 1
+        assert moves.keys() == {-1, 0, 1}
+
     def test_never_held_pair_repeats_the_run(self):
         # The lemma min_ep_exact's reuse rule rests on: deleting a pair whose
         # hospital never held the resident gives back the identical run, and
@@ -767,6 +787,65 @@ class TestMinEpExact:
         assert result.matching.assignment == {"r1": "h1", "r2": "h3", "r3": "h2"}
         assert result == paper_min_ep(inst)
 
+    # Tight markets, where most guesses' runs leave seats empty, and the tight
+    # reductions, whose roots leave two to four empty.
+    @staticmethod
+    def empty_seat_family():
+        return _tight_markets(28, 300) + [_reduction(*source) for source in _TIGHT_REDUCTIONS]
+
+    @staticmethod
+    def empty_seats(inst):
+        """The lower-quota seats that deferred acceptance at the lower quotas leaves empty."""
+        caps = {h: low for h, (low, _) in inst.quotas.items()}
+        return sum(inst._low) - len(textbook_da(inst, caps))
+
+    def test_levels_start_at_the_roots_empty_seats(self, monkeypatch):
+        # Each pair deleted fills at most one more seat, so min_ep_exact tries
+        # no level below the seats its root run leaves empty, and starts there.
+        algorithms = hrlq.algorithms
+        extend, levels = algorithms._extend_guess, []
+
+        def spy_extend(*args):
+            if not args[6]:  # no candidate chosen yet: a level's first call
+                levels.append(args[5])
+            return extend(*args)
+
+        monkeypatch.setattr(algorithms, "_extend_guess", spy_extend)
+        skipped = 0
+        for inst in self.empty_seat_family():
+            levels.clear()
+            # Capped, so a search that cuts its winner ends: no optimum exceeds the edges.
+            level = hrlq.min_ep_exact(inst, level_cap=len(inst.edges)).stats.level
+            assert level == hrlq.brute_min_ep(inst).objective
+            seats = self.empty_seats(inst)
+            assert levels == (list(range(seats, level + 1)) if seats else [])
+            skipped += seats > 1
+        assert skipped >= 5
+
+    def test_a_cap_below_the_roots_empty_seats_raises_at_once(self, monkeypatch):
+        # With the level cap, guess count and message of the paper's search
+        # capped there, and before any guess is extended.
+        algorithms = hrlq.algorithms
+        extend, calls = algorithms._extend_guess, []
+
+        def spy_extend(*args):
+            calls.append(args[5])
+            return extend(*args)
+
+        monkeypatch.setattr(algorithms, "_extend_guess", spy_extend)
+        checked = 0
+        for inst in self.empty_seat_family()[:-1]:  # the 4-cycle's paper order is too slow
+            for cap in range(self.empty_seats(inst)):
+                with pytest.raises(hrlq.LevelCapExceeded) as fast:
+                    hrlq.min_ep_exact(inst, level_cap=cap)
+                assert calls == []
+                with pytest.raises(hrlq.LevelCapExceeded) as slow:
+                    paper_min_ep(inst, level_cap=cap)
+                assert (fast.value.level_cap, fast.value.guesses_examined, str(fast.value)) == (
+                    slow.value.level_cap, slow.value.guesses_examined, str(slow.value))
+                checked += cap > 0
+        assert checked >= 3
+
     def test_a_failed_level_leaves_no_ban(self):
         # min_ep_exact keeps one `banned` list for every level and reads the
         # winner off it, so a level that fails must clear every bit it set.
@@ -787,10 +866,11 @@ class TestMinEpExact:
             banned = [0] * n
             root = algorithms._Run(inst, low, n - sum(low))
             assert root.admit(banned, n) == (level == 0)
+            prefix = full_run(inst, low)  # the root as min_ep_exact runs it, to the end
             for candidates in (every_pair, algorithms._candidates(inst)):
                 for below in range(1, level):
                     cursor = algorithms._Run(inst, low, root.limit)
-                    found = algorithms._extend_guess(candidates, banned, root.taken, cursor,
+                    found = algorithms._extend_guess(candidates, banned, prefix, cursor,
                                                      0, below, 0, 0)
                     assert found is None
                     assert banned == [0] * n
@@ -922,7 +1002,9 @@ class TestForcedPairs:
 
     def test_every_last_level_guess_holds_what_it_forces(self, monkeypatch):
         # Deferred acceptance runs at the last level only on guesses that hold
-        # every pair their pairs force by the definition.
+        # every pair their pairs force by the definition.  The empty-seat bound
+        # cuts most guesses before their last pair, so the family is ten times
+        # as wide as the other tests' to see as many last-level runs.
         algorithms = hrlq.algorithms
         extend, admit = algorithms._extend_guess, algorithms._Run.admit
         needs, tried = [], []
@@ -941,7 +1023,7 @@ class TestForcedPairs:
 
         monkeypatch.setattr(algorithms, "_extend_guess", spy_extend)
         monkeypatch.setattr(algorithms._Run, "admit", spy_admit)
-        family = self.family()
+        family = [_reduction(*source) for source in _TIGHT_REDUCTIONS] + _tight_markets(28, 3000)
         for inst in family:
             hrlq.min_ep_exact(inst)
         forced = {id(inst): _forced_by_definition(inst)[0] for inst in family}
