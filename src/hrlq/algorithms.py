@@ -57,9 +57,9 @@ class SolveStats(_Record):
                       all acceptable pairs), whether or not deferred
                       acceptance ran on them; 0 elsewhere
     level             min_ep_exact: size of the winning guess; 0 elsewhere
-    nodes             brute_*: search states entered, the root and each
-                      partial assignment that some feasible matching
-                      extends; 0 elsewhere
+    nodes             brute_*: partial assignments entered, the root and
+                      each one that some feasible matching extends; 0
+                      elsewhere
     guess             min_ep_exact: the winning deleted pairs; () elsewhere
     """
 
@@ -253,22 +253,6 @@ def yokoi_envy_free(instance: Instance) -> Matching | None:
     return _matching(instance, run.choice()) if run.admit([0] * n, n) else None
 
 
-def _frontier_reader(spans: list[tuple[int, int, int]], i: int):
-    """The reader of the frontier occupancy at level i.
-
-    `spans` holds (first lister, last lister, h) for the hospitals h with
-    a positive lower quota.  The frontier F_i holds those listed both by a
-    resident <= i and by a resident > i; the reader maps the occupancy
-    vector to its entries on F_i.  It is built only when level i takes a
-    memo key, and then F_i is never empty: either i's option frees a slot
-    of a hospital that has a positive lower quota, that i lists and that
-    passed the last-lister check, so a resident after i lists it; or the
-    option fills j while i covers no slot, so the cover gives a slot of j
-    to a resident after i.
-    """
-    return itemgetter(*[h for first, last, h in spans if first <= i < last])
-
-
 def _augment(acc_h: tuple, hospital: int, start: int, cover: list[int]) -> bool:
     """Cover one more slot of `hospital` with residents from `start` on, if possible.
 
@@ -324,6 +308,29 @@ def _initial_cover(instance: Instance) -> list[int] | None:
     return cover
 
 
+def _frontier_readers(instance: Instance, last: list[int]) -> Iterator:
+    """The readers of the occupancy on G_1, G_2, ..., G_n, in that order.
+
+    G_i holds every hospital, whatever its lower quota, that a resident
+    before i lists and a resident at or after i lists too; `last[h]` is h's
+    last lister.  One sweep over the residents builds them: G_(i+1) is G_i
+    less the hospitals whose last lister is i, plus those whose first
+    lister is i and that a later resident lists.  Read to the end it costs
+    O(n + |E| + the sum of |G_i|).
+    """
+    first = [min(listed, default=-1) for listed in instance._acc_h]
+    frontier: list[int] = []
+    for i, prefs in enumerate(instance._options):
+        frontier = [h for h in frontier if last[h] > i]
+        frontier += [h for h, _ in prefs if first[h] == i < last[h]]
+        yield itemgetter(*frontier) if frontier else _no_frontier
+
+
+def _no_frontier(occ: list[int]) -> tuple:
+    """The reader of an empty frontier: its level has one state."""
+    return ()
+
+
 class _FeasibleSearch:
     """Depth-first enumeration of feasible matchings, without recursion.
 
@@ -332,36 +339,46 @@ class _FeasibleSearch:
     each with i's rank there, and then (-1, -1) for staying unmatched,
     which only this search adds, and only at a level with slack (more
     residents left than demand), where the count check allows it; a
-    hospital at its upper quota is skipped.  A branch
-    survives only while the undecided residents can still meet the
-    remaining lower-quota demand, so dead branches are cut at the node
-    where they die.  Three tests decide that, cheapest first:
+    hospital at its upper quota is skipped.  A branch survives only while
+    the undecided residents can still meet the remaining lower-quota
+    demand, so dead branches are cut at the node where they die.  Three
+    tests decide that, cheapest first:
 
     * a count, in O(1): the demand left may not exceed the residents left;
     * the last-lister check, in O(1): an option that frees a slot i covers
       dies when no resident after i lists that slot's hospital;
     * a cover, which gives every demand slot its own undecided resident.
-      Each level of the explicit stack holds its cover: the parent's, or
-      one repaired with one augmenting path (`_augment`) when the decision
-      frees or removes a slot.  Any repair gives the same decision,
+      An option that frees or removes a slot repairs a copy of it with one
+      augmenting path (`_augment`).  Any repair gives the same decision,
       because the cover only has to exist.
 
-    Whether the residents after i can meet the demand depends only on i
-    and the demand after i's decision on the frontier F_i: the hospitals
-    with a positive lower quota listed both by a resident <= i and by one
-    after i.  A hospital listed only after i still has all its demand,
-    and on a live branch one listed only up to i has none left (the cover
-    and the last-lister check see to that).  The occupancy on F_i fixes
-    that demand, so repairs are memoized by (i, frontier occupancy), dead
-    or the repaired cover, and a branch that meets a known state reuses
-    the verdict and the cover, which is copied before it is ever changed.
-    The key is the per-node state a bound can share with the enumeration.
+    The state at level i is keyed by (i, occupancy of G_i), where G_i holds
+    every hospital, whatever its lower quota, listed both by a resident
+    before i and by one at or after i.  The key fixes everything below the
+    state: on a live branch a hospital listed only before i has met its
+    demand (the cover and the last-lister check see to that), and one
+    listed only from i on is still empty.  So the key fixes each hospital's
+    room under its upper quota and its demand left, hence the slack,
+    resident i's live options and every completion.  A state is a list
+    [options, cover, slack].  The walk expands it the first time it
+    reaches it: the three tests run once per option, on the cover of the
+    path that reached it, and `options` becomes the live options in list
+    order, each (hospital, rank, child state), with child None at a leaf.
+    Once an option passes the count and last-lister checks its child's
+    liveness depends only on the child's key, so a known key (a dead one
+    maps to None) skips the repair, and only a new live child keeps a
+    cover, until its own expansion drops it.  Every later visit walks the
+    stored options with no test, no key and no cover.
 
-    Along the path the search keeps, besides each hospital's occupancy,
-    `cut[h]`: the rank in h's list of h's worst decided occupant (-1 while
-    h holds nobody).  Placing a resident raises it, backtracking restores
-    it, and at a leaf it covers every resident, so `core._envy_scan` scores
-    the leaf from it without rebuilding it.
+    The walk still enters each partial assignment that some feasible
+    matching extends, in the same order, and each option taken counts as
+    one node, so the leaves, their order and the node count are those of
+    plain backtracking.  Along the path the search keeps each hospital's
+    occupancy `occ[h]`, which an expansion reads, and `cut[h]`: the rank
+    in h's list of h's worst decided occupant (-1 while h holds nobody).
+    Placing a resident raises it, backtracking restores it, and at a leaf
+    it covers every resident, so `core._envy_scan` scores the leaf from it
+    without rebuilding it.
     """
 
     def __init__(self, instance: Instance, node_budget: int):
@@ -369,81 +386,44 @@ class _FeasibleSearch:
         self.nodes = 0
         self.instance = instance
         self.cut = [-1] * len(instance._acc_h)
+        self.occ = [0] * len(instance._acc_h)
 
     def leaves(self) -> Iterator[list[int]]:
         """Yield the live choice vector at each feasible leaf; copy it to keep it.
 
         While a leaf is out, `self.cut` is that leaf's cut.  An instance
-        without a feasible matching yields nothing and enters no state.
-        Otherwise every state entered counts as a node, and entering one
-        past the budget raises BudgetExceeded.
+        without a feasible matching yields nothing and enters no partial
+        assignment.  Otherwise the root and each option taken count as a
+        node, and a node past the budget raises BudgetExceeded.
         """
         instance = self.instance
         cover = _initial_cover(instance)
         if cover is None:
             return
-        acc_h, low, up = instance._acc_h, instance._low, instance._up
-        budget, lists, cut = self.node_budget, instance._options, self.cut
-        n = len(lists)
-        # (-1, -1): unmatched.  A level with no slack tries only its list, for
-        # the count check would refuse that entry there.
-        options = [prefs + ((-1, -1),) for prefs in lists]
-        last = [max(listed, default=-1) for listed in acc_h]  # h's last lister
-        spans = [(min(listed), last[h], h)
-                 for h, listed in enumerate(acc_h) if low[h] and len(listed) > 1]
-        readers = [None] * n  # readers[i]: F_i's reader, built when level i first takes a key
-        occ = [0] * len(acc_h)
-        repaired: dict[tuple, list[int] | None] = {}  # (i, frontier occupancy) -> cover, or None: dead
-        choice = [-1] * n
-        covers = [cover] * n  # covers[i]: the cover while resident i is decided
-        # slack[i]: undecided residents minus unmet lower-quota demand at level i
-        slack = [n - sum(low)] * n
-        kept = [-1] * n  # kept[i]: the cut of i's hospital before i took it
-        pending = [None] * n  # pending[i]: the options resident i has not tried yet
+        budget, cut, occ = self.node_budget, self.cut, self.occ
+        n = len(cover)
         self.nodes += 1
         if self.nodes > budget:
             raise BudgetExceeded(budget)
         if not n:
-            yield choice
+            yield []
             return
+        self.last = [max(listed, default=-1) for listed in instance._acc_h]  # h's last lister
+        self.frontiers = _frontier_readers(instance, self.last)
+        self.readers = [None]  # readers[i]: G_i's, appended when level i - 1 first expands
+        self.states: dict[tuple, list | None] = {}  # (i, occupancy of G_i) -> state, None: dead
+        expand = self._expand
+        choice = [-1] * n
+        kept = [-1] * n  # kept[i]: the cut of i's hospital before i took it
+        pending = [None] * n  # pending[i]: the options resident i has not taken yet
         i = 0
-        it = iter(options[0] if slack[0] else lists[0])
+        it = iter(expand(0, [None, cover, n - sum(instance._low)]))
         while True:
-            for j, rank in it:
-                if j >= 0 and occ[j] >= up[j]:
-                    continue
-                fills = j >= 0 and occ[j] < low[j]
-                if not (fills or slack[i]):
-                    continue  # the count check: the rest could not meet the demand
-                # Entries of residents before i are stale and never read again.
-                cover = covers[i]
-                freed = cover[i]
-                if freed != j and (fills or freed >= 0):
-                    if freed >= 0 and last[freed] <= i:
-                        continue  # the last-lister check: nobody after i can take the slot
-                    reader = readers[i]
-                    if reader is None:
-                        reader = readers[i] = _frontier_reader(spans, i)
-                    if j >= 0:  # the key is taken after i's decision
-                        occ[j] += 1
-                    key = (i, reader(occ))
-                    if j >= 0:
-                        occ[j] -= 1
-                    if key in repaired:
-                        cover = repaired[key]
-                    else:
-                        cover = cover.copy()
-                        if fills:  # a slot of j that i did not cover disappears
-                            cover[cover.index(j, i + 1)] = -1
-                        if freed >= 0 and not _augment(acc_h, freed, i + 1, cover):
-                            cover = None
-                        repaired[key] = cover
-                    if cover is None:
-                        continue
+            for j, rank, child in it:
                 self.nodes += 1
                 if self.nodes > budget:
                     raise BudgetExceeded(budget)
-                if i + 1 == n:  # a leaf
+                if child is None:  # a leaf
                     choice[i] = j
                     if j >= 0 and rank > cut[j]:
                         below, cut[j] = cut[j], rank
@@ -461,9 +441,7 @@ class _FeasibleSearch:
                         cut[j] = rank
                 pending[i] = it
                 i += 1
-                covers[i] = cover
-                slack[i] = slack[i - 1] - (not fills)
-                it = iter(options[i] if slack[i] else lists[i])
+                it = iter(child[0] or expand(i, child))
                 break
             else:  # back to the previous resident's next option
                 if i == 0:
@@ -475,6 +453,53 @@ class _FeasibleSearch:
                     cut[j] = kept[i]
                     choice[i] = -1
                 it = pending[i]
+
+    def _expand(self, i: int, state: list) -> list:
+        """Store and return resident i's live options at `state`, reached with `self.occ`."""
+        instance, occ, last, states = self.instance, self.occ, self.last, self.states
+        acc_h, low, up = instance._acc_h, instance._low, instance._up
+        _, cover, slack = state
+        n, freed = len(cover), cover[i]  # entries of residents before i are stale
+        readers = self.readers
+        if len(readers) == i + 1:  # the first expansion at level i
+            readers.append(next(self.frontiers))
+        reader = readers[i + 1]
+        # A level with no slack tries only its list, for the count check
+        # would refuse the unmatched entry there.
+        prefs = instance._options[i]
+        live = []
+        for j, rank in prefs + ((-1, -1),) if slack else prefs:
+            if j >= 0 and occ[j] >= up[j]:
+                continue
+            fills = j >= 0 and occ[j] < low[j]
+            if not (fills or slack):
+                continue  # the count check: the rest could not meet the demand
+            repair = freed != j and (fills or freed >= 0)
+            if repair and freed >= 0 and last[freed] <= i:
+                continue  # the last-lister check: nobody after i can take the slot
+            if i + 1 == n:  # a leaf: every option that needs a repair here was cut above
+                live.append((j, rank, None))
+                continue
+            if j >= 0:  # the child's key is taken after i's decision
+                occ[j] += 1
+            key = (i + 1, reader(occ))
+            if j >= 0:
+                occ[j] -= 1
+            if key in states:
+                child = states[key]
+            else:
+                fresh = cover
+                if repair:
+                    fresh = cover.copy()
+                    if fills:  # a slot of j that i did not cover disappears
+                        fresh[fresh.index(j, i + 1)] = -1
+                    if freed >= 0 and not _augment(acc_h, freed, i + 1, fresh):
+                        fresh = None
+                child = states[key] = None if fresh is None else [None, fresh, slack - (not fills)]
+            if child is not None:
+                live.append((j, rank, child))
+        state[0], state[1] = live, None
+        return live
 
 
 def exists_feasible(instance: Instance) -> bool:
@@ -492,10 +517,10 @@ def enumerate_feasible(
 ) -> Iterator[Matching]:
     """Yield every feasible matching exactly once, in deterministic order.
 
-    Raises BudgetExceeded once the backtracking search has visited
-    node_budget states; that signals the instance is too large for
-    exhaustive treatment.  A node_budget that is not an int >= 0 raises
-    ValueError at the call, before anything is yielded.
+    Raises BudgetExceeded once the backtracking search has entered more
+    than node_budget partial assignments; that signals the instance is too
+    large for exhaustive treatment.  A node_budget that is not an int >= 0
+    raises ValueError at the call, before anything is yielded.
     """
     search = _FeasibleSearch(instance, node_budget)
     return (_matching(instance, choice) for choice in search.leaves())

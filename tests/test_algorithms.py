@@ -404,16 +404,16 @@ class TestEngineAgainstProductSpace:
     """The search against `itertools.product` over each resident's options, in order.
 
     Besides the seeded and exhaustive instances, the family holds
-    hand-built ones that put the search's cuts and its repair memo on
+    hand-built ones that put the search's cuts and its shared states on
     their boundaries.
     """
 
     # r2 is the last resident to list hA.  Once r1 stays unmatched, r2
     # covers hA, so each of r2's options but hA dies: nobody after r2 can
-    # take the slot over.  Those options leave the same frontier demand
-    # (hC unmet, listed by r3 and r4) as r2's live options after r1 took
-    # hA, which the memo holds a cover for; the last-lister check must
-    # cut them before the memo is asked.
+    # take the slot over.  Those options lead to the same key (the
+    # occupancy of hC, listed both up to r2 and after it) as r2's live
+    # options after r1 took hA, a state known live; the last-lister check
+    # must cut them before the state table is asked.
     LAST_LISTER = _hand_built(
         {"r1": ("hA",), "r2": ("hD", "hA", "hC"), "r3": ("hC",), "r4": ("hC",)},
         {"hA": ("r1", "r2"), "hC": ("r2", "r3", "r4"), "hD": ("r2",)},
@@ -421,9 +421,9 @@ class TestEngineAgainstProductSpace:
     )
     # r2 lists hA after r1, but r2 is the only resident listing hB, so it
     # stays locked on hB and r1's option hD dies in the augmenting-path
-    # search; r1 staying unmatched meets the same frontier state and the
-    # memo's verdict.  In the twin r3 lists hB too, so r2 can move to hA
-    # and both options of r1 live.
+    # search; r1 staying unmatched dies in a search of its own, for hD's
+    # occupancy puts it in another state.  In the twin r3 lists hB too, so
+    # r2 can move to hA and both options of r1 live.
     LOCKED = _hand_built(
         {"r1": ("hD", "hA"), "r2": ("hB", "hA"), "r3": ("hD",)},
         {"hA": ("r1", "r2"), "hB": ("r2",), "hD": ("r1", "r3")},
@@ -435,9 +435,10 @@ class TestEngineAgainstProductSpace:
         {"hA": (1, 1), "hB": (1, 1), "hD": (0, 1)},
     )
     # r1 and r2 fill h1 and one seat of h2, in either order, so r3 meets
-    # the same frontier demand twice.  The first order's repair leaves r4
-    # covering h2's last seat; the second path's own repair would leave r3
-    # there, and it takes the memo's cover instead.
+    # the same state twice.  The first order's repair leaves r4 covering
+    # h2's last seat, and r3's state is expanded with that cover; the
+    # second path's own repair would leave r3 there, and it replays the
+    # stored options instead.
     TWO_PATHS = _hand_built(
         {"r1": ("h1", "h2"), "r2": ("h1", "h2"), "r3": ("h2",), "r4": ("h1", "h2")},
         {"h1": ("r4", "r2", "r1"), "h2": ("r4", "r1", "r3", "r2")},
@@ -461,8 +462,8 @@ class TestEngineAgainstProductSpace:
             assert [m.pairs() for m in hrlq.enumerate_feasible(inst)] == want
 
     def test_brute_nodes_are_distinct_prefixes(self):
-        # The search enters a state exactly when some feasible leaf lies
-        # below it, so its nodes are the distinct prefixes of the leaves.
+        # The search enters a partial assignment exactly when some feasible
+        # leaf lies below it, so its nodes are the distinct prefixes of the leaves.
         for inst in self._family():
             choices = product_space_choices(inst)
             if not choices:
@@ -586,6 +587,85 @@ class TestReductionEnumeration:
         check_tables_by_name(_reduction(*self.SOURCES[name]))
 
 
+def _frontier_states(instance: hrlq.Instance, combos) -> tuple[list[list[str]], set]:
+    """G_i by name for each level i, and the distinct (i, occupancy on G_i) of `combos`' prefixes.
+
+    G_i holds the hospitals that a resident before i and a resident at or
+    after i both list, in declaration order; `combos` give a hospital (or
+    None) per resident, as `product_space_choices` does.
+    """
+    residents, prefs = instance.residents, instance.resident_prefs
+    listers = {h: [k for k, r in enumerate(residents) if h in prefs[r]] for h in instance.hospitals}
+    frontiers = [[h for h, ks in listers.items() if ks and ks[0] < i <= ks[-1]]
+                 for i in range(len(residents))]
+    states = set()
+    for combo in combos:
+        occ = dict.fromkeys(instance.hospitals, 0)
+        for i, frontier in enumerate(frontiers):
+            states.add((i, tuple(occ[h] for h in frontier)))
+            if combo[i] is not None:
+                occ[combo[i]] += 1
+    return frontiers, states
+
+
+class TestFrontierStates:
+    """The search expands each (level, occupancy on G_i) state exactly once.
+
+    The states are counted by name from the prefixes of the feasible
+    matchings, so a key that merges two states with different futures
+    (dropping a hospital from G_i) or splits one state (keeping an
+    occupancy that no longer matters) shows as a missing or repeated entry.
+    """
+
+    @pytest.fixture
+    def expand(self, monkeypatch):
+        """A function that runs `brute_min_ep` and gives its expansions as (i, occupancy on G_i)."""
+        expanded = []
+        expand = hrlq.algorithms._FeasibleSearch._expand
+
+        def spying(self, i, state):
+            expanded.append((i, dict(zip(self.instance.hospitals, self.occ))))
+            return expand(self, i, state)
+
+        def run(inst, frontiers):
+            expanded.clear()
+            hrlq.brute_min_ep(inst)
+            return [(i, tuple(occ[h] for h in frontiers[i])) for i, occ in expanded]
+
+        monkeypatch.setattr(hrlq.algorithms._FeasibleSearch, "_expand", spying)
+        return run
+
+    # The four instances of TestReductionEnumeration, with their state
+    # counts.  Their product spaces are far too large to list, so their
+    # feasible matchings come from `enumerate_feasible`, whose sequence
+    # `TestReductionEnumeration.test_pinned` pins.
+    @pytest.mark.parametrize("name, count", [
+        ("triangle-k1-full", 124), ("four-cycle-k3-full", 35), ("k4-k2-g3", 81), ("c5-k2-g3", 86),
+    ])
+    def test_reduction_instances(self, expand, name, count):
+        inst = _reduction(*TestReductionEnumeration.SOURCES[name])
+        combos = [tuple(map(m.assignment.get, inst.residents))
+                  for m in hrlq.enumerate_feasible(inst)]
+        frontiers, states = _frontier_states(inst, combos)
+        expanded = expand(inst, frontiers)
+        assert len(expanded) == count
+        assert sorted(expanded) == sorted(states)
+
+    def test_slack_family(self, expand):
+        # Mostly optional hospitals, so G_i often holds a [0, u] hospital
+        # whose upper quota, not its demand, tells two states apart.
+        binding = 0
+        for inst in random_feasible_instances(31, 60, max_hospitals=3, tight=0.2):
+            combos = product_space_choices(inst)
+            frontiers, states = _frontier_states(inst, combos)
+            assert sorted(expand(inst, frontiers)) == sorted(states)
+            binding += any(
+                inst.quotas[h][0] == 0 and combo[:i].count(h) == inst.quotas[h][1]
+                for combo in combos for i, r in enumerate(inst.residents)
+                for h in inst.resident_prefs[r])
+        assert binding > 10
+
+
 class TestZeroResidents:
     """No residents: one feasible matching, the empty one, when no hospital needs anyone."""
 
@@ -652,9 +732,32 @@ class TestLongChains:
         assert len(list(hrlq.enumerate_feasible(chain_instance(50)))) == 1
         assert repairs == []
 
-    def test_chain_builds_no_frontier_reader(self, monkeypatch):
-        # Every option on a chain is settled by the count or the last-lister
-        # check, so no level takes a memo key and no frontier reader is built.
+    def test_chain_expands_one_state_per_level(self, monkeypatch):
+        # On a chain G_i is {h_i}, and every live branch has h_i empty, so
+        # each level has one state; every option that frees a cover slot is
+        # cut by the last-lister check, so no cover is repaired.
+        expanded, repairs = [], []
+        expand, augment = hrlq.algorithms._FeasibleSearch._expand, hrlq.algorithms._augment
+
+        def expanding(self, i, state):
+            expanded.append(i)
+            return expand(self, i, state)
+
+        def repairing(acc_h, hospital, start, cover):
+            if start:  # the initial cover augments from resident 0
+                repairs.append(hospital)
+            return augment(acc_h, hospital, start, cover)
+
+        monkeypatch.setattr(hrlq.algorithms._FeasibleSearch, "_expand", expanding)
+        monkeypatch.setattr(hrlq.algorithms, "_augment", repairing)
+        result = hrlq.brute_min_ep(chain_instance(3000))
+        assert expanded == list(range(3000))
+        assert repairs == []
+        assert result.objective == 2999
+        assert result.matching.pairs() == tuple((f"r{i}", f"h{i}") for i in range(3000))
+        assert result.stats.nodes == 3001
+
+    def test_each_level_builds_its_reader_once(self, monkeypatch):
         built = []
         itemgetter = hrlq.algorithms.itemgetter
 
@@ -663,15 +766,9 @@ class TestLongChains:
             return itemgetter(*items)
 
         monkeypatch.setattr(hrlq.algorithms, "itemgetter", counting)
-        result = hrlq.brute_min_ep(chain_instance(3000))
-        assert built == []
-        assert result.objective == 2999
-        assert result.matching.pairs() == tuple((f"r{i}", f"h{i}") for i in range(3000))
-        assert result.stats.nodes == 3001
-        # A reduction instance asks the memo, and each level builds its reader once.
         inst = _reduction("vc", 3, _TRIANGLE, 1, None)
         hrlq.brute_min_ep(inst)
-        assert 0 < len(built) <= len(inst.residents)
+        assert 0 < len(built) < len(inst.residents)
 
     def test_brute_oracle_memory(self):
         # Nothing the search keeps per level may grow with the chain's

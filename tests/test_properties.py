@@ -1,7 +1,8 @@
 """Property tests over generated instances and graphs: format round trips, the exact
 solver against the oracle and the paper-order reference, resumed deferred
-acceptance against a full run, the search's path-kept cut and leaf score
-against a recount, envy against blocking, byte-stable output.
+acceptance against a full run, the enumeration against the product space,
+the search's path-kept cut and leaf score against a recount, envy against
+blocking, byte-stable output.
 
 Examples are derandomized and the example database is off, so every run
 checks the same inputs.
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrlq
-from helpers import (check_leaf_state, check_resumed_runs, paper_min_ep, random_instance,
-                     random_tight_instance)
+from helpers import (check_leaf_state, check_resumed_runs, choice_pairs, paper_min_ep,
+                     product_space_choices, random_instance, random_tight_instance)
 
 FIXED = settings(derandomize=True, database=None, max_examples=50, deadline=None)
 
@@ -161,6 +162,19 @@ def test_min_ep_exact_on_unit_quota_markets_equals_the_reference(instance):
 @given(INSTANCES, st.integers(0, 2**32 - 1).map(Random))
 def test_resumed_deferred_acceptance_equals_a_full_run(instance, rng):
     check_resumed_runs(instance, rng)
+
+
+# The search shares the subtree below each frontier state, yet it must still
+# yield the product space in order and enter each feasible prefix once.
+@settings(FIXED, max_examples=200)
+@given(INSTANCES)
+def test_enumeration_is_the_product_space_and_its_nodes_the_prefixes(instance):
+    choices = product_space_choices(instance)
+    want = [choice_pairs(instance, c) for c in choices]
+    assert [m.pairs() for m in hrlq.enumerate_feasible(instance)] == want
+    if choices:
+        prefixes = {c[:k] for c in choices for k in range(len(instance.residents) + 1)}
+        assert hrlq.brute_min_ep(instance).stats.nodes == len(prefixes)
 
 
 @FIXED
