@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from itertools import chain, repeat
 
 Pair = tuple[str, str]
 
@@ -121,7 +122,9 @@ class Instance(_Record):
 
     # Derived tables (set in __init__, left out of eq/repr), built in the
     # pass that validates: the index maps and each hospital's position
-    # table are the validator's lookup tables, reused to compile.
+    # table are the validator's lookup tables, reused to compile.  Each
+    # check is one bulk test over all names or lists first, and its message
+    # loop runs only when that test fails, so a valid instance runs none.
     #   resident_index, hospital_index  name -> dense index
     #   edges  all acceptable pairs sorted by (resident index, hospital index)
     # and, by dense index, the four compiled tables the solvers and predicates read:
@@ -156,63 +159,73 @@ class Instance(_Record):
         hidx = {h: j for j, h in enumerate(dict.fromkeys(hnames))}
         rprefs = {r: _members(resident_prefs.get(r, ())) for r in ridx}
         hprefs = {h: _members(hospital_prefs.get(h, ())) for h in hidx}
-        out = [v for given, read in ((resident_prefs, rprefs), (hospital_prefs, hprefs))
-               for owner, listed in read.items()
-               for v in _not_names(f"preference list of {owner}", given.get(owner), listed)]
-        if out:
-            raise InvalidInstanceError(out)
+        lists = (*rprefs.values(), *hprefs.values())
+        if None in lists or not all(map(isinstance, chain.from_iterable(lists), repeat(str))):
+            raise InvalidInstanceError([
+                v for given, read in ((resident_prefs, rprefs), (hospital_prefs, hprefs))
+                for owner, listed in read.items()
+                for v in _not_names(f"preference list of {owner}", given.get(owner), listed)])
         bounds = {h: _quota(quotas.get(h)) for h in hidx}
+        lows, ups = [*zip(*bounds.values())] if bounds and None not in bounds.values() else ((), ())
 
         # A name is one token of the .hrlq grammar: split at whitespace, cut at ':' and '#'.
-        out = [
+        names = rnames + hnames
+        joined = ":".join(names)  # valid names give one ':' per gap, no whitespace, no '#'
+        out = [] if all(names) and joined.split() == [joined] and "#" not in joined and (
+            joined.count(":") == len(names) - 1) else [
             f"malformed name {name!r}: empty, or contains whitespace, ':' or '#'"
-            for name in rnames + hnames
+            for name in names
             if not (name.split() == [name] and ":" not in name and "#" not in name)
         ]
-        out += [f"duplicate resident name {r}" for r in _repeats(rnames)]
-        out += [f"duplicate hospital name {h}" for h in _repeats(hnames)]
+        if len(ridx) + len(hidx) < len(names):
+            out += [f"duplicate resident name {r}" for r in _repeats(rnames)]
+            out += [f"duplicate hospital name {h}" for h in _repeats(hnames)]
         out += [f"name {name} used for both a resident and a hospital"
                 for name in sorted(ridx.keys() & hidx.keys())]
-        out += [f"preference list for unknown resident {r}"
-                for r in resident_prefs if r not in ridx]
-        out += [f"preference list for unknown hospital {h}"
-                for h in hospital_prefs if h not in hidx]
-        out += [f"quota for unknown hospital {h}" for h in quotas if h not in hidx]
-        for h, q in bounds.items():
-            if q is None:
-                out.append(f"missing or malformed quota for {h}")
-                continue
-            low, up = q
-            if _unwritable(low) or _unwritable(up):
-                out.append(f"quota of {h} has too many digits")
-                continue
-            if low < 0:
-                out.append(f"negative lower quota at {h}")
-            if low > up:
-                out.append(f"quota inversion at {h}: lower {low} exceeds upper {up}")
+        out += [f"preference list for unknown resident {r}" for r in _unknown(resident_prefs, ridx)]
+        out += [f"preference list for unknown hospital {h}" for h in _unknown(hospital_prefs, hidx)]
+        out += [f"quota for unknown hospital {h}" for h in _unknown(quotas, hidx)]
+        if not (lows and min(lows) >= 0 and all(map(int.__le__, lows, ups))
+                and not _unwritable(max(ups))):
+            for h, q in bounds.items():
+                if q is None:
+                    out.append(f"missing or malformed quota for {h}")
+                    continue
+                low, up = q
+                if _unwritable(low) or _unwritable(up):
+                    out.append(f"quota of {h} has too many digits")
+                    continue
+                if low < 0:
+                    out.append(f"negative lower quota at {h}")
+                if low > up:
+                    out.append(f"quota inversion at {h}: lower {low} exceeds upper {up}")
 
         # A hospital's position table is its rank table; a resident's lives
-        # until the one-sided checks are done.
-        position = [_positions(p, hidx, "hospital", r, out) for r, p in rprefs.items()]
-        rank_h = [_positions(p, ridx, "resident", h, out) for h, p in hprefs.items()]
-        out += [
-            f"one-sided acceptability ({r},{h}): {r} lists {h} but {h} does not list {r}"
-            for r, listed in zip(rprefs, position) for h in listed
-            if h in hidx and r not in rank_h[hidx[h]]
-        ]
-        out += [
-            f"one-sided acceptability ({r},{h}): {h} lists {r} but {r} does not list {h}"
-            for h, listed in zip(hprefs, rank_h) for r in listed
-            if r in ridx and h not in position[ridx[r]]
-        ]
-        if out:  # a name declared or listed twice repeats messages; each goes once
+        # until the one-sided checks are done.  With nothing else wrong,
+        # compiling `options` is the forward check, and equal pair counts
+        # then rule out the backward one.
+        position = _positions(rprefs, hidx, "hospital", out)
+        rank_h = _positions(hprefs, ridx, "resident", out)
+        try:
+            options = None if out else tuple(tuple(
+                [(j, rank_h[j][r]) for j in map(hidx.__getitem__, p)]) for r, p in rprefs.items())
+        except KeyError:
+            options = None
+        if options is None or sum(map(len, position)) != sum(map(len, rank_h)):
+            out += [
+                f"one-sided acceptability ({r},{h}): {r} lists {h} but {h} does not list {r}"
+                for r, listed in zip(rprefs, position) for h in listed
+                if h in hidx and r not in rank_h[hidx[h]]
+            ]
+            out += [
+                f"one-sided acceptability ({r},{h}): {h} lists {r} but {r} does not list {h}"
+                for h, listed in zip(hprefs, rank_h) for r in listed
+                if r in ridx and h not in position[ridx[r]]
+            ]
+            # A name declared or listed twice repeats messages; each goes once.
             raise InvalidInstanceError(dict.fromkeys(out))
         del position
 
-        options = tuple(
-            tuple([(j, rank_h[j][r]) for j in map(hidx.__getitem__, p)])
-            for r, p in rprefs.items()
-        )
         self.__dict__.update(
             residents=rnames,
             hospitals=hnames,
@@ -221,11 +234,11 @@ class Instance(_Record):
             quotas=bounds,
             resident_index=ridx,
             hospital_index=hidx,
-            edges=tuple((r, h) for r, p in rprefs.items() for h in sorted(p, key=hidx.__getitem__)),
+            edges=tuple([(r, hnames[j]) for r, o in zip(rprefs, options) for j, _ in sorted(o)]),
             _options=options,
-            _acc_h=tuple(tuple(map(ridx.__getitem__, p)) for p in hprefs.values()),
-            _low=tuple(low for low, _ in bounds.values()),
-            _up=tuple(up for _, up in bounds.values()),
+            _acc_h=tuple(map(tuple, map(map, repeat(ridx.__getitem__), hprefs.values()))),
+            _low=lows,
+            _up=ups,
         )
 
 
@@ -276,18 +289,25 @@ def _repeats(names: tuple) -> list:
     return [name for name in names if name in seen or seen.add(name)]  # add() gives None
 
 
-def _positions(listed: tuple, known: dict, kind: str, owner: str, out: list[str]) -> dict:
-    """`owner`'s list as a name -> position table; its repeats and unknown names go to `out`."""
-    table = {name: k for k, name in enumerate(listed)}
-    if len(table) < len(listed) or not table.keys() <= known.keys():
-        seen: set = set()
-        for name in listed:
-            if name in seen:
-                out.append(f"duplicate {kind} {name} in preference list of {owner}")
-            elif name not in known:
-                out.append(f"unknown {kind} {name} in preference list of {owner}")
-            seen.add(name)
-    return table
+def _unknown(given: Iterable, known: dict) -> list:
+    """Each member of `given` that `known` lacks, in order."""
+    return [] if all(map(known.__contains__, given)) else [x for x in given if x not in known]
+
+
+def _positions(lists: dict, known: dict, kind: str, out: list[str]) -> list[dict]:
+    """Each owner's list as a name -> position table; the repeats and unknown names go to `out`."""
+    tables = [{name: k for k, name in enumerate(listed)} for listed in lists.values()]
+    if sum(map(len, tables)) < sum(map(len, lists.values())) or not all(
+            map(known.__contains__, chain.from_iterable(lists.values()))):
+        for owner, listed in lists.items():
+            seen: set = set()
+            for name in listed:
+                if name in seen:
+                    out.append(f"duplicate {kind} {name} in preference list of {owner}")
+                elif name not in known:
+                    out.append(f"unknown {kind} {name} in preference list of {owner}")
+                seen.add(name)
+    return tables
 
 
 class Matching(_Record):

@@ -206,28 +206,36 @@ def exhaustive_two_by_two():
                     )
 
 
-def check_tables_by_name(instance: hrlq.Instance) -> None:
-    """Assert that the index maps, edges and compiled tables equal a rebuild from the string fields.
+def naive_tables(residents, hospitals, resident_prefs, hospital_prefs, quotas) -> dict:
+    """The index maps, edges and compiled tables of a valid description, rebuilt naively.
 
-    An index is a declaration position, found by `list.index`; a tuple
-    equals no list, so the container types are checked too.  Shares no
-    code with `hrlq.core`.
+    Takes lists of names, a list of names per resident and per hospital
+    (none is an empty list), and a (lower, upper) pair per hospital.  An
+    index is a declaration position, found by `list.index`; a tuple equals
+    no list, so comparing with an instance checks the container types too.
+    Shares no code with `hrlq.core`.
     """
-    residents, hospitals = list(instance.residents), list(instance.hospitals)
-    rp, hp = instance.resident_prefs, instance.hospital_prefs
-    edges = tuple((r, h) for r in residents for h in hospitals if h in rp[r])
-    rebuilt = {
+    residents, hospitals = list(residents), list(hospitals)
+    rp = {r: list(resident_prefs.get(r, [])) for r in residents}
+    hp = {h: list(hospital_prefs.get(h, [])) for h in hospitals}
+    return {
         "resident_index": {r: residents.index(r) for r in residents},
         "hospital_index": {h: hospitals.index(h) for h in hospitals},
-        "edges": edges,
+        "edges": tuple((r, h) for r in residents for h in hospitals if h in rp[r]),
         "_options": tuple(
             tuple((hospitals.index(h), hp[h].index(r)) for h in rp[r])
             for r in residents
         ),
         "_acc_h": tuple(tuple(residents.index(r) for r in hp[h]) for h in hospitals),
-        "_low": tuple(instance.quotas[h][0] for h in hospitals),
-        "_up": tuple(instance.quotas[h][1] for h in hospitals),
+        "_low": tuple(quotas[h][0] for h in hospitals),
+        "_up": tuple(quotas[h][1] for h in hospitals),
     }
+
+
+def check_tables_by_name(instance: hrlq.Instance) -> None:
+    """Assert that the index maps, edges and compiled tables equal a rebuild from the string fields."""
+    rebuilt = naive_tables(instance.residents, instance.hospitals, instance.resident_prefs,
+                           instance.hospital_prefs, instance.quotas)
     for name, table in rebuilt.items():
         assert getattr(instance, name) == table, name
 

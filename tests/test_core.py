@@ -219,6 +219,98 @@ class TestValidation:
             "one-sided acceptability (x,h): h lists x but x does not list h",
         )
 
+    # Each violation class on its own: one corruption of a valid instance, and
+    # exactly that class's message.  Every check runs its message loop only
+    # when a bulk test over all names or lists fails, so each case must fail
+    # that test and nothing else.
+    @staticmethod
+    def _valid(**edits):
+        given = {"residents": ["r1", "r2"], "hospitals": ["h1", "h2"],
+                 "resident_prefs": {"r1": ["h1", "h2"], "r2": ["h2"]},
+                 "hospital_prefs": {"h1": ["r1"], "h2": ["r2", "r1"]},
+                 "quotas": {"h1": (0, 1), "h2": (1, 2)}}
+        for field, edit in edits.items():
+            given[field] = edit(given[field]) if callable(edit) else edit
+        return given
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"residents": "r1"}, "residents must be a collection of names, got str"),
+        ({"hospitals": None}, "hospitals must be a collection of names, got NoneType"),
+        ({"residents": lambda rs: rs + [1]}, "residents must hold only names, got int 1"),
+        ({"resident_prefs": [("r1", ["h1"])]}, "resident_prefs must be a mapping, got list"),
+        ({"quotas": None}, "quotas must be a mapping, got NoneType"),
+        ({"resident_prefs": lambda rp: {**rp, "r2": "h2"}},
+         "preference list of r2 must be a collection of names, got str"),
+        ({"hospital_prefs": lambda hp: {**hp, "h1": ["r1", 7]}},
+         "preference list of h1 must hold only names, got int 7"),
+        ({"residents": lambda rs: rs + ["r1"]}, "duplicate resident name r1"),
+        ({"hospitals": lambda hs: ["h2"] + hs}, "duplicate hospital name h2"),
+        ({"residents": lambda rs: rs + ["h1"]}, "name h1 used for both a resident and a hospital"),
+        ({"resident_prefs": lambda rp: {**rp, "rX": []}},
+         "preference list for unknown resident rX"),
+        ({"hospital_prefs": lambda hp: {"hX": [], **hp}},
+         "preference list for unknown hospital hX"),
+        ({"quotas": lambda q: {**q, "hX": (0, 1)}}, "quota for unknown hospital hX"),
+        ({"quotas": lambda q: {"h2": q["h2"]}}, "missing or malformed quota for h1"),
+        ({"quotas": lambda q: {**q, "h2": (1, 2.0)}}, "missing or malformed quota for h2"),
+        ({"quotas": lambda q: {**q, "h2": (1, 10**5000)}}, "quota of h2 has too many digits"),
+        ({"quotas": lambda q: {**q, "h1": (-1, 1)}}, "negative lower quota at h1"),
+        ({"quotas": lambda q: {**q, "h2": (2, 1)}},
+         "quota inversion at h2: lower 2 exceeds upper 1"),
+        ({"resident_prefs": lambda rp: {**rp, "r1": ["h1", "h2", "h1"]}},
+         "duplicate hospital h1 in preference list of r1"),
+        ({"hospital_prefs": lambda hp: {**hp, "h2": ["r2", "r2", "r1"]}},
+         "duplicate resident r2 in preference list of h2"),
+        ({"resident_prefs": lambda rp: {**rp, "r2": ["h2", "hX"]}},
+         "unknown hospital hX in preference list of r2"),
+        ({"hospital_prefs": lambda hp: {**hp, "h1": ["rX", "r1"]}},
+         "unknown resident rX in preference list of h1"),
+        # Both directions: a pair only the resident lists fails the rank lookup
+        # of its options; a pair only the hospital lists leaves the counts unequal.
+        ({"resident_prefs": lambda rp: {**rp, "r2": ["h2", "h1"]}},
+         "one-sided acceptability (r2,h1): r2 lists h1 but h1 does not list r2"),
+        ({"resident_prefs": lambda rp: {**rp, "r1": ["h1"]}},
+         "one-sided acceptability (r1,h2): h2 lists r1 but r1 does not list h2"),
+        ({"hospital_prefs": lambda hp: {**hp, "h1": ["r1", "r2"]}},
+         "one-sided acceptability (r2,h1): h1 lists r2 but r2 does not list h1"),
+    ], ids=lambda case: case if isinstance(case, str) else "+".join(case))
+    def test_one_corruption_gives_exactly_its_message(self, edits, message):
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(**self._valid(**edits))
+        assert exc.value.violations == (message,)
+
+    # A name renamed everywhere it appears, at the start, in the middle and
+    # at the end of the declarations: first resident, second resident, last
+    # hospital.  A test of the joined names that counted tokens would pass a
+    # name whose whitespace is at its start or end.
+    @pytest.mark.parametrize("bad", [" ", "\t", "\x1c", "\x85", "\u2028", "\u3000", ":", "#"])
+    @pytest.mark.parametrize("old, new", [
+        ("r1", "{}r1"), ("r2", "r{}2"), ("h2", "h2{}"), ("r2", "{}"),
+    ])
+    def test_one_malformed_name_gives_exactly_its_message(self, bad, old, new):
+        new = new.format(bad)
+
+        def rename(name):
+            return new if name == old else name
+
+        given = {field: [*map(rename, value)] if isinstance(value, list) else
+                 {rename(owner): [*map(rename, listed)] if isinstance(listed, list) else listed
+                  for owner, listed in value.items()}
+                 for field, value in self._valid().items()}
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(**given)
+        assert exc.value.violations == (
+            f"malformed name {new!r}: empty, or contains whitespace, ':' or '#'",)
+
+    def test_an_empty_name_among_others_gives_exactly_its_message(self):
+        given = self._valid(residents=["r1", "", "r2"],
+                            resident_prefs=lambda rp: {**rp, "": ["h1"]},
+                            hospital_prefs=lambda hp: {**hp, "h1": ["r1", ""]})
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(**given)
+        assert exc.value.violations == (
+            "malformed name '': empty, or contains whitespace, ':' or '#'",)
+
     def test_matching_validation(self):
         with pytest.raises(hrlq.InvalidMatchingError, match="unacceptable pair"):
             hrlq.make_matching(IA, [("r2", "h2")])

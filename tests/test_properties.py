@@ -1,4 +1,5 @@
-"""Property tests over generated instances and graphs: format round trips, the exact
+"""Property tests over generated instances and graphs: format round trips, the compiled
+tables against a naive rebuild from any kind of name collection, the exact
 solver against the oracle and the paper-order reference, resumed deferred
 acceptance against a full run, the enumeration against the product space,
 the search's path-kept cut and leaf score against a recount, envy against
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrlq
-from helpers import (check_leaf_state, check_resumed_runs, choice_pairs, paper_min_ep,
-                     product_space_choices, random_instance, random_tight_instance)
+from helpers import (check_leaf_state, check_resumed_runs, choice_pairs, naive_tables,
+                     paper_min_ep, product_space_choices, random_instance, random_tight_instance)
 
 FIXED = settings(derandomize=True, database=None, max_examples=50, deadline=None)
 
@@ -64,6 +65,45 @@ def renamed(draw, instance):
     )
 
 
+class Name(str):
+    """A str subclass: a name as valid as the str it holds."""
+
+
+# Also valid: a name holding NUL, and one of a str subclass.
+ANY_NAMES = st.one_of(NAMES, NAMES.map(lambda name: name + "\x00"), NAMES.map(Name))
+
+# The kinds of collection `Instance` reads names from.
+COLLECTIONS = st.sampled_from([
+    list, tuple, iter, lambda names: (name for name in names),
+    lambda names: dict.fromkeys(names).keys(), lambda names: dict(enumerate(names)).values(),
+])
+
+
+@st.composite
+def descriptions(draw, instance):
+    """The instance renamed from ANY_NAMES, as plain lists and dicts, and the same
+    description with every collection of names drawn from COLLECTIONS."""
+    old = instance.residents + instance.hospitals
+    drawn = draw(st.lists(ANY_NAMES, min_size=len(old), max_size=len(old), unique=True))
+    new = dict(zip(old, drawn))
+    plain = (
+        [new[r] for r in instance.residents],
+        [new[h] for h in instance.hospitals],
+        {new[r]: [new[h] for h in prefs] for r, prefs in instance.resident_prefs.items()},
+        {new[h]: [new[r] for r in prefs] for h, prefs in instance.hospital_prefs.items()},
+        {new[h]: quota for h, quota in instance.quotas.items()},
+    )
+    residents, hospitals, resident_prefs, hospital_prefs, quotas = plain
+    loose = (
+        draw(COLLECTIONS)(residents),
+        draw(COLLECTIONS)(hospitals),
+        {r: draw(COLLECTIONS)(prefs) for r, prefs in resident_prefs.items()},
+        {h: draw(COLLECTIONS)(prefs) for h, prefs in hospital_prefs.items()},
+        quotas,
+    )
+    return plain, loose
+
+
 @st.composite
 def assignments(draw, instance):
     """Any matching of the instance's acceptable pairs, quotas ignored."""
@@ -89,6 +129,19 @@ def test_formats_round_trip(case):
     assert hrlq.serialize_instance(parsed) == text
     listing = hrlq.serialize_matching(instance, matching)
     assert hrlq.parse_matching(listing, parsed) == matching
+
+
+@settings(FIXED, max_examples=200)
+@given(INSTANCES.flatmap(descriptions))
+def test_compiled_tables_equal_a_naive_rebuild(case):
+    plain, loose = case
+    instance = hrlq.Instance(*loose)
+    for name, table in naive_tables(*plain).items():
+        assert getattr(instance, name) == table, name
+    residents, hospitals, resident_prefs, hospital_prefs, quotas = plain
+    assert instance == hrlq.Instance(residents, hospitals, resident_prefs, hospital_prefs, quotas)
+    assert instance.residents + instance.hospitals == tuple(residents + hospitals)
+    assert instance.resident_prefs == {r: tuple(prefs) for r, prefs in resident_prefs.items()}
 
 
 @st.composite
