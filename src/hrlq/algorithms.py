@@ -308,22 +308,24 @@ def _initial_cover(instance: Instance) -> list[int] | None:
     return cover
 
 
-def _frontier_readers(instance: Instance, last: list[int]) -> Iterator:
-    """The readers of the occupancy on G_1, G_2, ..., G_n, in that order.
+def _levels(instance: Instance, last: list[int]) -> list[tuple]:
+    """For levels 1, ..., n in order: the reader of the occupancy on G_i and an empty state table.
 
     G_i holds every hospital, whatever its lower quota, that a resident
     before i lists and a resident at or after i lists too; `last[h]` is h's
-    last lister.  One sweep over the residents builds them: G_(i+1) is G_i
-    less the hospitals whose last lister is i, plus those whose first
-    lister is i and that a later resident lists.  Read to the end it costs
-    O(n + |E| + the sum of |G_i|).
+    last lister.  One sweep over the residents builds them in
+    O(n + |E| + the sum of |G_i|): G_(i+1) is G_i less the hospitals whose
+    last lister is i, plus those whose first lister is i and that a later
+    resident lists.
     """
     first = [min(listed, default=-1) for listed in instance._acc_h]
     frontier: list[int] = []
+    levels = []
     for i, prefs in enumerate(instance._options):
         frontier = [h for h in frontier if last[h] > i]
         frontier += [h for h, _ in prefs if first[h] == i < last[h]]
-        yield itemgetter(*frontier) if frontier else _no_frontier
+        levels.append((itemgetter(*frontier) if frontier else _no_frontier, {}))
+    return levels
 
 
 def _no_frontier(occ: list[int]) -> tuple:
@@ -352,14 +354,15 @@ class _FeasibleSearch:
       augmenting path (`_augment`).  Any repair gives the same decision,
       because the cover only has to exist.
 
-    The state at level i is keyed by (i, occupancy of G_i), where G_i holds
-    every hospital, whatever its lower quota, listed both by a resident
-    before i and by one at or after i.  The key fixes everything below the
-    state: on a live branch a hospital listed only before i has met its
-    demand (the cover and the last-lister check see to that), and one
-    listed only from i on is still empty.  So the key fixes each hospital's
-    room under its upper quota and its demand left, hence the slack,
-    resident i's live options and every completion.  A state is a list
+    Level i has its own state table, keyed by the occupancy of G_i: every
+    hospital, whatever its lower quota, listed both by a resident before i
+    and by one at or after i.  One sweep builds all of them (`_levels`)
+    before the walk.  The key fixes everything below the state: on a live
+    branch a hospital listed only before i has met its demand (the cover
+    and the last-lister check see to that), and one listed only from i on
+    is still empty.  So the key fixes each hospital's room under its upper
+    quota and its demand left, hence the slack, resident i's live options
+    and every completion.  A state is a list
     [options, cover, slack].  The walk expands it the first time it
     reaches it: the three tests run once per option, on the cover of the
     path that reached it, and `options` becomes the live options in list
@@ -409,9 +412,8 @@ class _FeasibleSearch:
             yield []
             return
         self.last = [max(listed, default=-1) for listed in instance._acc_h]  # h's last lister
-        self.frontiers = _frontier_readers(instance, self.last)
-        self.readers = [None]  # readers[i]: G_i's, appended when level i - 1 first expands
-        self.states: dict[tuple, list | None] = {}  # (i, occupancy of G_i) -> state, None: dead
+        # levels[i]: G_(i+1)'s reader and {occupancy of G_(i+1): state, None if dead}
+        self.levels = _levels(instance, self.last)
         expand = self._expand
         choice = [-1] * n
         kept = [-1] * n  # kept[i]: the cut of i's hospital before i took it
@@ -456,14 +458,11 @@ class _FeasibleSearch:
 
     def _expand(self, i: int, state: list) -> list:
         """Store and return resident i's live options at `state`, reached with `self.occ`."""
-        instance, occ, last, states = self.instance, self.occ, self.last, self.states
+        instance, occ, last = self.instance, self.occ, self.last
         acc_h, low, up = instance._acc_h, instance._low, instance._up
         _, cover, slack = state
         n, freed = len(cover), cover[i]  # entries of residents before i are stale
-        readers = self.readers
-        if len(readers) == i + 1:  # the first expansion at level i
-            readers.append(next(self.frontiers))
-        reader = readers[i + 1]
+        reader, states = self.levels[i]  # the children's level, i + 1
         # A level with no slack tries only its list, for the count check
         # would refuse the unmatched entry there.
         prefs = instance._options[i]
@@ -482,7 +481,7 @@ class _FeasibleSearch:
                 continue
             if j >= 0:  # the child's key is taken after i's decision
                 occ[j] += 1
-            key = (i + 1, reader(occ))
+            key = reader(occ)
             if j >= 0:
                 occ[j] -= 1
             if key in states:

@@ -161,11 +161,11 @@ def _no_solution(args, outcome: str, line: str) -> int:
 def _rows(fields: dict) -> list[str]:
     """Aligned text rows: each key with `_` read as a space, a bool as yes/no, None as -."""
     width = max(map(len, fields))
-    return [f"{key.replace('_', ' ').ljust(width)}  {_shown(value)}"
+    return [f"{key.replace('_', ' ').ljust(width)}  {_cell(value)}"
             for key, value in fields.items()]
 
 
-def _shown(value) -> object:
+def _cell(value) -> object:
     if isinstance(value, bool):
         return "yes" if value else "no"
     return "-" if value is None else value

@@ -122,7 +122,7 @@ class Instance(_Record):
 
     # Derived tables (set in __init__, left out of eq/repr), built in the
     # pass that validates: the index maps and each hospital's position
-    # table are the validator's lookup tables, reused to compile.  Each
+    # table (residents get none) are the validator's lookup tables.  Each
     # check is one bulk test over all names or lists first, and its message
     # loop runs only when that test fails, so a valid instance runs none.
     #   resident_index, hospital_index  name -> dense index
@@ -200,31 +200,30 @@ class Instance(_Record):
                 if low > up:
                     out.append(f"quota inversion at {h}: lower {low} exceeds upper {up}")
 
-        # A hospital's position table is its rank table; a resident's lives
-        # until the one-sided checks are done.  With nothing else wrong,
-        # compiling `options` is the forward check, and equal pair counts
-        # then rule out the backward one.
-        position = _positions(rprefs, hidx, "hospital", out)
-        rank_h = _positions(hprefs, ridx, "resident", out)
+        # Only hospitals get position tables: they are the rank tables that
+        # compiling `options` reads.  With nothing else wrong, compiling is the
+        # forward one-sided check, and equal pair counts rule out the backward one.
+        rank_h = [{r: k for k, r in enumerate(listed)} for listed in hprefs.values()]
+        _check_lists(rprefs, hidx, "hospital", sum(map(len, map(set, rprefs.values()))), out)
+        _check_lists(hprefs, ridx, "resident", sum(map(len, rank_h)), out)
         try:
             options = None if out else tuple(tuple(
                 [(j, rank_h[j][r]) for j in map(hidx.__getitem__, p)]) for r, p in rprefs.items())
         except KeyError:
             options = None
-        if options is None or sum(map(len, position)) != sum(map(len, rank_h)):
+        if options is None or sum(map(len, options)) != sum(map(len, rank_h)):
             out += [
                 f"one-sided acceptability ({r},{h}): {r} lists {h} but {h} does not list {r}"
-                for r, listed in zip(rprefs, position) for h in listed
+                for r, listed in rprefs.items() for h in listed
                 if h in hidx and r not in rank_h[hidx[h]]
             ]
             out += [
                 f"one-sided acceptability ({r},{h}): {h} lists {r} but {r} does not list {h}"
-                for h, listed in zip(hprefs, rank_h) for r in listed
-                if r in ridx and h not in position[ridx[r]]
+                for h, listed in hprefs.items() for r in listed
+                if r in ridx and h not in rprefs[r]
             ]
             # A name declared or listed twice repeats messages; each goes once.
             raise InvalidInstanceError(dict.fromkeys(out))
-        del position
 
         self.__dict__.update(
             residents=rnames,
@@ -294,10 +293,9 @@ def _unknown(given: Iterable, known: dict) -> list:
     return [] if all(map(known.__contains__, given)) else [x for x in given if x not in known]
 
 
-def _positions(lists: dict, known: dict, kind: str, out: list[str]) -> list[dict]:
-    """Each owner's list as a name -> position table; the repeats and unknown names go to `out`."""
-    tables = [{name: k for k, name in enumerate(listed)} for listed in lists.values()]
-    if sum(map(len, tables)) < sum(map(len, lists.values())) or not all(
+def _check_lists(lists: dict, known: dict, kind: str, distinct: int, out: list[str]) -> None:
+    """Send the repeats and unknown names in `lists` to `out`; `distinct` sums their set sizes."""
+    if distinct < sum(map(len, lists.values())) or not all(
             map(known.__contains__, chain.from_iterable(lists.values()))):
         for owner, listed in lists.items():
             seen: set = set()
@@ -307,7 +305,6 @@ def _positions(lists: dict, known: dict, kind: str, out: list[str]) -> list[dict
                 elif name not in known:
                     out.append(f"unknown {kind} {name} in preference list of {owner}")
                 seen.add(name)
-    return tables
 
 
 class Matching(_Record):

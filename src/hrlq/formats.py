@@ -18,7 +18,6 @@ parse(serialize(x)) == x and repeated serialization is byte-identical.
 from __future__ import annotations
 
 import re
-from itertools import chain
 
 from .core import (
     Instance, InvalidMatchingError, Matching, _choice, make_matching, validate_instance,
@@ -87,8 +86,6 @@ def parse_instance(text: str) -> Instance:
     # A name is declared once, so the keys of the lists are the declarations, in order.
     for kind, other in (("resident", "hospital"), ("hospital", "resident")):
         declared = lists[other]
-        if all(map(declared.__contains__, chain.from_iterable(lists[kind].values()))):
-            continue  # the loop below only finds the line of an undeclared name
         for name, prefs in lists[kind].items():
             for listed in prefs:
                 if listed not in declared:

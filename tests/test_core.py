@@ -279,6 +279,22 @@ class TestValidation:
             hrlq.validate_instance(**self._valid(**edits))
         assert exc.value.violations == (message,)
 
+    # Two corruptions whose pair counts cancel: r2's repeated h2 adds one
+    # entry on the residents' side, and h1's extra name one on the
+    # hospitals'.  A validator that let equal pair counts stand in for the
+    # residents' own repeat test would accept both instances.
+    @pytest.mark.parametrize("extra, second", [
+        ("r2", "one-sided acceptability (r2,h1): h1 lists r2 but r2 does not list h1"),
+        ("rX", "unknown resident rX in preference list of h1"),
+    ])
+    def test_cancelling_pair_counts_give_exactly_both_messages(self, extra, second):
+        given = self._valid(resident_prefs=lambda rp: {**rp, "r2": ["h2", "h2"]},
+                            hospital_prefs=lambda hp: {**hp, "h1": ["r1", extra]})
+        with pytest.raises(hrlq.InvalidInstanceError) as exc:
+            hrlq.validate_instance(**given)
+        assert exc.value.violations == (
+            "duplicate hospital h2 in preference list of r2", second)
+
     # A name renamed everywhere it appears, at the start, in the middle and
     # at the end of the declarations: first resident, second resident, last
     # hospital.  A test of the joined names that counted tokens would pass a
