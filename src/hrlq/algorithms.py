@@ -233,8 +233,8 @@ def reduced_capacity_instance(instance: Instance) -> Instance:
     return Instance(
         instance.residents,
         instance.hospitals,
-        dict(instance.resident_prefs),
-        dict(instance.hospital_prefs),
+        instance.resident_prefs,
+        instance.hospital_prefs,
         {h: (0, low) for h, (low, _) in instance.quotas.items()},
     )
 

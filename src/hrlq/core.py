@@ -104,13 +104,14 @@ class Instance(_Record):
 
     Residents and hospitals keep their stable string names; dense integer
     indices are assigned by declaration order and drive every deterministic
-    ordering produced by this package.  Construction validates all
-    invariants (quota sanity, strict duplicate-free lists, mutual
-    acceptability) and raises :class:`InvalidInstanceError` listing every
-    violation at once.  Containers of the wrong kind (a `str`, or anything
-    not iterable, where names belong; prefs or quotas that are not a
-    mapping) and members of the wrong kind (a name that is not a `str`) are
-    reported first, on their own, since nothing can be read from them.
+    ordering produced by this package.  Construction reads any iterables of
+    names and any mappings without changing them, validates all invariants
+    (quota sanity, strict duplicate-free lists, mutual acceptability) and
+    raises :class:`InvalidInstanceError` listing every violation, each once.
+    Containers of the wrong kind (a `str`, or anything not iterable, where
+    names belong; prefs or quotas that are not a mapping) and members of the
+    wrong kind (a name that is not a `str`) are reported first, on their
+    own, since nothing can be read from them.
     """
 
     __match_args__ = ("residents", "hospitals", "resident_prefs", "hospital_prefs", "quotas")
@@ -239,6 +240,9 @@ class Instance(_Record):
             _low=lows,
             _up=ups,
         )
+
+
+validate_instance = Instance  # the constructor's other name
 
 
 def _members(given) -> tuple | None:
@@ -374,23 +378,6 @@ class EnvyReport(_Record):
             over_subscribed_hospitals=over_subscribed_hospitals,
             feasible=feasible,
         )
-
-
-def validate_instance(
-    residents: Iterable[str],
-    hospitals: Iterable[str],
-    resident_prefs: Mapping[str, Iterable[str]],
-    hospital_prefs: Mapping[str, Iterable[str]],
-    quotas: Mapping[str, tuple[int, int]],
-) -> Instance:
-    """Build a canonical Instance from a loose description: any iterables of names.
-
-    `Instance` itself turns the names and each declared vertex's list into
-    tuples.  Raises InvalidInstanceError carrying the complete violation list,
-    each violation once, when the description is inconsistent; each violation
-    names the offending vertex or pair.
-    """
-    return Instance(residents, hospitals, resident_prefs, hospital_prefs, quotas)
 
 
 def make_matching(instance: Instance, pairs: Iterable[Pair]) -> Matching:
@@ -582,5 +569,5 @@ def without_edges(instance: Instance, pairs: Iterable[Pair]) -> Instance:
          for r, prefs in instance.resident_prefs.items()},
         {h: tuple(r for r in prefs if (r, h) not in drop)
          for h, prefs in instance.hospital_prefs.items()},
-        dict(instance.quotas),
+        instance.quotas,
     )

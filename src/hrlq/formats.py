@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .core import (
-    Instance, InvalidMatchingError, Matching, _choice, make_matching, validate_instance,
-)
+from .core import Instance, InvalidMatchingError, Matching, _choice, make_matching
 from .reductions import SourceGraph
 
 _QUOTA_RE = re.compile(r"^\[([0-9]+),([0-9]+)\]$")
@@ -93,7 +91,7 @@ def parse_instance(text: str) -> Instance:
                         f"preference list of {kind} {name} names undeclared {other} {listed}",
                         decl_line[name],
                     )
-    return validate_instance(residents.keys(), hospitals.keys(), residents, hospitals, quotas)
+    return Instance(residents, hospitals, residents, hospitals, quotas)
 
 
 def serialize_instance(instance: Instance) -> str:

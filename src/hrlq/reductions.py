@@ -30,7 +30,7 @@ import warnings
 from collections.abc import Iterable
 
 from .core import (Instance, Matching, Pair, _collection, _plain_int, _Record, _shown,
-                   _unwritable, validate_instance)
+                   _unwritable)
 
 
 class ReductionError(ValueError):
@@ -248,7 +248,7 @@ def _with_vertex_layer(
                 attached[h].append(r)
     rp = {**dict.fromkeys(cover + fillers, vertices), **resident_prefs}
     hp = {**{v: cover + tuple(rs) + fillers for v, rs in attached.items()}, **hospital_prefs}
-    return validate_instance(list(rp), list(hp), rp, hp, {h: quotas.get(h, (1, 1)) for h in hp})
+    return Instance(rp, hp, rp, hp, {h: quotas.get(h, (1, 1)) for h in hp})
 
 
 def _vertex_set(graph: SourceGraph, vertices: Iterable[int], what: str) -> set[int]:
@@ -319,7 +319,7 @@ def gadget_instance(edge: tuple[int, int], length: int) -> Instance:
     _check_gadget_length(length)
     rp = {r: (first, third) for r, (first, _, third) in _gadget_resident_prefs(i, j, length).items()}
     hp = _gadget_hospital_prefs(i, j, length)
-    return validate_instance(list(rp), list(hp), rp, hp, dict.fromkeys(hp, (1, 1)))
+    return Instance(rp, hp, rp, hp, dict.fromkeys(hp, (1, 1)))
 
 
 def matching_from_cover(

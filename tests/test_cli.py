@@ -206,6 +206,55 @@ class TestVerify:
         assert "envy-pair r1 h1" in out
         assert "blocking-pair r1 h1" in out
 
+    # verify's text rows against its --json lists: a count row is the length
+    # of its list, a hospital row the list joined by spaces (- when empty),
+    # and each item of a list has one line of its own.
+    COUNTS = {"envy pairs": "envy_pairs", "envy residents": "envy_residents",
+              "blocking pairs": "blocking_pairs"}
+    HOSPITALS = {"deficient": "deficient_hospitals",
+                 "over subscribed": "over_subscribed_hospitals"}
+    ITEMS = {"envy-pair": "envy_pairs", "envy-resident": "envy_residents",
+             "blocking-pair": "blocking_pairs"}
+
+    def _check_rows_against_json(self, capsys, tmp_path, inst, matching):
+        inst_path, match_path = tmp_path / "v.hrlq", tmp_path / "v.match"
+        inst_path.write_text(hrlq.serialize_instance(inst))
+        match_path.write_text(hrlq.serialize_matching(inst, matching))
+        code, out, _ = run(capsys, "verify", "--in", inst_path, match_path)
+        json_code, json_out, _ = run(capsys, "verify", "--in", inst_path, match_path, "--json")
+        assert code == json_code == 0
+        doc = json.loads(json_out)
+        lines = out.splitlines()
+        rows = dict(re.fullmatch(r"(\S+(?: \S+)*)  +(\S.*)", line).groups() for line in lines[:7])
+        assert list(rows) == ["feasible", "envy free", *self.COUNTS, *self.HOSPITALS]
+        assert rows["feasible"] == ("yes" if doc["feasible"] else "no")
+        assert rows["envy free"] == ("yes" if doc["envy_free"] else "no")
+        for row, key in self.COUNTS.items():
+            assert rows[row] == str(len(doc[key]))
+        for row, key in self.HOSPITALS.items():
+            assert rows[row] == (" ".join(doc[key]) or "-")
+        items = [[kind, *(item if isinstance(item, list) else [item])]
+                 for kind, key in self.ITEMS.items() for item in doc[key]]
+        assert [line.split() for line in lines[7:]] == items
+        return doc
+
+    def test_rows_match_json_on_instance_a(self, capsys, tmp_path):
+        inst = instance_a()
+        doc = self._check_rows_against_json(
+            capsys, tmp_path, inst, hrlq.make_matching(inst, [("r1", "h2"), ("r2", "h1")]))
+        assert doc["envy_pairs"] == [["r1", "h1"]]
+
+    def test_rows_match_json_on_deficient_and_over_subscribed_hospitals(self, capsys, tmp_path):
+        inst = instance_a()
+        doc = self._check_rows_against_json(
+            capsys, tmp_path, inst, hrlq.make_matching(inst, [("r1", "h1"), ("r2", "h1")]))
+        assert doc["deficient_hospitals"] == ["h2"]
+        assert doc["over_subscribed_hospitals"] == ["h1"]
+
+    def test_rows_match_json_on_deferred_acceptance(self, capsys, tmp_path):
+        for inst in random_feasible_instances(1, 30):
+            self._check_rows_against_json(capsys, tmp_path, inst, hrlq.deferred_acceptance(inst))
+
     def test_bad_matching_is_input_error(self, capsys, ia_file, tmp_path):
         match_path = tmp_path / "bad.match"
         match_path.write_text("match r2 h2\n")

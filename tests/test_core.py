@@ -1,5 +1,6 @@
 """Model validation and the envy/blocking/feasibility predicates."""
 
+import copy
 import random
 import sys
 
@@ -278,6 +279,21 @@ class TestValidation:
         with pytest.raises(hrlq.InvalidInstanceError) as exc:
             hrlq.validate_instance(**self._valid(**edits))
         assert exc.value.violations == (message,)
+
+    def test_validate_instance_is_the_constructor(self):
+        assert hrlq.validate_instance is hrlq.Instance
+        assert "validate_instance" in hrlq.__all__
+        assert hrlq.validate_instance(**self._valid()) == hrlq.Instance(**self._valid())
+
+    def test_tables_are_read_as_given_and_left_unchanged(self):
+        # The preference tables may stand in for the names: a mapping
+        # iterates over its keys, in order, and nothing given is changed.
+        given = self._valid()
+        kept = copy.deepcopy(given)
+        inst = hrlq.Instance(given["resident_prefs"], given["hospital_prefs"],
+                             given["resident_prefs"], given["hospital_prefs"], given["quotas"])
+        assert inst == hrlq.Instance(**given)
+        assert given == kept
 
     # Two corruptions whose pair counts cancel: r2's repeated h2 adds one
     # entry on the residents' side, and h1's extra name one on the
