@@ -18,10 +18,9 @@ tiny for exhaustive tests but void the separation, so the generators emit a
 SeparationBoundWarning in that regime.
 
 Each part of a construction is written once, as preference tables: the edge
-gadget in `_gadget_resident_prefs` and `_gadget_hospital_prefs`, and the
-vertex-selection layer both reductions share in `_with_vertex_layer`.  The
-stand-alone gadget, its two perfect matchings and the certificate matchings
-are read off those tables.
+gadget in `_gadget`, and the vertex-selection layer both reductions share in
+`_with_vertex_layer`.  The stand-alone gadget, its two perfect matchings and
+the certificate matchings are read off those tables.
 """
 
 from __future__ import annotations
@@ -131,14 +130,6 @@ def _f(i: int) -> str:
     return f"f{i}"
 
 
-def _s(i: int, j: int, side: int, a: int) -> str:
-    return f"s{i}_{j}_{side}_{a}"
-
-
-def _t(i: int, j: int, side: int, a: int) -> str:
-    return f"t{i}_{j}_{side}_{a}"
-
-
 def _e(i: int, j: int, k: int) -> str:
     return f"e{i}_{j}_{k}"
 
@@ -176,39 +167,33 @@ def _require_k(graph: SourceGraph) -> int:
     return graph.k
 
 
-def _gadget_resident_prefs(i: int, j: int, length: int) -> dict[str, tuple[str, str, str]]:
-    """Preference lists of the 2*length gadget residents for edge (i, j).
+def _gadget(i: int, j: int, length: int) -> tuple[dict[str, tuple[str, str, str]],
+                                                 dict[str, tuple[str, str]]]:
+    """Preference lists of the 2*length residents and 2*length hospitals of
+    the gadget for edge (i, j), each table in declaration order: side 0, then
+    side 1, each by position a = 1..length.
 
-    Residents are listed in declaration order: side 0, then side 1, each by
-    position.  A side-0 resident ranks its own chain hospital first, the
-    vertex hospital v_i second and the next chain hospital third (wrapping);
-    the first side-0 resident crosses over to the side-1 chain instead.
-    Side 1 is symmetric around v_j, with its first resident crossing to
-    side 0 for its first choice.
+    Resident s_side_a ranks its own chain hospital t_side_a first, the vertex
+    hospital (v_i on side 0, v_j on side 1) second and the next chain
+    hospital third (wrapping); hospital t_side_a ranks s_side_(a-1), then
+    s_side_a.  The sides cross at position 1: s_0_1's third choice is t_1_1
+    and s_1_1's first is t_0_2, so t_0_2 ranks s_1_1 first and t_1_1 ranks
+    s_0_1 first, and t_0_1 ranks s_0_1 before s_0_length.
     """
-    prefs: dict[str, tuple[str, str, str]] = {}
-    for side, vertex in ((0, _v(i)), (1, _v(j))):
-        for a in range(1, length + 1):
-            first, third = _t(i, j, side, a), _t(i, j, side, a % length + 1)
-            if a == 1 and side == 0:
-                third = _t(i, j, 1, 1)
-            elif a == 1:
-                first = _t(i, j, 0, 2)
-            prefs[_s(i, j, side, a)] = (first, vertex, third)
-    return prefs
-
-
-def _gadget_hospital_prefs(i: int, j: int, length: int) -> dict[str, tuple[str, ...]]:
-    """Preference lists of the 2*length gadget hospitals for edge (i, j)."""
-    prefs: dict[str, tuple[str, ...]] = {}
-    prefs[_t(i, j, 0, 1)] = (_s(i, j, 0, 1), _s(i, j, 0, length))
-    prefs[_t(i, j, 0, 2)] = (_s(i, j, 1, 1), _s(i, j, 0, 2))
-    for a in range(3, length + 1):
-        prefs[_t(i, j, 0, a)] = (_s(i, j, 0, a - 1), _s(i, j, 0, a))
-    prefs[_t(i, j, 1, 1)] = (_s(i, j, 0, 1), _s(i, j, 1, length))
-    for a in range(2, length + 1):
-        prefs[_t(i, j, 1, a)] = (_s(i, j, 1, a - 1), _s(i, j, 1, a))
-    return prefs
+    s0, s1, t0, t1 = ([f"{x}{i}_{j}_{side}_{a}" for a in range(1, length + 1)]
+                      for x in "st" for side in (0, 1))
+    residents: dict[str, tuple[str, str, str]] = {}
+    hospitals: dict[str, tuple[str, str]] = {}
+    for rs, hs, vertex in ((s0, t0, _v(i)), (s1, t1, _v(j))):
+        for a in range(length):  # negative indices wrap round the side
+            residents[rs[a]] = (hs[a], vertex, hs[a + 1 - length])
+            hospitals[hs[a]] = (rs[a - 1], rs[a])
+    residents[s0[0]] = (t0[0], _v(i), t1[0])
+    residents[s1[0]] = (t0[1], _v(j), t1[1])
+    hospitals[t0[0]] = (s0[0], s0[-1])
+    hospitals[t0[1]] = (s1[0], s0[1])
+    hospitals[t1[0]] = (s0[0], s1[-1])
+    return residents, hospitals
 
 
 def _gadget_matching(i: int, j: int, length: int, shield_i: bool) -> list[Pair]:
@@ -220,8 +205,8 @@ def _gadget_matching(i: int, j: int, length: int, shield_i: bool) -> list[Pair]:
     install when a cover resident, whom v_i ranks above them, holds v_i.
     """
     pick = (2, 0) if shield_i else (0, 2)  # the list position taken, by side
-    prefs = _gadget_resident_prefs(i, j, length)
-    return [(r, listed[pick[n // length]]) for n, (r, listed) in enumerate(prefs.items())]
+    residents = _gadget(i, j, length)[0]
+    return [(r, listed[pick[n // length]]) for n, (r, listed) in enumerate(residents.items())]
 
 
 def _with_vertex_layer(
@@ -288,8 +273,9 @@ def vc_to_min_ep(graph: SourceGraph, params: VCReductionParams = VCReductionPara
     resident_prefs: dict[str, tuple[str, ...]] = {}
     hospital_prefs: dict[str, tuple[str, ...]] = {}
     for i, j in graph.edges:
-        resident_prefs.update(_gadget_resident_prefs(i, j, length))
-        hospital_prefs.update(_gadget_hospital_prefs(i, j, length))
+        residents, hospitals = _gadget(i, j, length)
+        resident_prefs.update(residents)
+        hospital_prefs.update(hospitals)
     return _with_vertex_layer(graph, resident_prefs, hospital_prefs, {})
 
 
@@ -317,8 +303,8 @@ def gadget_instance(edge: tuple[int, int], length: int) -> Instance:
     graph is a single cycle of length 4*gadget_length."""
     i, j = _check_edge(edge)
     _check_gadget_length(length)
-    rp = {r: (first, third) for r, (first, _, third) in _gadget_resident_prefs(i, j, length).items()}
-    hp = _gadget_hospital_prefs(i, j, length)
+    residents, hp = _gadget(i, j, length)
+    rp = {r: (first, third) for r, (first, _, third) in residents.items()}
     return Instance(rp, hp, rp, hp, dict.fromkeys(hp, (1, 1)))
 
 

@@ -23,6 +23,11 @@ def sha256(data: bytes) -> str:
      ["--k", "2", "--gadget-l", "3", "--cert", "cover:v1,v2"],
      ("9bcaa5777c73d7b7c6c7f752d6964c6cd96a7b63174de04008da763fc3c44a98",
       "864fb3b40ed517e13651426a8cec3f894b72d4915cf5674357416b16273b85d1")),
+    # The default gadget length n^2 + 1 = 10: 63 residents.
+    ("vc2ep", "p 3 3\ne 1 2\ne 1 3\ne 2 3\n",
+     ["--k", "2", "--cert", "cover:v1,v2"],
+     ("cb01980a5cc9e1805602dbe8215518c313d763b84084b9018f6a24b575ed20e3",
+      "c67aaf0159d44b48692caf6221ab79eb898385d57fea44b95a9d4dd0e44ba4e6")),
     # Two filler residents, and gadgets of both orientations.
     ("vc2ep", "p 4 4\ne 1 2\ne 1 4\ne 2 3\ne 3 4\n",
      ["--k", "2", "--gadget-l", "2", "--cert", "cover:v2,v4"],

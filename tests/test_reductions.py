@@ -76,11 +76,15 @@ class TestVertexCoverGenerator:
         assert len(inst.hospitals) == 63
         assert len(inst.residents) + len(inst.hospitals) == 2 * 3 + 4 * 3 * 10
 
-    def test_single_edge_gadget_is_a_cycle(self):
-        inst = quiet(hrlq.vc_to_min_ep, SINGLE_EDGE, hrlq.VCReductionParams(2))
-        assert len(inst.residents) == 2 + 4
-        assert len(inst.hospitals) == 2 + 4
-        gadget = hrlq.gadget_instance((1, 2), 2)
+    # From length 3 on, each side has positions the crossing leaves alone, and
+    # its chain wraps from the last of them back to position 1.
+    @pytest.mark.parametrize("length", [2, 3, 5, 10])
+    def test_single_edge_gadget_is_a_cycle(self, length):
+        inst = quiet(hrlq.vc_to_min_ep, SINGLE_EDGE, hrlq.VCReductionParams(length))
+        assert len(inst.residents) == 2 + 2 * length
+        assert len(inst.hospitals) == 2 + 2 * length
+        gadget = hrlq.gadget_instance((1, 2), length)
+        assert len(gadget.residents) == len(gadget.hospitals) == 2 * length
         # Every gadget vertex has degree exactly 2 and the graph is connected,
         # so the acceptability subgraph is one cycle of length 4*l.
         degree = {v: 0 for v in gadget.residents + gadget.hospitals}
@@ -99,7 +103,7 @@ class TestVertexCoverGenerator:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
-        assert len(seen) == 4 * 2
+        assert len(seen) == 4 * length
 
     def test_k_equals_n_drops_fillers(self):
         graph = hrlq.SourceGraph(2, [(1, 2)], k=2)
